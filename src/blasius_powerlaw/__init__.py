@@ -26,16 +26,11 @@ from .ode_core import (
     rhs_flux,
 )
 from .nitm import (
-    ExcludedExponentError,
     NitmConfig,
     NitmResult,
-    UndefinedGroupError,
-    compute_lambda,
-    is_excluded,
-    missing_initial_condition,
+    group_parameters,
     profile_ode_residuals,
     rescale_profile,
-    scaling_exponent,
     solve,
     solve_excluded,
     solve_nitm,

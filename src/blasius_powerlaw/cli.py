@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Exit status: 0 on success, 1 on numerical failure, 2 on usage errors.
-Data goes to --output (default stdout); diagnostics go to stderr.
+Exit status: 0 on success, 1 on numerical failure, 2 on usage errors (bad
+flags, out-of-range numbers, an unwritable --output).  Data goes to --output
+(default stdout); diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .ode_core import IntegratorConfig, OdeError
@@ -31,16 +33,30 @@ def _shooting_config(args) -> ShootingConfig:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output: {exc}") from exc
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eta-inf", type=float, default=10.0, help="truncated boundary")
-    p.add_argument("--c0", type=float, default=1.0, help="scaled wall curvature")
-    p.add_argument("--rtol", type=float, default=1e-12)
-    p.add_argument("--atol", type=float, default=1e-12)
+    p.add_argument("--eta-inf", type=_positive, default=10.0, help="truncated boundary")
+    p.add_argument("--c0", type=_positive, default=1.0, help="scaled wall curvature")
+    p.add_argument("--rtol", type=_positive, default=1e-12)
+    p.add_argument("--atol", type=_positive, default=1e-12)
     p.add_argument("--output", default=None, help="output file (default stdout)")
 
 
@@ -52,38 +68,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("solve", help="solve one exponent by the non-iterative method")
-    p.add_argument("--n", type=float, required=True)
+    p.add_argument("--n", type=_positive, required=True)
     _add_common(p)
 
     p = sub.add_parser("table", help="sweep a range of exponents")
-    p.add_argument("--n", type=float, action="append", default=None, help="explicit exponent (repeatable)")
-    p.add_argument("--n-from", type=float, default=None)
-    p.add_argument("--n-to", type=float, default=None)
-    p.add_argument("--n-step", type=float, default=None)
+    p.add_argument("--n", type=_positive, action="append", default=None, help="explicit exponent (repeatable)")
+    p.add_argument("--n-from", type=_positive, default=None)
+    p.add_argument("--n-to", type=_positive, default=None)
+    p.add_argument("--n-step", type=_positive, default=None)
     p.add_argument("--method", choices=("nitm", "shooting", "both"), default="nitm")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
 
     p = sub.add_parser("verify", help="compare the two methods at one exponent")
-    p.add_argument("--n", type=float, required=True)
+    p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--tol", type=float, default=1e-6, help="allowed |nitm - shooting|")
     _add_common(p)
 
     p = sub.add_parser("sensitivity", help="wall curvature vs truncated boundary")
-    p.add_argument("--n", type=float, required=True)
+    p.add_argument("--n", type=_positive, required=True)
     p.add_argument(
         "--eta-inf",
         dest="eta_inf_list",
         default="6,8,10,15,20",
         help="comma-separated truncated boundaries",
     )
-    p.add_argument("--c0", type=float, default=1.0)
-    p.add_argument("--rtol", type=float, default=1e-12)
-    p.add_argument("--atol", type=float, default=1e-12)
+    p.add_argument("--c0", type=_positive, default=1.0)
+    p.add_argument("--rtol", type=_positive, default=1e-12)
+    p.add_argument("--atol", type=_positive, default=1e-12)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("profile", help="export solution profile CSV")
-    p.add_argument("--n", type=float, required=True)
+    p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--columns", default=",".join(report.PROFILE_COLUMNS))
     _add_common(p)
 
@@ -93,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _grid(args) -> tuple[float, ...]:
     values = list(args.n or [])
     if args.n_from is not None or args.n_to is not None or args.n_step is not None:
-        if None in (args.n_from, args.n_to, args.n_step) or args.n_step <= 0:
-            raise UsageError("--n-from, --n-to and a positive --n-step must be given together")
+        if None in (args.n_from, args.n_to, args.n_step):
+            raise UsageError("--n-from, --n-to and --n-step must be given together")
         v = args.n_from
         while v <= args.n_to + 1e-12:
             values.append(round(v, 12))
@@ -165,8 +181,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sensitivity(args) -> int:
     try:
-        etas = [float(x) for x in args.eta_inf_list.split(",") if x]
-    except ValueError as exc:
+        etas = [_positive(x) for x in args.eta_inf_list.split(",") if x]
+    except argparse.ArgumentTypeError as exc:
         raise UsageError(f"bad --eta-inf list: {exc}") from exc
     cfg = NitmConfig(c0=args.c0, integrator=IntegratorConfig(rel_tol=args.rtol, abs_tol=args.atol))
     records = report.boundary_sensitivity(args.n, etas, cfg)

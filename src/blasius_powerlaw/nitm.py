@@ -1,13 +1,15 @@
 """Non-iterative solution of the power-law boundary-layer BVP.
 
 One initial value problem is integrated in scaled ("star") variables with a
-prescribed unit curvature at the wall; the group parameter lambda is then
-recovered algebraically from the far-field slope, which yields the missing
-wall curvature f''(0) and, by rescaling, the full physical solution.
+prescribed unit curvature at the wall.  The equation and the wall conditions
+are invariant under f(eta) = a F(b eta) whenever a^(n-2) b^(2n-1) = 1; the
+far-field condition a b F'_inf = 1 then fixes
 
-The scaling group does not exist at n = 1/2 and degenerates at n = 2; those
-exponents are handled by polynomial extrapolation from nearby admissible
-values of n.
+    a = F'_inf^((1-2n)/(n+1)),  b = F'_inf^((n-2)/(n+1)),
+    f''(0) = c0 F'_inf^(-3/(n+1)),
+
+which are finite for every n > 0.  At n = 1/2 the group is a pure stretch of
+eta, at n = 2 a pure scaling of f.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .ode_core import (
     GridSolution,
     IntegratorConfig,
     IvpState,
-    OdeError,
     SolutionProfile,
     flux_from_curvature,
     flux_nonnegative_projector,
@@ -32,20 +33,11 @@ from .ode_core import (
 )
 
 
-class ExcludedExponentError(OdeError):
-    """The scaling group is unavailable at this exponent; use solve_excluded."""
-
-
-class UndefinedGroupError(OdeError):
-    """The scaling exponent is undefined (n = 1/2)."""
-
-
-#: Exponents at which the one-IVP route is unavailable.
+#: Exponents whose tabulated reference rows are second-order approximations.
 EXCLUDED_EXPONENTS = (0.5, 2.0)
 
-#: Exponents this close to an excluded value are routed to extrapolation;
-#: the scaling exponent blows up near n = 1/2 and amplifies round-off.
-EXCLUSION_GUARD = 1e-6
+#: Exponent step of those approximations.
+EXCLUDED_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -53,36 +45,24 @@ class NitmConfig:
     eta_star_inf: float = 10.0
     c0: float = 1.0
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    exclusion_eps: float = 0.1
 
     def __post_init__(self) -> None:
         if self.eta_star_inf <= 0.0:
             raise DomainError("eta_star_inf must be positive")
         if self.c0 <= 0.0:
             raise DomainError("c0 must be positive")
-        if not (0.0 < self.exclusion_eps <= 0.25):
-            raise DomainError("exclusion_eps must lie in (0, 0.25]")
 
 
 @dataclass(frozen=True)
 class NitmResult:
     n: float
-    delta: float
-    lam: float
+    delta: float | None  # (2 - n)/(1 - 2n); None at n = 1/2
+    lam: float  # 1/a, the classical group parameter lambda
     fpp0: float
     fp_star_inf: float
     profile: SolutionProfile
     star_profile: SolutionProfile
     method_tag: str  # "direct" or "extrapolated"
-
-
-def scaling_exponent(n: float) -> float:
-    """Scaling exponent delta = (2 - n)/(1 - 2n) of the invariance group."""
-    if not math.isfinite(n) or n <= 0.0:
-        raise DomainError(f"exponent must be finite and > 0, got {n}")
-    if n == 0.5:
-        raise UndefinedGroupError("the scaling group does not exist at n = 1/2")
-    return (2.0 - n) / (1.0 - 2.0 * n)
 
 
 def solve_star_ivp(n: float, config: NitmConfig) -> SolutionProfile:
@@ -100,42 +80,29 @@ def solve_star_ivp(n: float, config: NitmConfig) -> SolutionProfile:
     )
 
 
-def compute_lambda(fp_star_inf: float, delta: float) -> float:
-    """Group parameter lambda = [f*'(eta*_inf)]^(1/(1 - delta))."""
+def group_parameters(n: float, fp_star_inf: float) -> tuple[float, float]:
+    """Group element (a, b) of f = a F(b eta) that maps F'_inf to one."""
     if not (fp_star_inf > 0.0) or not math.isfinite(fp_star_inf):
         raise DomainError(f"far-field slope must be finite and > 0, got {fp_star_inf}")
-    if delta == 1.0:
-        raise DomainError("delta = 1 makes the lambda exponent singular")
-    return fp_star_inf ** (1.0 / (1.0 - delta))
+    a = fp_star_inf ** ((1.0 - 2.0 * n) / (n + 1.0))
+    b = fp_star_inf ** ((n - 2.0) / (n + 1.0))
+    return a, b
 
 
-def missing_initial_condition(lam: float, delta: float, c0: float = 1.0) -> float:
-    """Wall curvature f''(0) = lambda^(2 delta - 1) * c0."""
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise DomainError(f"lambda must be finite and > 0, got {lam}")
-    return lam ** (2.0 * delta - 1.0) * c0
+def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfile:
+    """Map a star-frame profile to physical variables by f(eta) = a F(b eta).
 
-
-def rescale_profile(star: SolutionProfile, lam: float, delta: float) -> SolutionProfile:
-    """Map a star-frame profile to physical variables.
-
-    Rowwise: eta = lambda^-delta eta*, f = lambda^-1 f*, f' = lambda^(delta-1) f*',
-    f'' = lambda^(2 delta - 1) f*''; the flux is re-encoded from the rescaled
-    curvature.
+    Rowwise: eta = eta*/b, f = a F, f' = a b F', f'' = a b^2 F''; the flux is
+    re-encoded from the rescaled curvature.
     """
     if not star.star_frame:
         raise DomainError("rescale_profile expects a star-frame profile")
     n = star.params.n
-    s_eta = lam ** -delta
-    s_f = 1.0 / lam
-    s_fp = lam ** (delta - 1.0)
-    s_fpp = lam ** (2.0 * delta - 1.0)
-
-    etas = star.grid.ts * s_eta
+    etas = star.grid.ts / b
     ys = np.empty_like(star.grid.ys)
-    ys[:, 0] = star.grid.ys[:, 0] * s_f
-    ys[:, 1] = star.grid.ys[:, 1] * s_fp
-    fpp = star.curvatures() * s_fpp
+    ys[:, 0] = star.grid.ys[:, 0] * a
+    ys[:, 1] = star.grid.ys[:, 1] * (a * b)
+    fpp = star.curvatures() * (a * b * b)
     ys[:, 2] = np.array([flux_from_curvature(float(v), n) for v in fpp])
 
     # Node derivatives for dense output: (f', f'', w') with w' from the ODE.
@@ -148,53 +115,46 @@ def rescale_profile(star: SolutionProfile, lam: float, delta: float) -> Solution
     return SolutionProfile(grid=grid, params=star.params, config=star.config, star_frame=False)
 
 
-def is_excluded(n: float, guard: float = EXCLUSION_GUARD) -> bool:
-    return any(abs(n - x) < guard for x in EXCLUDED_EXPONENTS)
-
-
-def solve_nitm(n: float, config: NitmConfig | None = None) -> NitmResult:
-    """One-IVP solve: star integration, lambda recovery, rescaling."""
+def solve(n: float, config: NitmConfig | None = None) -> NitmResult:
+    """One-IVP solve: star integration, group recovery, rescaling."""
     config = config or NitmConfig()
-    if is_excluded(n):
-        raise ExcludedExponentError(
-            f"the scaling group is unavailable at n = {n}; use solve_excluded"
-        )
-    delta = scaling_exponent(n)
     star = solve_star_ivp(n, config)
     fp_star_inf = star.final.fp
-    lam = compute_lambda(fp_star_inf, delta)
-    fpp0 = missing_initial_condition(lam, delta, config.c0)
-    physical = rescale_profile(star, lam, delta)
+    a, b = group_parameters(n, fp_star_inf)
     return NitmResult(
         n=n,
-        delta=delta,
-        lam=lam,
-        fpp0=fpp0,
+        delta=star.params.delta,
+        lam=1.0 / a,
+        fpp0=config.c0 * fp_star_inf ** (-3.0 / (n + 1.0)),
         fp_star_inf=fp_star_inf,
-        profile=physical,
+        profile=rescale_profile(star, a, b),
         star_profile=star,
         method_tag="direct",
     )
 
 
-def solve_excluded(n: float, config: NitmConfig | None = None) -> NitmResult:
-    """Second-order-in-eps approximation at an excluded exponent.
+solve_nitm = solve
 
-    n = 1/2 sits between admissible exponents, so the central average of the
-    n -+ eps solves is used (error O(eps^2)).  n = 2 is approached from below
-    only, via a quadratic through n - eps, n - 2 eps, n - 3 eps.
+
+def solve_excluded(n: float, config: NitmConfig | None = None) -> NitmResult:
+    """Second-order approximation from neighbouring exponents, n = 1/2 or 2.
+
+    Reproduces the tabulated reference rows at these exponents; `solve`
+    computes them directly.  n = 1/2 takes the central average of the
+    n -+ EXCLUDED_STEP solves (error O(step^2)); n = 2 is approached from
+    below only, via a quadratic through n - step, n - 2 step, n - 3 step.
     """
     config = config or NitmConfig()
-    if not is_excluded(n):
-        raise DomainError(f"n = {n} is not an excluded exponent")
-    eps = config.exclusion_eps
-    if abs(n - 0.5) < EXCLUSION_GUARD:
+    if n not in EXCLUDED_EXPONENTS:
+        raise DomainError(f"n = {n} is not one of {EXCLUDED_EXPONENTS}")
+    eps = EXCLUDED_STEP
+    if n == 0.5:
         nodes = [n - eps, n + eps]
-        results = [solve_nitm(x, config) for x in nodes]
+        results = [solve(x, config) for x in nodes]
         fpp0 = 0.5 * (results[0].fpp0 + results[1].fpp0)
     else:
         nodes = [n - 3 * eps, n - 2 * eps, n - eps]
-        results = [solve_nitm(x, config) for x in nodes]
+        results = [solve(x, config) for x in nodes]
         coeffs = np.polyfit(nodes, [r.fpp0 for r in results], 2)
         fpp0 = float(np.polyval(coeffs, n))
     nearest = min(results, key=lambda r: abs(r.n - n))
@@ -230,11 +190,3 @@ def profile_ode_residuals(profile: SolutionProfile) -> np.ndarray:
         + h1 / (h2 * (h1 + h2)) * w[2:]
     )
     return dw + f[1:-1] * fpp[1:-1] / (n + 1.0)
-
-
-def solve(n: float, config: NitmConfig | None = None) -> NitmResult:
-    """Route to the direct one-IVP solve or the excluded-exponent fallback."""
-    config = config or NitmConfig()
-    if is_excluded(n):
-        return solve_excluded(n, config)
-    return solve_nitm(n, config)

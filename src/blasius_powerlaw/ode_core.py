@@ -60,11 +60,11 @@ def flux_from_curvature(fpp: float, n: float) -> float:
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Power-law exponent n and the scaling exponent delta = (2-n)/(1-2n).
+    """Power-law exponent n and the classical scaling exponent
+    delta = (2-n)/(1-2n) of f* = lambda f, eta* = lambda^delta eta.
 
-    delta is None exactly at n = 1/2, where the scaling group does not exist.
-    The group degenerates (delta = 0) at n = 2; callers treat n = 2 as
-    excluded from the non-iterative method.
+    delta is None exactly at n = 1/2, where that parametrisation has no
+    exponent; the non-iterative method does not use it (see `nitm`).
     """
 
     n: float
@@ -74,7 +74,8 @@ class FlowParams:
         if not math.isfinite(self.n) or self.n <= 0.0:
             raise DomainError(f"power-law exponent must be finite and > 0, got {self.n}")
         if self.delta is None and self.n != 0.5:
-            object.__setattr__(self, "delta", (2.0 - self.n) / (1.0 - 2.0 * self.n))
+            # Same value as (2-n)/(1-2n), but +0.0 rather than -0.0 at n = 2.
+            object.__setattr__(self, "delta", (self.n - 2.0) / (2.0 * self.n - 1.0))
 
 
 @dataclass(frozen=True)
@@ -238,6 +239,11 @@ def integrate_system(
     """
     if t_end <= t0:
         raise DomainError("t_end must exceed t0")
+    if t_end - t0 > config.max_steps * config.h_max:
+        # Every step is at most h_max, so the budget cannot reach t_end.
+        raise StepBudgetError(
+            f"step budget {config.max_steps} x h_max {config.h_max} cannot reach t = {t_end}"
+        )
     y = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y)):
         raise DomainError("non-finite initial state")

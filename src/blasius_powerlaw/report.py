@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -103,14 +103,8 @@ def boundary_sensitivity(
         raise DomainError("every truncated boundary must be positive")
     out = []
     for eta in eta_inf_values:
-        cfg = NitmConfig(
-            eta_star_inf=eta,
-            c0=config.c0,
-            integrator=config.integrator,
-            exclusion_eps=config.exclusion_eps,
-        )
         try:
-            out.append((eta, nitm_solve(n, cfg).fpp0, None))
+            out.append((eta, nitm_solve(n, replace(config, eta_star_inf=eta)).fpp0, None))
         except OdeError as exc:
             out.append((eta, None, str(exc)))
     return out

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -21,12 +22,13 @@ class TestSolve:
         assert doc["fpp0"] == pytest.approx(0.332057336217, abs=1e-9)
         assert doc["method_tag"] == "direct"
 
-    def test_excluded_routes_to_extrapolation(self, capsys):
+    def test_half_solves_directly(self, capsys):
         code, out, _ = _run(capsys, ["solve", "--n", "0.5"])
         assert code == 0
         doc = json.loads(out)
-        assert doc["method_tag"] == "extrapolated"
-        assert doc["fpp0"] == pytest.approx(0.337170680, abs=1e-8)
+        assert doc["method_tag"] == "direct"
+        assert doc["delta"] is None
+        assert doc["fpp0"] == pytest.approx(0.331746097242, abs=1e-11)
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "solve.json"
@@ -35,9 +37,18 @@ class TestSolve:
         assert json.loads(target.read_text())["n"] == 1.0
 
     def test_numerical_failure_exit_code(self, capsys):
-        code, _, err = _run(capsys, ["solve", "--n", "-1.0"])
+        # 10^6 steps of at most 0.5 cannot reach 10^6: rejected before stepping.
+        t0 = time.perf_counter()
+        code, _, err = _run(capsys, ["solve", "--n", "1", "--eta-inf", "1e6"])
+        assert time.perf_counter() - t0 < 1.0
         assert code == 1
         assert "numerical failure" in err
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "solve.json"
+        code, _, err = _run(capsys, ["solve", "--n", "1.0", "--output", str(target)])
+        assert code == 2
+        assert "usage error: cannot write --output" in err
 
 
 class TestTable:
@@ -123,6 +134,24 @@ class TestProfile:
 
 
 class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--n", "-1.0"],
+            ["solve", "--n", "0"],
+            ["solve", "--n", "nan"],
+            ["solve", "--n", "1.0", "--rtol", "0"],
+            ["solve", "--n", "1.0", "--eta-inf", "-10"],
+            ["table", "--n", "1.0", "--n", "-0.5"],
+            ["sensitivity", "--n", "1.0", "--eta-inf", "6,0,10"],
+            ["sensitivity", "--n", "1.0", "--eta-inf", "6,-8"],
+        ],
+    )
+    def test_out_of_range_number_is_usage_error(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "must be finite and > 0" in err
+
     def test_missing_subcommand(self, capsys):
         assert _run(capsys, [])[0] == 2
 

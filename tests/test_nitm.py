@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from blasius_powerlaw.ode_core import DomainError, IntegratorConfig
+from blasius_powerlaw.ode_core import DomainError, FlowParams, IntegratorConfig
 from blasius_powerlaw.nitm import (
-    ExcludedExponentError,
     NitmConfig,
-    UndefinedGroupError,
-    compute_lambda,
-    is_excluded,
-    missing_initial_condition,
+    group_parameters,
     profile_ode_residuals,
     rescale_profile,
-    scaling_exponent,
     solve,
     solve_excluded,
     solve_nitm,
     solve_star_ivp,
 )
+from blasius_powerlaw.shooting import ShootingConfig, solve_shooting
 
 # Wall curvatures computed by this package at eta*_inf = 10 with tolerance
 # 1e-12, cross-validated to ~5e-11 against an independent implicit
@@ -45,64 +41,85 @@ COMPUTED_FPP0 = {
 }
 
 
+ULP = 2.0**-52
+
+exponents = st.floats(min_value=0.05, max_value=3.0)
+slopes = st.floats(min_value=0.05, max_value=50.0)
+
+
 class TestScalingExponent:
+    """delta = (2 - n)/(1 - 2n) of the classical parametrisation, reported
+    by the solve; the solve itself does not use it."""
+
     def test_values(self):
-        assert scaling_exponent(1.0) == -1.0
-        assert scaling_exponent(0.3) == pytest.approx(4.25)
-        assert scaling_exponent(1.7) == pytest.approx(-0.125)
+        assert solve(1.0).delta == -1.0
+        assert solve(0.3).delta == pytest.approx(4.25)
+        assert solve(1.7).delta == pytest.approx(-0.125)
 
     def test_half_undefined(self):
-        with pytest.raises(UndefinedGroupError):
-            scaling_exponent(0.5)
+        result = solve(0.5)
+        assert result.delta is None
+        assert result.lam == 1.0  # a = 1: the group is a pure stretch of eta
 
     def test_two_degenerate(self):
-        # Formally zero; callers exclude n = 2 anyway.
-        assert scaling_exponent(2.0) == 0.0
+        result = solve(2.0)
+        assert result.delta == 0.0
+        # b = 1: the group is a pure scaling of f, so lambda = 1/a = F'_inf.
+        assert result.lam == pytest.approx(result.fp_star_inf, rel=1e-15)
 
     def test_invalid(self):
         with pytest.raises(DomainError):
-            scaling_exponent(-1.0)
+            solve(-1.0)
 
 
 class TestLambdaAlgebra:
+    """The group element f = a F(b eta) read off the far-field slope F'_inf;
+    the classical group parameter is lambda = 1/a."""
+
     def test_identity(self):
-        assert compute_lambda(1.0, -3.0) == 1.0
+        assert group_parameters(1.3, 1.0) == (1.0, 1.0)
 
     def test_square_root_case(self):
-        assert compute_lambda(4.0, -1.0) == pytest.approx(2.0)
+        assert group_parameters(1.0, 4.0) == (0.5, 0.5)
 
     def test_blasius_consistency(self):
-        lam = compute_lambda(2.08541, -1.0)
-        assert lam == pytest.approx(1.44410, abs=1e-5)
-        assert lam**-3 == pytest.approx(0.332057, abs=1e-5)
+        a, b = group_parameters(1.0, 2.08541)
+        assert 1.0 / a == pytest.approx(1.44410, abs=1e-5)
+        assert a * b * b == pytest.approx(0.332057, abs=1e-5)
 
-    def test_singular_delta(self):
+    def test_former_exclusions(self):
+        # A pure stretch of eta at n = 1/2, a pure scaling of f at n = 2.
+        assert group_parameters(0.5, 1.7) == (1.0, 1.7**-1.0)
+        assert group_parameters(2.0, 2.5) == (2.5**-1.0, 1.0)
+
+    def test_nonpositive_slope_rejected(self):
         with pytest.raises(DomainError):
-            compute_lambda(2.0, 1.0)
+            group_parameters(1.0, 0.0)
 
-    def test_missing_ic_identity(self):
-        assert missing_initial_condition(1.0, 4.25, c0=0.7) == 0.7
+    @given(n=exponents, fp=slopes)
+    def test_lambda_inverts_far_field(self, n, fp):
+        # lambda^(1 - delta) = F'_inf, the classical form; delta is None at
+        # n = 1/2 and 1 - delta blows up beside it.
+        assume(abs(n - 0.5) > 0.05)
+        a, _ = group_parameters(n, fp)
+        assert (1.0 / a) ** (1.0 - FlowParams(n).delta) == pytest.approx(fp, rel=1e-13)
 
-    def test_missing_ic_value(self):
-        assert missing_initial_condition(2.0, -1.0) == pytest.approx(0.125)
+    # The exponents (1-2n)/(n+1) and (n-2)/(n+1) are rounded separately and
+    # |ln F'_inf| <= 4 amplifies that rounding: a scan of 10^6 points gave
+    # at most 7 ulps for a b F'_inf and 21 ulps for a b^2.
+    @given(n=exponents, fp=slopes)
+    @example(n=0.5, fp=1.736189353689428)
+    @example(n=2.0, fp=2.5013095978186546)
+    def test_rescaled_far_field_slope_is_one(self, n, fp):
+        a, b = group_parameters(n, fp)
+        assert a * b * fp == pytest.approx(1.0, rel=8 * ULP, abs=0.0)
 
-    @given(
-        fp=st.floats(min_value=0.05, max_value=50.0),
-        delta=st.floats(min_value=-20.0, max_value=0.9),
-    )
-    def test_lambda_inverts_far_field(self, fp, delta):
-        lam = compute_lambda(fp, delta)
-        assert lam ** (1.0 - delta) == pytest.approx(fp, rel=1e-12)
-
-    @given(
-        fp=st.floats(min_value=0.05, max_value=50.0),
-        delta=st.floats(min_value=-20.0, max_value=0.9),
-    )
-    def test_rescaled_far_field_slope_is_one(self, fp, delta):
-        # lambda^(delta-1) * fp == 1 exactly up to round-off: this is the
-        # algebraic heart of the method.
-        lam = compute_lambda(fp, delta)
-        assert lam ** (delta - 1.0) * fp == pytest.approx(1.0, abs=1e-12)
+    @given(n=exponents, fp=slopes)
+    @example(n=0.5, fp=1.736189353689428)
+    @example(n=2.0, fp=2.5013095978186546)
+    def test_wall_curvature_factor(self, n, fp):
+        a, b = group_parameters(n, fp)
+        assert a * b * b == pytest.approx(fp ** (-3.0 / (n + 1.0)), rel=32 * ULP, abs=0.0)
 
 
 class TestStarIvp:
@@ -125,7 +142,7 @@ class TestStarIvp:
 class TestRescale:
     def test_identity_group_element(self):
         star = solve_star_ivp(1.0, NitmConfig())
-        phys = rescale_profile(star, 1.0, -1.0)
+        phys = rescale_profile(star, 1.0, 1.0)
         assert np.array_equal(phys.grid.ts, star.grid.ts)
         # The flux column is re-encoded through the curvature, so round-off
         # at the exp/log round-trip level is expected.
@@ -134,16 +151,16 @@ class TestRescale:
 
     def test_origin_row(self):
         star = solve_star_ivp(1.0, NitmConfig())
-        phys = rescale_profile(star, 2.0, -1.0)
+        phys = rescale_profile(star, 0.5, 0.5)
         first = phys.rows[0]
         assert first.eta == 0.0 and first.f == 0.0 and first.fp == 0.0
         assert first.fpp(1.0) == pytest.approx(0.125)
 
     def test_physical_profile_rejected(self):
         star = solve_star_ivp(1.0, NitmConfig())
-        phys = rescale_profile(star, 2.0, -1.0)
+        phys = rescale_profile(star, 0.5, 0.5)
         with pytest.raises(DomainError):
-            rescale_profile(phys, 2.0, -1.0)
+            rescale_profile(phys, 0.5, 0.5)
 
 
 class TestSolveNitm:
@@ -180,17 +197,24 @@ class TestSolveNitm:
         vals = [solve_nitm(round(1.0 + k / 10.0, 1)).fpp0 for k in range(1, 10)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    def test_excluded_raises(self):
-        with pytest.raises(ExcludedExponentError):
-            solve_nitm(0.5)
-        with pytest.raises(ExcludedExponentError):
-            solve_nitm(2.0)
+    def test_solve_is_solve_nitm(self):
+        assert solve is solve_nitm
 
-    def test_near_exclusion_guard(self):
-        assert is_excluded(0.5 + 1e-9)
-        assert is_excluded(2.0 - 1e-9)
-        assert not is_excluded(0.501)
-        assert solve(0.5 + 1e-9).method_tag == "extrapolated"
+    @pytest.mark.parametrize("n", [0.5, 2.0])
+    def test_former_exclusions_match_shooting(self, n):
+        # Shooting needs no group, so it checks these exponents directly
+        # at the same physical boundary.
+        result = solve(n)
+        assert result.method_tag == "direct"
+        shoot = solve_shooting(n, ShootingConfig(eta_inf=result.profile.final.eta))
+        assert abs(result.fpp0 - shoot.fpp0) <= 1e-11
+
+    def test_continuous_through_half(self):
+        centre = solve(0.5).fpp0
+        for n in (0.5 - 1e-9, 0.5 + 1e-9):
+            result = solve(n)
+            assert result.method_tag == "direct"
+            assert abs(result.fpp0 - centre) <= 1e-9
 
 
 class TestSolveExcluded:
@@ -233,5 +257,3 @@ class TestNitmConfig:
             NitmConfig(eta_star_inf=0.0)
         with pytest.raises(DomainError):
             NitmConfig(c0=-1.0)
-        with pytest.raises(DomainError):
-            NitmConfig(exclusion_eps=0.3)

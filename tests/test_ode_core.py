@@ -143,6 +143,19 @@ class TestIntegrator:
         with pytest.raises(StepBudgetError):
             integrate_system(lambda t, y: y, 0.0, [1.0], 50.0, cfg)
 
+    def test_impossible_budget_rejected_before_stepping(self):
+        # 3 steps of at most h_max = 0.5 cannot cover [0, 2].
+        calls = []
+        cfg = IntegratorConfig(max_steps=3)
+        with pytest.raises(StepBudgetError):
+            integrate_system(lambda t, y: calls.append(t) or y, 0.0, [1.0], 2.0, cfg)
+        assert calls == []
+
+    def test_budget_exhausted_while_stepping(self):
+        # Reachable in 3 steps of h_max, but the first steps start from h_init.
+        with pytest.raises(StepBudgetError, match="exhausted"):
+            integrate_system(lambda t, y: y, 0.0, [1.0], 1.0, IntegratorConfig(max_steps=3))
+
     def test_divergence_error(self):
         with pytest.raises(DivergenceError):
             integrate_system(lambda t, y: y**2, 0.0, [1.0], 5.0, CFG)
