@@ -22,8 +22,6 @@ from .ode_core import (
     StepUnderflowError,
     integrate,
     integrate_system,
-    rhs_direct,
-    rhs_flux,
 )
 from .nitm import (
     NitmConfig,

@@ -14,7 +14,6 @@ eta, at n = 2 a pure scaling of f.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,7 @@ from .ode_core import (
     flux_nonnegative_projector,
     flux_system,
     integrate,
+    require_positive,
 )
 
 
@@ -47,10 +47,8 @@ class NitmConfig:
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
 
     def __post_init__(self) -> None:
-        if self.eta_star_inf <= 0.0:
-            raise DomainError("eta_star_inf must be positive")
-        if self.c0 <= 0.0:
-            raise DomainError("c0 must be positive")
+        require_positive("eta_star_inf", self.eta_star_inf)
+        require_positive("c0", self.c0)
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,7 @@ def solve_star_ivp(n: float, config: NitmConfig) -> SolutionProfile:
 
 def group_parameters(n: float, fp_star_inf: float) -> tuple[float, float]:
     """Group element (a, b) of f = a F(b eta) that maps F'_inf to one."""
-    if not (fp_star_inf > 0.0) or not math.isfinite(fp_star_inf):
-        raise DomainError(f"far-field slope must be finite and > 0, got {fp_star_inf}")
+    require_positive("far-field slope", fp_star_inf)
     a = fp_star_inf ** ((1.0 - 2.0 * n) / (n + 1.0))
     b = fp_star_inf ** ((n - 2.0) / (n + 1.0))
     return a, b

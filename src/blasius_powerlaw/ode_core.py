@@ -58,6 +58,12 @@ def flux_from_curvature(fpp: float, n: float) -> float:
     return math.copysign(math.exp(n * math.log(abs(fpp))), fpp)
 
 
+def require_positive(name: str, value: float) -> None:
+    """Raise DomainError unless `value` is finite and > 0 (NaN included)."""
+    if not (value > 0.0) or not math.isfinite(value):
+        raise DomainError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class FlowParams:
     """Power-law exponent n and the classical scaling exponent
@@ -71,8 +77,7 @@ class FlowParams:
     delta: float | None = field(default=None)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.n) or self.n <= 0.0:
-            raise DomainError(f"power-law exponent must be finite and > 0, got {self.n}")
+        require_positive("power-law exponent", self.n)
         if self.delta is None and self.n != 0.5:
             # Same value as (2-n)/(1-2n), but +0.0 rather than -0.0 at n = 2.
             object.__setattr__(self, "delta", (self.n - 2.0) / (2.0 * self.n - 1.0))
@@ -91,9 +96,6 @@ class IvpState:
         """f'' recovered from the stored flux."""
         return curvature_from_flux(self.w, n)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.f, self.fp, self.w])
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -105,83 +107,60 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise DomainError("tolerances must be positive")
+        require_positive("rel_tol", self.rel_tol)
+        require_positive("abs_tol", self.abs_tol)
+        require_positive("h_min", self.h_min)
+        require_positive("h_max", self.h_max)
         if not (self.h_min <= self.h_init <= self.h_max):
             raise DomainError("step bounds must satisfy h_min <= h_init <= h_max")
-        if self.max_steps < 1:
-            raise DomainError("max_steps must be >= 1")
+        if not (self.max_steps >= 1) or not math.isfinite(self.max_steps):
+            raise DomainError(f"max_steps must be finite and >= 1, got {self.max_steps}")
 
 
-def rhs_flux(state: IvpState, params: FlowParams) -> tuple[float, float, float]:
-    """Conservative form: d/deta of (f, f', w) with w' = -f f'' / (n+1)."""
-    for v in (state.eta, state.f, state.fp, state.w):
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite state {state}")
-    fpp = curvature_from_flux(state.w, params.n)
-    return (state.fp, fpp, -state.f * fpp / (params.n + 1.0))
+State = tuple[float, ...]
+Rhs = Callable[[float, State], Sequence[float]]
 
 
-def rhs_direct(f: float, fp: float, fpp: float, params: FlowParams) -> tuple[float, float, float]:
-    """Expanded form with explicit f'': f''' = -f f'' |f''|^(1-n) / (n(n+1)).
-
-    Only valid while f'' != 0; the flux form has no such restriction.
-    """
-    for v in (f, fp, fpp):
-        if not math.isfinite(v):
-            raise DomainError("non-finite state")
-    if fpp == 0.0:
-        raise SingularityError("direct form undefined at f'' = 0")
-    n = params.n
-    fppp = -f * fpp * abs(fpp) ** (1.0 - n) / (n * (n + 1.0))
-    return (fp, fpp, fppp)
-
-
-def flux_system(params: FlowParams) -> Callable[[float, np.ndarray], np.ndarray]:
+def flux_system(params: FlowParams) -> Rhs:
     """Vector field over y = (f, f', w) for the generic integrator."""
     n = params.n
     inv_np1 = 1.0 / (n + 1.0)
 
-    def rhs(eta: float, y: np.ndarray) -> np.ndarray:
+    def rhs(eta: float, y: State) -> State:
         fpp = curvature_from_flux(y[2], n)
-        return np.array([y[1], fpp, -y[0] * fpp * inv_np1])
+        return (y[1], fpp, -y[0] * fpp * inv_np1)
 
     return rhs
 
 
-def direct_system(params: FlowParams) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Vector field over y = (f, f', f'') for the generic integrator."""
+def direct_system(params: FlowParams) -> Rhs:
+    """Vector field over y = (f, f', f'') with f''' = -f f'' |f''|^(1-n) / (n(n+1)).
+
+    Only valid while f'' != 0; the flux form has no such restriction.
+    """
     n = params.n
 
-    def rhs(eta: float, y: np.ndarray) -> np.ndarray:
+    def rhs(eta: float, y: State) -> State:
         if y[2] == 0.0:
             raise SingularityError("direct form undefined at f'' = 0")
         fppp = -y[0] * y[2] * abs(y[2]) ** (1.0 - n) / (n * (n + 1.0))
-        return np.array([y[1], y[2], fppp])
+        return (y[1], y[2], fppp)
 
     return rhs
 
 
-# Dormand-Prince 5(4) coefficients.  The fifth-order solution is propagated;
-# the embedded fourth-order result supplies the local error estimate.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_E = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+# Dormand-Prince 5(4) coefficients: nodes C, stage weights A (row 7 holds
+# the fifth-order weights, so stage 7 is evaluated at the propagated
+# solution) and the fifth-minus-fourth-order error weights E.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A72, _A73, _A74, _A75, _A76 = 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (
+    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
 )
 
 
@@ -223,20 +202,26 @@ class GridSolution:
 
 
 def integrate_system(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Rhs,
     t0: float,
     y0: Sequence[float],
     t_end: float,
     config: IntegratorConfig,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
+    project: Callable[[State], Sequence[float]] | None = None,
 ) -> GridSolution:
     """Integrate y' = rhs(t, y) from t0 to t_end with an embedded 5(4) pair.
 
-    The final step is clipped so the last node lands exactly on t_end.
-    `project`, when given, maps each accepted state back onto an invariant
-    manifold (used to pin the viscous flux at zero once the layer
-    extinguishes, which happens at finite eta for n > 1).
+    The state is a tuple of floats: `rhs(t, y)` and `project(y)` receive one
+    and may return any length-m sequence.  `rhs` is called once at t0, six
+    times per attempted step (the last two at t + h) and once more after
+    each projection that changes the state.  The final step is clipped so
+    the last node lands exactly on t_end.  `project`, when given, maps each
+    accepted state back onto an invariant manifold (used to pin the viscous
+    flux at zero once the layer extinguishes, which happens at finite eta
+    for n > 1).
     """
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise DomainError(f"integration bounds must be finite, got [{t0}, {t_end}]")
     if t_end <= t0:
         raise DomainError("t_end must exceed t0")
     if t_end - t0 > config.max_steps * config.h_max:
@@ -244,63 +229,82 @@ def integrate_system(
         raise StepBudgetError(
             f"step budget {config.max_steps} x h_max {config.h_max} cannot reach t = {t_end}"
         )
-    y = np.asarray(y0, dtype=float)
-    if not np.all(np.isfinite(y)):
+    y = tuple(map(float, y0))
+    if not all(map(math.isfinite, y)):
         raise DomainError("non-finite initial state")
 
+    m = len(y)
+    rtol, atol = config.rel_tol, config.abs_tol
+    h_min, h_max, max_steps = config.h_min, config.h_max, config.max_steps
+    isfinite = math.isfinite
     t = t0
-    k = [np.zeros_like(y) for _ in range(7)]
-    k[0] = rhs(t, y)
-    ts = [t]
-    ys = [y.copy()]
-    dys = [k[0].copy()]
+    k1 = rhs(t, y)
+    ts, ys, dys = [t], [y], [k1]
     h = config.h_init
     nsteps = 0
 
+    # Each weighted sum starts from 0.0 and keeps its zero weights, so every
+    # component rounds as a left-to-right sum would: -0.0 becomes +0.0, and
+    # 0 * inf still turns the step into NaN, which rejects it.
     while t < t_end:
-        if nsteps >= config.max_steps:
-            raise StepBudgetError(f"step budget {config.max_steps} exhausted at t = {t}")
-        h = min(h, config.h_max, t_end - t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(1, 7):
-                ys_stage = y + h * sum(a * ki for a, ki in zip(_DP_A[s], k))
-                k[s] = rhs(t + _DP_C[s] * h, ys_stage)
-            y_new = ys_stage  # stage 7 uses the propagated-solution weights (FSAL)
-            err_vec = h * sum(e * ki for e, ki in zip(_DP_E, k))
+        if nsteps >= max_steps:
+            raise StepBudgetError(f"step budget {max_steps} exhausted at t = {t}")
+        h = min(h, h_max, t_end - t)
+        k2 = rhs(t + _C2 * h, tuple([yi + h * (0.0 + _A21 * a) for yi, a in zip(y, k1)]))
+        k3 = rhs(t + _C3 * h, tuple([
+            yi + h * (0.0 + _A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2)
+        ]))
+        k4 = rhs(t + _C4 * h, tuple([
+            yi + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
+            for yi, a, b, c in zip(y, k1, k2, k3)
+        ]))
+        k5 = rhs(t + _C5 * h, tuple([
+            yi + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
+            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+        ]))
+        k6 = rhs(t + h, tuple([
+            yi + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+            for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+        ]))
+        y_new = tuple([
+            yi + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d + _A75 * e + _A76 * f)
+            for yi, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)
+        ])
+        k7 = rhs(t + h, y_new)  # first-same-as-last: k1 of the next step
+        nsteps += 1
 
-        if np.all(np.isfinite(y_new)):
-            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+        if all(map(isfinite, y_new)):
+            sq = 0.0
+            for yi, yn, a, b, c, d, e, f, g in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7):
+                q = h * (
+                    0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g
+                ) / (atol + rtol * max(abs(yi), abs(yn)))
+                sq += q * q
+            err = math.sqrt(sq / m)
         else:
             err = math.inf
-        nsteps += 1
 
         if err <= 1.0:
             t = t + h
+            y, k1 = y_new, k7
             if project is not None:
-                y_proj = project(y_new)
-                if np.array_equal(y_proj, y_new):
-                    y = y_new
-                    k[0] = k[6]  # first-same-as-last
-                else:
+                y_proj = tuple(project(y_new))
+                if y_proj != y_new:
                     y = y_proj
-                    k[0] = rhs(t, y)
-            else:
-                y = y_new
-                k[0] = k[6]  # first-same-as-last
+                    k1 = rhs(t, y)
             ts.append(t)
-            ys.append(y.copy())
-            dys.append(k[0].copy())
+            ys.append(y)
+            dys.append(k1)
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h = h * factor
         else:
-            if not math.isfinite(err) and h <= config.h_min * (1.0 + 1e-12):
+            if not isfinite(err) and h <= h_min * (1.0 + 1e-12):
                 raise DivergenceError(f"state became non-finite at t = {t}")
-            h = h * (0.5 if not math.isfinite(err) else max(0.2, 0.9 * err ** -0.2))
-            if h < config.h_min:
+            h = h * (0.5 if not isfinite(err) else max(0.2, 0.9 * err ** -0.2))
+            if h < h_min:
                 raise StepUnderflowError(f"step underflow below h_min at t = {t}")
 
-    return GridSolution(np.array(ts), np.array(ys), np.array(dys))
+    return GridSolution(np.array(ts), np.array(ys, dtype=float), np.array(dys, dtype=float))
 
 
 @dataclass
@@ -347,7 +351,7 @@ class SolutionProfile:
 FLUX_CUTOFF = 1e-10
 
 
-def flux_nonnegative_projector(cutoff: float = FLUX_CUTOFF) -> Callable[[np.ndarray], np.ndarray]:
+def flux_nonnegative_projector(cutoff: float = FLUX_CUTOFF) -> Callable[[State], State]:
     """Pin the flux component of a (f, f', w) state to zero once it is spent.
 
     The boundary-layer solutions of interest start from w(0) > 0 and w decays
@@ -356,24 +360,24 @@ def flux_nonnegative_projector(cutoff: float = FLUX_CUTOFF) -> Callable[[np.ndar
     right-hand side is non-Lipschitz in w.
     """
 
-    def project(y: np.ndarray) -> np.ndarray:
+    def project(y: State) -> State:
         if y[2] < cutoff:
-            y = y.copy()
-            y[2] = 0.0
+            return (y[0], y[1], 0.0)
         return y
 
     return project
 
 
 def integrate(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Rhs,
     initial: IvpState,
     eta_end: float,
     config: IntegratorConfig,
     params: FlowParams,
     star_frame: bool = True,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
+    project: Callable[[State], Sequence[float]] | None = None,
 ) -> SolutionProfile:
     """Integrate the (f, f', w) system from `initial` to eta_end."""
-    grid = integrate_system(rhs, initial.eta, initial.as_array(), eta_end, config, project=project)
+    y0 = (initial.f, initial.fp, initial.w)
+    grid = integrate_system(rhs, initial.eta, y0, eta_end, config, project=project)
     return SolutionProfile(grid=grid, params=params, config=config, star_frame=star_frame)

@@ -59,16 +59,20 @@ def sweep_table(spec: SweepSpec) -> list[SweepRow]:
         fpp0_nitm = fpp0_shooting = discrepancy = None
         method_tag = None
         errors = []
+        shooting_config = spec.shooting_config
         if spec.method in ("nitm", "both"):
             try:
                 result = nitm_solve(n, spec.nitm_config)
                 fpp0_nitm = result.fpp0
                 method_tag = result.method_tag
+                # The one-IVP row satisfies f' = 1 at its rescaled endpoint,
+                # so shooting must impose the far field at the same spot.
+                shooting_config = replace(shooting_config, eta_inf=result.profile.final.eta)
             except OdeError as exc:
                 errors.append(f"nitm: {exc}")
         if spec.method in ("shooting", "both"):
             try:
-                fpp0_shooting = solve_shooting(n, spec.shooting_config).fpp0
+                fpp0_shooting = solve_shooting(n, shooting_config).fpp0
             except OdeError as exc:
                 errors.append(f"shooting: {exc}")
         if fpp0_nitm is not None and fpp0_shooting is not None:

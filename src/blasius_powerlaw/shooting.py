@@ -8,7 +8,6 @@ on the non-iterative route.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .ode_core import (
@@ -22,6 +21,7 @@ from .ode_core import (
     flux_nonnegative_projector,
     flux_system,
     integrate,
+    require_positive,
 )
 
 
@@ -43,12 +43,11 @@ class ShootingConfig:
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
 
     def __post_init__(self) -> None:
+        require_positive("bracket_hi", self.bracket_hi)
         if not (0.0 < self.bracket_lo < self.bracket_hi):
             raise DomainError("bracket must satisfy 0 < lo < hi")
-        if self.root_tol <= 0.0:
-            raise DomainError("root_tol must be positive")
-        if self.eta_inf <= 0.0:
-            raise DomainError("eta_inf must be positive")
+        require_positive("root_tol", self.root_tol)
+        require_positive("eta_inf", self.eta_inf)
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,7 @@ def _integrate_guess(n: float, guess: float, config: ShootingConfig) -> Solution
 def shoot_residual(n: float, guess: float, config: ShootingConfig | None = None) -> float:
     """Residual f'(eta_inf) - 1 of the trial wall curvature `guess`."""
     config = config or ShootingConfig()
-    if not (guess > 0.0) or not math.isfinite(guess):
-        raise DomainError(f"trial curvature must be finite and > 0, got {guess}")
+    require_positive("trial curvature", guess)
     return _integrate_guess(n, guess, config).final.fp - 1.0
 
 

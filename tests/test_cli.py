@@ -72,6 +72,15 @@ class TestTable:
         row = doc["rows"][0]
         assert row["fpp0_nitm"] == pytest.approx(row["fpp0_shooting"], abs=1e-6)
 
+    def test_both_compares_at_matched_boundary(self, capsys):
+        # Shooting at physical eta = 10 instead of the row's endpoint
+        # (about 17 at n = 0.3) gave a spurious 7.1e-3 here.
+        code, out, _ = _run(
+            capsys, ["table", "--n", "0.3", "--method", "both", "--format", "json"]
+        )
+        assert code == 0
+        assert json.loads(out)["rows"][0]["discrepancy"] <= 1e-10
+
     def test_incomplete_range_is_usage_error(self, capsys):
         code, _, err = _run(capsys, ["table", "--n-from", "0.5"])
         assert code == 2

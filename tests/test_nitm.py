@@ -257,3 +257,10 @@ class TestNitmConfig:
             NitmConfig(eta_star_inf=0.0)
         with pytest.raises(DomainError):
             NitmConfig(c0=-1.0)
+
+    @pytest.mark.parametrize("field", ["eta_star_inf", "c0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_rejected(self, field, value):
+        # `nan <= 0` is false, so a sign check alone would let NaN through.
+        with pytest.raises(DomainError):
+            NitmConfig(**{field: value})

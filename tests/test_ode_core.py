@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from blasius_powerlaw.nitm import solve
 from blasius_powerlaw.ode_core import (
     DivergenceError,
     DomainError,
@@ -19,8 +20,6 @@ from blasius_powerlaw.ode_core import (
     flux_system,
     integrate,
     integrate_system,
-    rhs_direct,
-    rhs_flux,
 )
 
 
@@ -69,35 +68,41 @@ class TestFluxEncoding:
 
 
 class TestRhsFlux:
+    """The flux form: d/deta (f, f', w) = (f', f'', -f f''/(n+1))."""
+
     def test_origin_blasius(self):
-        d = rhs_flux(IvpState(eta=0.0, f=0.0, fp=0.0, w=1.0), FlowParams(1.0))
+        d = flux_system(FlowParams(1.0))(0.0, (0.0, 0.0, 1.0))
         assert d == (0.0, 1.0, 0.0)
 
     def test_direct_substitution_n1(self):
-        d = rhs_flux(IvpState(eta=1.0, f=2.0, fp=0.5, w=0.25), FlowParams(1.0))
+        d = flux_system(FlowParams(1.0))(1.0, (2.0, 0.5, 0.25))
         assert d == pytest.approx((0.5, 0.25, -0.25))
 
     def test_direct_substitution_half(self):
-        d = rhs_flux(IvpState(eta=1.0, f=1.0, fp=0.0, w=0.04), FlowParams(0.5))
+        d = flux_system(FlowParams(0.5))(1.0, (1.0, 0.0, 0.04))
         assert d == pytest.approx((0.0, 0.0016, -0.0016 / 1.5))
 
     def test_nonfinite_rejected(self):
+        p = FlowParams(1.0)
+        initial = IvpState(eta=0.0, f=math.nan, fp=0.0, w=1.0)
         with pytest.raises(DomainError):
-            rhs_flux(IvpState(eta=0.0, f=math.nan, fp=0.0, w=1.0), FlowParams(1.0))
+            integrate(flux_system(p), initial, 1.0, CFG, p)
 
 
 class TestRhsDirect:
+    """The expanded form: d/deta (f, f', f'') with f''' written out."""
+
     def test_blasius_form(self):
-        d = rhs_direct(2.0, 0.5, 0.25, FlowParams(1.0))
+        d = direct_system(FlowParams(1.0))(0.0, (2.0, 0.5, 0.25))
         assert d == pytest.approx((0.5, 0.25, -0.25))
 
     def test_n2(self):
-        d = rhs_direct(1.0, 0.0, 4.0, FlowParams(2.0))
+        d = direct_system(FlowParams(2.0))(0.0, (1.0, 0.0, 4.0))
         assert d[2] == pytest.approx(-1.0 / 6.0)
 
     def test_zero_curvature_singular(self):
         with pytest.raises(SingularityError):
-            rhs_direct(1.0, 0.5, 0.0, FlowParams(1.3))
+            direct_system(FlowParams(1.3))(0.0, (1.0, 0.5, 0.0))
 
     @given(
         f=st.floats(min_value=0.0, max_value=5.0),
@@ -107,11 +112,11 @@ class TestRhsDirect:
     def test_consistent_with_flux_form(self, f, fpp, n):
         # Mapping f''' through dw = n |f''|^(n-1) df'' must reproduce the
         # flux-form w'.
-        params = FlowParams(n, delta=0.0 if n == 0.5 else None)
-        fppp = rhs_direct(f, 0.0, fpp, params)[2]
+        params = FlowParams(n)
+        fppp = direct_system(params)(0.0, (f, 0.0, fpp))[2]
         w_rate_direct = n * abs(fpp) ** (n - 1.0) * fppp
         w = flux_from_curvature(fpp, n)
-        w_rate_flux = rhs_flux(IvpState(eta=0.0, f=f, fp=0.0, w=w), params)[2]
+        w_rate_flux = flux_system(params)(0.0, (f, 0.0, w))[2]
         assert w_rate_direct == pytest.approx(w_rate_flux, rel=1e-9, abs=1e-12)
 
 
@@ -122,11 +127,11 @@ class TestIntegrator:
         assert sol.ts[-1] == 1.0
 
     def test_constant(self):
-        sol = integrate_system(lambda t, y: 0.0 * y, 0.0, [7.0], 10.0, CFG)
+        sol = integrate_system(lambda t, y: (0.0,), 0.0, [7.0], 10.0, CFG)
         assert sol.ys[-1][0] == 7.0
 
     def test_endpoint_is_exact(self):
-        sol = integrate_system(lambda t, y: np.sin(t) * y, 0.0, [1.0], 3.7, CFG)
+        sol = integrate_system(lambda t, y: (math.sin(t) * y[0],), 0.0, [1.0], 3.7, CFG)
         assert sol.ts[-1] == 3.7
 
     def test_star_ivp_endpoint_n1(self):
@@ -157,12 +162,29 @@ class TestIntegrator:
             integrate_system(lambda t, y: y, 0.0, [1.0], 1.0, IntegratorConfig(max_steps=3))
 
     def test_divergence_error(self):
+        # y' = y^2 blows up at t = 1.  `y[0] * y[0]` overflows to inf where
+        # `y[0] ** 2` would raise OverflowError.
         with pytest.raises(DivergenceError):
-            integrate_system(lambda t, y: y**2, 0.0, [1.0], 5.0, CFG)
+            integrate_system(lambda t, y: (y[0] * y[0],), 0.0, [1.0], 5.0, CFG)
 
     def test_nonfinite_initial_state(self):
         with pytest.raises(DomainError):
             integrate_system(lambda t, y: y, 0.0, [math.nan], 1.0, CFG)
+
+    @pytest.mark.parametrize("t0, t_end", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)])
+    def test_nonfinite_bounds(self, t0, t_end):
+        calls = []
+        with pytest.raises(DomainError):
+            integrate_system(lambda t, y: calls.append(t) or y, t0, [1.0], t_end, CFG)
+        assert calls == []
+
+    def test_state_is_a_tuple_of_floats(self):
+        # rhs may return any sequence; the stepper hands it tuples of floats.
+        seen = []
+        sol = integrate_system(lambda t, y: seen.append(y) or [1], 0.0, [0], 0.01, CFG)
+        assert seen and all(type(y) is tuple and type(y[0]) is float for y in seen)
+        assert sol.ys.dtype == sol.dys.dtype == np.float64
+        assert sol.ys[-1][0] == pytest.approx(0.01, rel=1e-12)
 
     def test_step_halving_convergence(self):
         p = FlowParams(1.0)
@@ -227,10 +249,68 @@ class TestIntegrator:
             sol(1.5)
 
 
+class TestKernel:
+    """Pins the stepper to the NumPy-vector loop it replaced, bit for bit."""
+
+    # fpp0 and star-grid node counts of that loop (x86-64, glibc libm).
+    @pytest.mark.parametrize(
+        "n, fpp0_hex, nodes",
+        [
+            (0.1, "0x1.a7281f4c61bcap-1", 236),
+            (0.3, "0x1.90e96626c9915p-2", 267),
+            (0.5, "0x1.53b53fb8ed1d5p-2", 298),
+            (1.0, "0x1.5406d69dcc1c7p-2", 354),
+            (1.7, "0x1.8400f72c30bbep-2", 287),
+            (2.0, "0x1.9962b34340bf0p-2", 272),
+        ],
+    )
+    def test_solve_is_bit_identical(self, n, fpp0_hex, nodes):
+        result = solve(n)
+        assert result.fpp0.hex() == fpp0_hex
+        assert len(result.star_profile.grid.ts) == nodes
+
+    # Right-hand-side calls and state-changing projections that loop made
+    # on the default star IVP.
+    @pytest.mark.parametrize("n, calls, projections", [(0.3, 1597, 0), (1.0, 2120, 1), (1.7, 1784, 1)])
+    def test_rhs_call_contract(self, n, calls, projections):
+        p = FlowParams(n)
+        rhs, project = flux_system(p), flux_nonnegative_projector()
+        abscissas, changed = [], []
+
+        def counted_rhs(t, y):
+            abscissas.append(t)
+            return rhs(t, y)
+
+        def counted_project(y):
+            out = project(y)
+            changed.append(out != y)
+            return out
+
+        grid = integrate_system(counted_rhs, 0.0, (0.0, 0.0, 1.0), 10.0, CFG, counted_project)
+        # An attempted step ends with two stages at t + h, and a projection
+        # that changes the state re-evaluates at that same t: count each run
+        # of equal abscissas once.
+        attempted = sum(
+            1
+            for i in range(1, len(abscissas))
+            if abscissas[i] == abscissas[i - 1] and (i == 1 or abscissas[i - 1] != abscissas[i - 2])
+        )
+        assert len(abscissas) == calls
+        assert sum(changed) == projections
+        assert len(abscissas) == 1 + 6 * attempted + projections
+        assert attempted >= len(grid.ts) - 1
+
+
 class TestIntegratorConfig:
     def test_bad_tolerances(self):
         with pytest.raises(DomainError):
             IntegratorConfig(rel_tol=0.0)
+
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "h_init", "h_min", "h_max", "max_steps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_rejected(self, field, value):
+        with pytest.raises(DomainError):
+            IntegratorConfig(**{field: value})
 
     def test_bad_step_bounds(self):
         with pytest.raises(DomainError):

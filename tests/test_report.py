@@ -40,9 +40,9 @@ class TestSweepTable:
         rows = sweep_table(SweepSpec(n_values=(1.0,), method="both"))
         row = rows[0]
         assert row.fpp0_nitm is not None and row.fpp0_shooting is not None
-        # Both runs truncate at eta = 10 but in different frames, so they
-        # agree only to the truncation level, not to the root tolerance.
-        assert row.discrepancy is not None and row.discrepancy < 1e-6
+        # Shooting imposes the far field at the one-IVP row's physical
+        # endpoint, so the two routes solve the same problem.
+        assert row.discrepancy is not None and row.discrepancy < 1e-10
 
     def test_shooting_only(self):
         rows = sweep_table(SweepSpec(n_values=(1.0,), method="shooting"))

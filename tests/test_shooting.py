@@ -86,3 +86,9 @@ class TestShootingConfig:
             ShootingConfig(root_tol=0.0)
         with pytest.raises(DomainError):
             ShootingConfig(eta_inf=-1.0)
+
+    @pytest.mark.parametrize("field", ["eta_inf", "bracket_lo", "bracket_hi", "root_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_rejected(self, field, value):
+        with pytest.raises(DomainError):
+            ShootingConfig(**{field: value})
