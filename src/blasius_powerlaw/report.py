@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .ode_core import DomainError, OdeError
+from .ode_core import DomainError, OdeError, require_positive
 from .nitm import NitmConfig, NitmResult, solve as nitm_solve
 from .shooting import ShootingConfig, solve_shooting
 
@@ -35,8 +35,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if len(self.n_values) == 0:
             raise DomainError("n_values must be non-empty")
-        if any(n <= 0.0 for n in self.n_values):
-            raise DomainError("every exponent must be positive")
+        for n in self.n_values:
+            require_positive("every exponent", n)
         if self.method not in ("nitm", "shooting", "both"):
             raise DomainError(f"unknown method {self.method!r}")
 
@@ -48,7 +48,8 @@ class SweepRow:
     fpp0_shooting: float | None = None
     discrepancy: float | None = None
     method_tag: str | None = None
-    eta_inf: float | None = None
+    eta_star_inf: float | None = None  # one-IVP star boundary
+    eta_inf_physical: float | None = None  # where the row imposes f' = 1
     error: str | None = None
 
 
@@ -57,31 +58,29 @@ def sweep_table(spec: SweepSpec) -> list[SweepRow]:
     rows = []
     for n in sorted(spec.n_values):
         fpp0_nitm = fpp0_shooting = discrepancy = None
-        method_tag = None
+        method_tag = eta_star_inf = eta_physical = None
         errors = []
-        shooting_config = spec.shooting_config
         if spec.method in ("nitm", "both"):
+            eta_star_inf = spec.nitm_config.eta_star_inf
             try:
                 result = nitm_solve(n, spec.nitm_config)
                 fpp0_nitm = result.fpp0
                 method_tag = result.method_tag
                 # The one-IVP row satisfies f' = 1 at its rescaled endpoint,
                 # so shooting must impose the far field at the same spot.
-                shooting_config = replace(shooting_config, eta_inf=result.profile.final.eta)
+                eta_physical = result.profile.final.eta
             except OdeError as exc:
                 errors.append(f"nitm: {exc}")
         if spec.method in ("shooting", "both"):
+            if eta_physical is None:
+                eta_physical = spec.shooting_config.eta_inf
+            shooting_config = replace(spec.shooting_config, eta_inf=eta_physical)
             try:
                 fpp0_shooting = solve_shooting(n, shooting_config).fpp0
             except OdeError as exc:
                 errors.append(f"shooting: {exc}")
         if fpp0_nitm is not None and fpp0_shooting is not None:
             discrepancy = abs(fpp0_nitm - fpp0_shooting)
-        eta_inf = (
-            spec.nitm_config.eta_star_inf
-            if spec.method in ("nitm", "both")
-            else spec.shooting_config.eta_inf
-        )
         rows.append(
             SweepRow(
                 n=n,
@@ -89,7 +88,8 @@ def sweep_table(spec: SweepSpec) -> list[SweepRow]:
                 fpp0_shooting=fpp0_shooting,
                 discrepancy=discrepancy,
                 method_tag=method_tag,
-                eta_inf=eta_inf,
+                eta_star_inf=eta_star_inf,
+                eta_inf_physical=eta_physical,
                 error="; ".join(errors) if errors else None,
             )
         )
@@ -103,8 +103,8 @@ def boundary_sensitivity(
 ) -> list[tuple[float, float | None, str | None]]:
     """Wall curvature as a function of the truncated boundary."""
     config = config or NitmConfig()
-    if any(eta <= 0.0 for eta in eta_inf_values):
-        raise DomainError("every truncated boundary must be positive")
+    for eta in eta_inf_values:
+        require_positive("every truncated boundary", eta)
     out = []
     for eta in eta_inf_values:
         try:
@@ -164,7 +164,7 @@ def parse_json(document: str) -> list[SweepRow]:
 def render_table(rows: list[SweepRow]) -> str:
     """Six-decimal CSV rendering of a sweep."""
     buf = io.StringIO()
-    buf.write("n,fpp0_nitm,fpp0_shooting,discrepancy,method,eta_inf,error\n")
+    buf.write("n,fpp0_nitm,fpp0_shooting,discrepancy,method,eta_star_inf,eta_inf_physical,error\n")
     for r in rows:
         cells = [
             f"{r.n:g}",
@@ -172,7 +172,8 @@ def render_table(rows: list[SweepRow]) -> str:
             "" if r.fpp0_shooting is None else f"{r.fpp0_shooting:.6f}",
             "" if r.discrepancy is None else f"{r.discrepancy:.2e}",
             r.method_tag or "",
-            "" if r.eta_inf is None else f"{r.eta_inf:g}",
+            "" if r.eta_star_inf is None else f"{r.eta_star_inf:g}",
+            "" if r.eta_inf_physical is None else f"{r.eta_inf_physical:g}",
             r.error or "",
         ]
         buf.write(",".join(cells) + "\n")

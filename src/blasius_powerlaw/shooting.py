@@ -1,13 +1,18 @@
 """Iterative shooting solution of the power-law boundary-layer BVP.
 
 Root-finds on the unknown wall curvature so that the integrated slope reaches
-one at the truncated boundary.  Needs no scaling invariance, so it works at
-every n > 0 including n = 1/2 and n = 2, and serves as the independent check
-on the non-iterative route.
+one at the truncated boundary: a secant in log-log coordinates (log of the
+curvature against log of the far-field slope), guarded by a sign-change
+bracket with bisection as fallback.  The converged trial's profile is the
+result, so the root is not integrated again.  The coordinates only choose the
+next trial; convergence is the plain residual test, and shooting needs no
+scaling invariance, so it works at every n > 0 including n = 1/2 and n = 2,
+and serves as the independent check on the non-iterative route.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .ode_core import (
@@ -58,10 +63,15 @@ class ShootingResult:
     profile: SolutionProfile
 
 
-def _integrate_guess(n: float, guess: float, config: ShootingConfig) -> SolutionProfile:
+def shoot_residual(
+    n: float, guess: float, config: ShootingConfig | None = None
+) -> tuple[float, SolutionProfile]:
+    """Residual f'(eta_inf) - 1 of the trial wall curvature `guess`, and its profile."""
+    config = config or ShootingConfig()
+    require_positive("trial curvature", guess)
     params = FlowParams(n)
     initial = IvpState(eta=0.0, f=0.0, fp=0.0, w=flux_from_curvature(guess, n))
-    return integrate(
+    profile = integrate(
         flux_system(params),
         initial,
         config.eta_inf,
@@ -70,35 +80,34 @@ def _integrate_guess(n: float, guess: float, config: ShootingConfig) -> Solution
         star_frame=False,
         project=flux_nonnegative_projector(),
     )
-
-
-def shoot_residual(n: float, guess: float, config: ShootingConfig | None = None) -> float:
-    """Residual f'(eta_inf) - 1 of the trial wall curvature `guess`."""
-    config = config or ShootingConfig()
-    require_positive("trial curvature", guess)
-    return _integrate_guess(n, guess, config).final.fp - 1.0
+    return profile.final.fp - 1.0, profile
 
 
 def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingResult:
-    """Bisection with secant acceleration on the shooting residual.
+    """Bracket-guarded secant in log-log coordinates on the shooting residual.
 
     The initial bracket is expanded (up to 4 doublings each way) if the
-    residual does not change sign across it.
+    residual does not change sign across it.  Each step is a secant on
+    (log g, log f'(eta_inf)) for the trial curvature g, which is nearly
+    linear because on an unbounded domain f'(inf) is a power of g; a
+    candidate outside the bracket falls back to bisection.  The result
+    carries the profile of the trial whose residual was accepted, so the
+    root is never integrated twice.
     """
     config = config or ShootingConfig()
     lo, hi = config.bracket_lo, config.bracket_hi
-    f_lo = shoot_residual(n, lo, config)
-    f_hi = shoot_residual(n, hi, config)
+    f_lo, p_lo = shoot_residual(n, lo, config)
+    f_hi, p_hi = shoot_residual(n, hi, config)
 
     # The residual increases with the trial curvature, so push the offending end.
     expansions = 0
     while f_lo * f_hi > 0.0 and expansions < 4:
         if f_hi < 0.0:
             hi *= 2.0
-            f_hi = shoot_residual(n, hi, config)
+            f_hi, p_hi = shoot_residual(n, hi, config)
         else:
             lo /= 2.0
-            f_lo = shoot_residual(n, lo, config)
+            f_lo, p_lo = shoot_residual(n, lo, config)
         expansions += 1
     if f_lo * f_hi > 0.0:
         raise BracketError(
@@ -106,32 +115,34 @@ def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingRe
         )
 
     if abs(f_lo) <= config.root_tol:
-        return ShootingResult(lo, f_lo, 0, _integrate_guess(n, lo, config))
+        return ShootingResult(lo, f_lo, 0, p_lo)
     if abs(f_hi) <= config.root_tol:
-        return ShootingResult(hi, f_hi, 0, _integrate_guess(n, hi, config))
+        return ShootingResult(hi, f_hi, 0, p_hi)
 
-    x_prev, f_prev = lo, f_lo
-    x_curr, f_curr = hi, f_hi
+    # f'' >= 0, so f'(eta_inf) = 1 + residual > 0 for every positive trial.
+    u_prev, v_prev = math.log(lo), math.log1p(f_lo)
+    u_curr, v_curr = math.log(hi), math.log1p(f_hi)
     for iteration in range(1, config.max_iters + 1):
         # Secant proposal, guarded by the bracket; bisection as fallback.
         x_next = None
-        if f_curr != f_prev:
-            cand = x_curr - f_curr * (x_curr - x_prev) / (f_curr - f_prev)
-            if lo < cand < hi:
-                x_next = cand
+        if v_curr != v_prev:
+            cand = u_curr - v_curr * (u_curr - u_prev) / (v_curr - v_prev)
+            # Compared in log space, so exp cannot overflow.
+            if math.log(lo) < cand < math.log(hi):
+                x_next = math.exp(cand)
         if x_next is None:
             x_next = 0.5 * (lo + hi)
-        f_next = shoot_residual(n, x_next, config)
+        f_next, profile = shoot_residual(n, x_next, config)
 
         if abs(f_next) <= config.root_tol:
-            return ShootingResult(x_next, f_next, iteration, _integrate_guess(n, x_next, config))
+            return ShootingResult(x_next, f_next, iteration, profile)
 
         if f_lo * f_next < 0.0:
             hi, f_hi = x_next, f_next
         else:
             lo, f_lo = x_next, f_next
-        x_prev, f_prev = x_curr, f_curr
-        x_curr, f_curr = x_next, f_next
+        u_prev, v_prev = u_curr, v_curr
+        u_curr, v_curr = math.log(x_next), math.log1p(f_next)
 
     raise ConvergenceError(
         f"no convergence to |residual| <= {config.root_tol} in {config.max_iters} iterations"

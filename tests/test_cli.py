@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blasius_powerlaw.cli import run
 
@@ -79,7 +82,13 @@ class TestTable:
             capsys, ["table", "--n", "0.3", "--method", "both", "--format", "json"]
         )
         assert code == 0
-        assert json.loads(out)["rows"][0]["discrepancy"] <= 1e-10
+        row = json.loads(out)["rows"][0]
+        assert row["discrepancy"] <= 1e-10
+        # The row names both boundaries: the star one the one-IVP solve
+        # integrated to and the physical one where both routes impose f' = 1.
+        assert row["eta_star_inf"] == 10.0
+        assert row["eta_inf_physical"] == pytest.approx(17.0128, abs=1e-4)
+        assert "eta_inf" not in row
 
     def test_incomplete_range_is_usage_error(self, capsys):
         code, _, err = _run(capsys, ["table", "--n-from", "0.5"])
@@ -166,3 +175,71 @@ class TestParser:
 
     def test_unknown_flag(self, capsys):
         assert _run(capsys, ["solve", "--n", "1.0", "--bogus"])[0] == 2
+
+
+def _number(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# Valid values keep each example to milliseconds: --eta-inf <= 40, table
+# requests of at most six rows, and tolerances in [1e-12, 1e-11].  Looser
+# tolerances are slow, not wrong: at n > 1 the flux then stalls just above
+# the projector's cutoff and a trial takes ~100x more steps.
+_VALID = {
+    "--n": _number(0.1, 2.5),
+    "--n-from": _number(0.1, 2.5),
+    "--n-to": _number(0.1, 2.5),
+    "--n-step": _number(0.5, 2.0),
+    "--eta-inf": _number(0.01, 40.0),
+    "--c0": _number(0.1, 10.0),
+    "--rtol": _number(1e-12, 1e-11),
+    "--atol": _number(1e-12, 1e-11),
+    "--tol": _number(1e-16, 1e-3),
+    "--method": st.sampled_from(["nitm", "shooting", "both"]),
+    "--format": st.sampled_from(["csv", "json"]),
+    "--columns": st.sampled_from(["eta,fpp", "eta,f,fp,fpp,eta_star", ""]),
+}
+_SENSITIVITY_ETAS = st.lists(_number(0.01, 40.0), min_size=1, max_size=3).map(",".join)
+_OUT_OF_RANGE = st.sampled_from(["0", "-1", "-0.0", "nan", "inf", "-inf", "1e400"])
+_NON_NUMERIC = st.sampled_from(["abc", "", "1.0.0", "0x1p", "vorticity"])
+# Mostly valid values, so that whole subcommands run and can fail numerically.
+_KINDS = st.sampled_from(("valid",) * 10 + ("missing",) * 3 + ("out of range", "non-numeric"))
+_COMMON = ("--eta-inf", "--c0", "--rtol", "--atol")
+_FLAGS = {
+    "solve": ("--n", *_COMMON),
+    "table": ("--n", "--n-from", "--n-to", "--n-step", "--method", "--format", *_COMMON),
+    "verify": ("--n", "--tol", *_COMMON),
+    "sensitivity": ("--n", *_COMMON),
+    "profile": ("--n", "--columns", *_COMMON),
+}
+
+
+@st.composite
+def _argv(draw):
+    sub = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [sub]
+    for flag in _FLAGS[sub]:
+        kind = draw(_KINDS)
+        if kind == "missing":
+            continue
+        if kind == "valid":
+            valid = _SENSITIVITY_ETAS if (sub, flag) == ("sensitivity", "--eta-inf") else _VALID[flag]
+            value = draw(valid)
+        else:
+            value = draw(_OUT_OF_RANGE if kind == "out of range" else _NON_NUMERIC)
+        argv += [flag, value]
+    if draw(st.integers(0, 4)) == 0:
+        argv.append(draw(st.sampled_from(_FLAGS[sub])))  # a flag without its value
+    return argv
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(argv=_argv())
+    def test_exit_code_contract(self, argv):
+        # cli.run must map every input to 0, 1 or 2 and raise nothing.
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

@@ -25,6 +25,8 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             SweepSpec(n_values=(0.5, -1.0))
         with pytest.raises(DomainError):
+            SweepSpec(n_values=(math.nan, 1.0))
+        with pytest.raises(DomainError):
             SweepSpec(n_values=(1.0,), method="bogus")
 
 
@@ -43,11 +45,15 @@ class TestSweepTable:
         # Shooting imposes the far field at the one-IVP row's physical
         # endpoint, so the two routes solve the same problem.
         assert row.discrepancy is not None and row.discrepancy < 1e-10
+        assert row.eta_star_inf == 10.0
+        assert row.eta_inf_physical == nitm_solve(1.0).profile.final.eta
 
     def test_shooting_only(self):
         rows = sweep_table(SweepSpec(n_values=(1.0,), method="shooting"))
         assert rows[0].fpp0_nitm is None
         assert rows[0].fpp0_shooting == pytest.approx(0.33205734, abs=1e-7)
+        assert rows[0].eta_star_inf is None
+        assert rows[0].eta_inf_physical == 10.0
 
     def test_per_row_error_capture(self):
         # A bad truncated boundary cannot be built, so provoke a row-level
@@ -72,6 +78,8 @@ class TestBoundarySensitivity:
     def test_bad_boundary_rejected(self):
         with pytest.raises(DomainError):
             boundary_sensitivity(1.0, [10.0, -1.0])
+        with pytest.raises(DomainError):
+            boundary_sensitivity(1.0, [math.nan])
 
 
 class TestExportProfile:
@@ -106,6 +114,7 @@ class TestJsonRoundtrip:
             assert a.n == b.n
             assert a.fpp0_nitm == b.fpp0_nitm  # full precision survives
             assert a.fpp0_shooting == b.fpp0_shooting
+        assert back == rows
 
     def test_none_fields_skipped(self):
         doc = emit_json([SweepRow(n=1.0, fpp0_nitm=0.5)])

@@ -1,5 +1,6 @@
 import pytest
 
+from blasius_powerlaw import ode_core
 from blasius_powerlaw.ode_core import DomainError
 from blasius_powerlaw.nitm import solve_nitm
 from blasius_powerlaw.shooting import (
@@ -15,15 +16,17 @@ class TestResidual:
     def test_sign_structure_newtonian(self):
         # The residual is monotone in the trial curvature: undershoot at the
         # converged value's left, overshoot at its right.
-        assert shoot_residual(1.0, 0.05) < 0.0
-        assert shoot_residual(1.0, 1.0) > 0.0
+        assert shoot_residual(1.0, 0.05)[0] < 0.0
+        assert shoot_residual(1.0, 1.0)[0] > 0.0
 
     def test_known_root_nearly_annihilates(self):
-        assert abs(shoot_residual(1.0, 0.3320573372034433)) < 1e-10
+        residual, profile = shoot_residual(1.0, 0.3320573372034433)
+        assert abs(residual) < 1e-10
+        assert residual == profile.final.fp - 1.0
 
     def test_residual_values(self):
-        assert shoot_residual(1.0, 1.0) == pytest.approx(1.08541, abs=1e-4)
-        assert shoot_residual(1.0, 0.05) == pytest.approx(-0.718, abs=2e-3)
+        assert shoot_residual(1.0, 1.0)[0] == pytest.approx(1.08541, abs=1e-4)
+        assert shoot_residual(1.0, 0.05)[0] == pytest.approx(-0.718, abs=2e-3)
 
     def test_invalid_guess(self):
         with pytest.raises(DomainError):
@@ -76,6 +79,41 @@ class TestSolveShooting:
         cfg = ShootingConfig(max_iters=2)
         with pytest.raises(ConvergenceError):
             solve_shooting(1.0, cfg)
+
+
+class TestConvergedTrialContract:
+    @pytest.mark.parametrize(
+        "cfg, expansions",
+        [(ShootingConfig(), 0), (ShootingConfig(bracket_lo=0.9, bracket_hi=1.5), 2)],
+    )
+    def test_no_reintegration(self, monkeypatch, cfg, expansions):
+        # Every integration is a counted trial: two bracket ends, one per
+        # expansion and one per iteration, and none after convergence.
+        calls = []
+        original = ode_core.integrate_system
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ode_core, "integrate_system", counting)
+        result = solve_shooting(1.0, cfg)
+        assert len(calls) == 2 + expansions + result.iterations
+
+    @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
+    def test_residual_is_that_of_returned_profile(self, n):
+        result = solve_shooting(n)
+        assert result.profile.final.fp - 1.0 == result.residual
+        assert result.profile.curvatures()[0] == pytest.approx(result.fpp0, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [0.1, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("eta_inf", [6.0, 10.0, 40.0])
+    def test_few_iterations(self, n, eta_inf):
+        # log f'(eta_inf) is nearly linear in log g, so the first secant
+        # step from the bracket ends lands near the root.
+        result = solve_shooting(n, ShootingConfig(eta_inf=eta_inf))
+        assert abs(result.residual) <= 1e-12
+        assert result.iterations <= 5
 
 
 class TestShootingConfig:
