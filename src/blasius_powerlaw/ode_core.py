@@ -55,7 +55,10 @@ def flux_from_curvature(fpp: float, n: float) -> float:
     """Encode f'' as the viscous flux w = |f''|^(n-1) f'' = sign(f'')|f''|^n."""
     if abs(fpp) < _FLUX_UNDERFLOW:
         return 0.0
-    return math.copysign(math.exp(n * math.log(abs(fpp))), fpp)
+    try:
+        return math.copysign(math.exp(n * math.log(abs(fpp))), fpp)
+    except OverflowError:
+        raise DivergenceError(f"viscous flux |f''|^n overflows at f'' = {fpp}, n = {n}") from None
 
 
 def require_positive(name: str, value: float) -> None:

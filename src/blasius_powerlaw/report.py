@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -156,9 +156,22 @@ def emit_json(rows: list[SweepRow], config: dict | None = None) -> str:
 
 
 def parse_json(document: str) -> list[SweepRow]:
-    """Inverse of emit_json for the rows array."""
-    doc = json.loads(document)
-    return [SweepRow(**entry) for entry in doc["rows"]]
+    """Inverse of emit_json for the rows array.
+
+    A row without `n` or with a field SweepRow lacks raises DomainError; rows
+    written before the single `eta_inf` became `eta_star_inf` and
+    `eta_inf_physical` are such rows.
+    """
+    known = {f.name for f in fields(SweepRow)}
+    rows = []
+    for entry in json.loads(document)["rows"]:
+        unknown = sorted(set(entry) - known)
+        if unknown or "n" not in entry:
+            raise DomainError(
+                f"table row has unknown fields {unknown} or no 'n'; expected fields {sorted(known)}"
+            )
+        rows.append(SweepRow(**entry))
+    return rows
 
 
 def render_table(rows: list[SweepRow]) -> str:

@@ -83,6 +83,16 @@ def shoot_residual(
     return profile.final.fp - 1.0, profile
 
 
+def _log_slope(residual: float) -> float | None:
+    """log f'(eta_inf) = log1p(residual), or None where f'(eta_inf) is 0.
+
+    f'' >= 0 keeps f'(eta_inf) >= 0, but a tiny trial curvature can leave it
+    exactly 0 in floating point (the flux underflows, or f' ends below the
+    rounding of 1 + residual); such a trial has no log and forces bisection.
+    """
+    return math.log1p(residual) if residual > -1.0 else None
+
+
 def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingResult:
     """Bracket-guarded secant in log-log coordinates on the shooting residual.
 
@@ -90,7 +100,8 @@ def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingRe
     residual does not change sign across it.  Each step is a secant on
     (log g, log f'(eta_inf)) for the trial curvature g, which is nearly
     linear because on an unbounded domain f'(inf) is a power of g; a
-    candidate outside the bracket falls back to bisection.  The result
+    candidate outside the bracket, or a trial whose f'(eta_inf) is 0 and so
+    has no log, falls back to bisection.  The result
     carries the profile of the trial whose residual was accepted, so the
     root is never integrated twice.
     """
@@ -119,13 +130,12 @@ def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingRe
     if abs(f_hi) <= config.root_tol:
         return ShootingResult(hi, f_hi, 0, p_hi)
 
-    # f'' >= 0, so f'(eta_inf) = 1 + residual > 0 for every positive trial.
-    u_prev, v_prev = math.log(lo), math.log1p(f_lo)
-    u_curr, v_curr = math.log(hi), math.log1p(f_hi)
+    u_prev, v_prev = math.log(lo), _log_slope(f_lo)
+    u_curr, v_curr = math.log(hi), _log_slope(f_hi)
     for iteration in range(1, config.max_iters + 1):
         # Secant proposal, guarded by the bracket; bisection as fallback.
         x_next = None
-        if v_curr != v_prev:
+        if v_curr is not None and v_prev is not None and v_curr != v_prev:
             cand = u_curr - v_curr * (u_curr - u_prev) / (v_curr - v_prev)
             # Compared in log space, so exp cannot overflow.
             if math.log(lo) < cand < math.log(hi):
@@ -142,7 +152,7 @@ def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingRe
         else:
             lo, f_lo = x_next, f_next
         u_prev, v_prev = u_curr, v_curr
-        u_curr, v_curr = math.log(x_next), math.log1p(f_next)
+        u_curr, v_curr = math.log(x_next), _log_slope(f_next)
 
     raise ConvergenceError(
         f"no convergence to |residual| <= {config.root_tol} in {config.max_iters} iterations"

@@ -4,7 +4,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blasius_powerlaw.cli import run
 
@@ -186,7 +186,9 @@ def _number(lo, hi):
 # tolerances are slow, not wrong: at n > 1 the flux then stalls just above
 # the projector's cutoff and a trial takes ~100x more steps.
 _VALID = {
-    "--n": _number(0.1, 2.5),
+    # A few extreme exponents: f'(eta_inf) underflows to 0 at the lower
+    # shooting bracket for n >~ 50, and the upper bracket's flux overflows at 3000.
+    "--n": st.one_of(_number(0.1, 2.5), st.sampled_from(["50", "300", "3000"])),
     "--n-from": _number(0.1, 2.5),
     "--n-to": _number(0.1, 2.5),
     "--n-step": _number(0.5, 2.0),
@@ -234,8 +236,10 @@ def _argv(draw):
 
 
 class TestExitCodeProperty:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(argv=_argv())
+    @example(argv=["table", "--method", "shooting", "--n", "300"])
+    @example(argv=["verify", "--n", "3000"])
     def test_exit_code_contract(self, argv):
         # cli.run must map every input to 0, 1 or 2 and raise nothing.
         out, err = io.StringIO(), io.StringIO()

@@ -51,6 +51,10 @@ class TestFluxEncoding:
         assert curvature_from_flux(0.0, 1.3) == 0.0
         assert curvature_from_flux(1e-310, 1.3) == 0.0
 
+    def test_overflow_is_divergence(self):
+        with pytest.raises(DivergenceError, match="overflows"):
+            flux_from_curvature(1.5, 3000.0)
+
     @given(
         fpp=st.floats(min_value=1e-6, max_value=1e3),
         n=st.floats(min_value=0.1, max_value=3.0),

@@ -116,6 +116,15 @@ class TestJsonRoundtrip:
             assert a.fpp0_shooting == b.fpp0_shooting
         assert back == rows
 
+    @pytest.mark.parametrize(
+        "row",
+        ['{"n": 1.0, "fpp0_nitm": 0.5, "eta_inf": 10.0}', '{"fpp0_nitm": 0.5}'],
+    )
+    def test_foreign_row_rejected(self, row):
+        # A row from an older table format names the offending field.
+        with pytest.raises(DomainError, match="unknown fields"):
+            parse_json('{"rows": [%s]}' % row)
+
     def test_none_fields_skipped(self):
         doc = emit_json([SweepRow(n=1.0, fpp0_nitm=0.5)])
         assert "error" not in doc

@@ -20,9 +20,8 @@ class TestResidual:
         assert shoot_residual(1.0, 1.0)[0] > 0.0
 
     def test_known_root_nearly_annihilates(self):
-        residual, profile = shoot_residual(1.0, 0.3320573372034433)
+        residual, _ = shoot_residual(1.0, 0.3320573372034433)
         assert abs(residual) < 1e-10
-        assert residual == profile.final.fp - 1.0
 
     def test_residual_values(self):
         assert shoot_residual(1.0, 1.0)[0] == pytest.approx(1.08541, abs=1e-4)
@@ -41,6 +40,26 @@ class TestSolveShooting:
         assert result.fpp0 == pytest.approx(0.3320573372034433, abs=1e-10)
         assert abs(result.residual) <= 1e-12
         assert result.iterations <= 30
+
+    def test_slope_rounds_to_zero_at_lower_bracket(self):
+        # The case the log-log secant must survive: the flux of the lower
+        # trial falls below the cutoff, so f'(eta_inf) is exactly 0.
+        assert shoot_residual(300.0, 0.05)[0] == -1.0
+
+    @pytest.mark.parametrize(
+        "n, fpp0",
+        [(50.0, 0.8939383259492325), (300.0, 0.9753975760118911), (1000.0, 0.9913461169467862)],
+    )
+    def test_large_exponent(self, n, fpp0):
+        # Reference values from the linear-secant solver this one replaced.
+        result = solve_shooting(n)
+        assert abs(result.residual) <= 1e-12
+        assert result.fpp0 == pytest.approx(fpp0, rel=1e-12)
+
+    def test_flux_overflow_is_numerical_failure(self):
+        # 1.5^3000 overflows a float: an OdeError, not an OverflowError.
+        with pytest.raises(ode_core.DivergenceError):
+            solve_shooting(3000.0)
 
     def test_works_at_excluded_exponents(self):
         # Shooting does not rely on the scaling group, so the excluded
