@@ -17,6 +17,9 @@ from .nitm import NitmConfig, solve as nitm_solve
 from .shooting import ShootingConfig, solve_shooting
 from . import report
 
+#: Most rows an --n-from/--n-to/--n-step range may ask for.
+MAX_TABLE_ROWS = 10_000
+
 
 def _integrator(args) -> IntegratorConfig:
     return IntegratorConfig(rel_tol=args.rtol, abs_tol=args.atol)
@@ -82,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="compare the two methods at one exponent")
     p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--tol", type=float, default=1e-6, help="allowed |nitm - shooting|")
+    p.add_argument("--tol", type=_positive, default=1e-6, help="allowed |nitm - shooting|")
     _add_common(p)
 
     p = sub.add_parser("sensitivity", help="wall curvature vs truncated boundary")
@@ -111,9 +114,15 @@ def _grid(args) -> tuple[float, ...]:
     if args.n_from is not None or args.n_to is not None or args.n_step is not None:
         if None in (args.n_from, args.n_to, args.n_step):
             raise UsageError("--n-from, --n-to and --n-step must be given together")
+        # Counted before any row is built; the loop still checks that v moves,
+        # since a step under half an ulp of v leaves it where it is.
+        if (args.n_to - args.n_from) / args.n_step >= MAX_TABLE_ROWS:
+            raise UsageError(f"--n-step must be finite and > 0 and give < {MAX_TABLE_ROWS} rows")
         v = args.n_from
         while v <= args.n_to + 1e-12:
             values.append(round(v, 12))
+            if v + args.n_step == v:
+                raise UsageError(f"--n-step must be finite and > 0 and advance the range past {v}")
             v += args.n_step
     if not values:
         raise UsageError("give --n or an --n-from/--n-to/--n-step range")
@@ -184,7 +193,7 @@ def _cmd_sensitivity(args) -> int:
         etas = [_positive(x) for x in args.eta_inf_list.split(",") if x]
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"bad --eta-inf list: {exc}") from exc
-    cfg = NitmConfig(c0=args.c0, integrator=IntegratorConfig(rel_tol=args.rtol, abs_tol=args.atol))
+    cfg = NitmConfig(c0=args.c0, integrator=_integrator(args))
     records = report.boundary_sensitivity(args.n, etas, cfg)
     lines = ["eta_inf,fpp0,error"]
     failed = False

@@ -89,27 +89,16 @@ def group_parameters(n: float, fp_star_inf: float) -> tuple[float, float]:
 def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfile:
     """Map a star-frame profile to physical variables by f(eta) = a F(b eta).
 
-    Rowwise: eta = eta*/b, f = a F, f' = a b F', f'' = a b^2 F''; the flux is
-    re-encoded from the rescaled curvature.
+    The group scales every column by a constant: eta = eta*/b, f = a F,
+    f' = a b F', f'' = a b^2 F'', and the flux w = (a b^2)^n W = a^2 b W,
+    which needs a^(n-2) b^(2n-1) = 1 (true of `group_parameters`).  The node
+    derivatives (f', f'', w') scale by b times the same factors.
     """
     if not star.star_frame:
         raise DomainError("rescale_profile expects a star-frame profile")
-    n = star.params.n
-    etas = star.grid.ts / b
-    ys = np.empty_like(star.grid.ys)
-    ys[:, 0] = star.grid.ys[:, 0] * a
-    ys[:, 1] = star.grid.ys[:, 1] * (a * b)
-    fpp = star.curvatures() * (a * b * b)
-    ys[:, 2] = np.array([flux_from_curvature(float(v), n) for v in fpp])
-
-    # Node derivatives for dense output: (f', f'', w') with w' from the ODE.
-    dys = np.empty_like(ys)
-    dys[:, 0] = ys[:, 1]
-    dys[:, 1] = fpp
-    dys[:, 2] = -ys[:, 0] * fpp / (n + 1.0)
-
-    grid = GridSolution(ts=etas, ys=ys, dys=dys)
-    return SolutionProfile(grid=grid, params=star.params, config=star.config, star_frame=False)
+    s = np.array([a, a * b, a * a * b])
+    grid = GridSolution(ts=star.grid.ts / b, ys=star.grid.ys * s, dys=star.grid.dys * (b * s))
+    return SolutionProfile(grid=grid, params=star.params, star_frame=False)
 
 
 def solve(n: float, config: NitmConfig | None = None) -> NitmResult:

@@ -9,7 +9,7 @@ avoids dividing by n|f''|^(n-1), which is singular as f'' -> 0 for n > 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,21 +69,18 @@ def require_positive(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Power-law exponent n and the classical scaling exponent
-    delta = (2-n)/(1-2n) of f* = lambda f, eta* = lambda^delta eta.
-
-    delta is None exactly at n = 1/2, where that parametrisation has no
-    exponent; the non-iterative method does not use it (see `nitm`).
-    """
+    """Power-law exponent n of the boundary-layer equation."""
 
     n: float
-    delta: float | None = field(default=None)
 
     def __post_init__(self) -> None:
         require_positive("power-law exponent", self.n)
-        if self.delta is None and self.n != 0.5:
-            # Same value as (2-n)/(1-2n), but +0.0 rather than -0.0 at n = 2.
-            object.__setattr__(self, "delta", (self.n - 2.0) / (2.0 * self.n - 1.0))
+
+    @property
+    def delta(self) -> float | None:
+        """Classical exponent (2-n)/(1-2n) of f* = lambda f, eta* = lambda^delta eta,
+        unused by `nitm`; None at n = 1/2 and +0.0 (not -0.0) at n = 2."""
+        return None if self.n == 0.5 else (self.n - 2.0) / (2.0 * self.n - 1.0)
 
 
 @dataclass(frozen=True)
@@ -316,7 +313,6 @@ class SolutionProfile:
 
     grid: GridSolution
     params: FlowParams
-    config: IntegratorConfig
     star_frame: bool
 
     @property
@@ -341,9 +337,9 @@ class SolutionProfile:
         return IvpState(eta=float(eta), f=float(y[0]), fp=float(y[1]), w=float(y[2]))
 
     def curvatures(self) -> np.ndarray:
-        """f'' at every stored node."""
-        n = self.params.n
-        return np.array([curvature_from_flux(float(w), n) for w in self.grid.ys[:, 2]])
+        """f'' at every stored node: the second component of the stored
+        derivative (f', f'', w'), which the integrator evaluated there."""
+        return self.grid.dys[:, 1].copy()
 
 
 #: Default extinction cutoff for flux_nonnegative_projector.  For n > 1 the
@@ -383,4 +379,4 @@ def integrate(
     """Integrate the (f, f', w) system from `initial` to eta_end."""
     y0 = (initial.f, initial.fp, initial.w)
     grid = integrate_system(rhs, initial.eta, y0, eta_end, config, project=project)
-    return SolutionProfile(grid=grid, params=params, config=config, star_frame=star_frame)
+    return SolutionProfile(grid=grid, params=params, star_frame=star_frame)

@@ -163,6 +163,14 @@ class TestParser:
             ["table", "--n", "1.0", "--n", "-0.5"],
             ["sensitivity", "--n", "1.0", "--eta-inf", "6,0,10"],
             ["sensitivity", "--n", "1.0", "--eta-inf", "6,-8"],
+            # A step too small to reach --n-to in MAX_TABLE_ROWS rows, or
+            # to move v at all, fails before any row is solved.
+            ["table", "--n-from", "0.1", "--n-to", "2", "--n-step", "1e-300"],
+            ["table", "--n-from", "0.1", "--n-to", "2", "--n-step", "1e-9"],
+            ["table", "--n-from", "1e17", "--n-to", "1e17", "--n-step", "1"],
+            ["verify", "--n", "1.0", "--tol", "nan"],
+            ["verify", "--n", "1.0", "--tol", "inf"],
+            ["verify", "--n", "1.0", "--tol", "-1"],
         ],
     )
     def test_out_of_range_number_is_usage_error(self, capsys, argv):
@@ -240,6 +248,7 @@ class TestExitCodeProperty:
     @given(argv=_argv())
     @example(argv=["table", "--method", "shooting", "--n", "300"])
     @example(argv=["verify", "--n", "3000"])
+    @example(argv=["table", "--n-from", "0.1", "--n-to", "2", "--n-step", "1e-300"])
     def test_exit_code_contract(self, argv):
         # cli.run must map every input to 0, 1 or 2 and raise nothing.
         out, err = io.StringIO(), io.StringIO()

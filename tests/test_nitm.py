@@ -1,8 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from blasius_powerlaw.ode_core import DomainError, FlowParams, IntegratorConfig
+from blasius_powerlaw.ode_core import (
+    DomainError,
+    FlowParams,
+    IntegratorConfig,
+    curvature_from_flux,
+    flux_from_curvature,
+)
 from blasius_powerlaw.nitm import (
     NitmConfig,
     group_parameters,
@@ -138,15 +146,26 @@ class TestStarIvp:
         prof = solve_star_ivp(2.0, NitmConfig(c0=3.0))
         assert prof.rows[0].w == pytest.approx(9.0)
 
+    @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
+    def test_curvatures_are_the_decoded_flux(self, n):
+        # curvatures() reads f'' from the stored derivatives; it must equal
+        # the per-node decode of the stored flux bit for bit, projected
+        # nodes (w = 0, n > 1) included.
+        prof = solve_star_ivp(n, NitmConfig())
+        w = prof.grid.ys[:, 2]
+        decoded = np.array([curvature_from_flux(float(x), n) for x in w])
+        assert prof.curvatures().tobytes() == decoded.tobytes()
+        if n > 1.0:
+            assert np.any(w == 0.0)
+
 
 class TestRescale:
     def test_identity_group_element(self):
         star = solve_star_ivp(1.0, NitmConfig())
         phys = rescale_profile(star, 1.0, 1.0)
         assert np.array_equal(phys.grid.ts, star.grid.ts)
-        # The flux column is re-encoded through the curvature, so round-off
-        # at the exp/log round-trip level is expected.
-        assert np.allclose(phys.grid.ys, star.grid.ys, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(phys.grid.ys, star.grid.ys)
+        assert np.array_equal(phys.grid.dys, star.grid.dys)
         assert not phys.star_frame
 
     def test_origin_row(self):
@@ -161,6 +180,87 @@ class TestRescale:
         phys = rescale_profile(star, 0.5, 0.5)
         with pytest.raises(DomainError):
             rescale_profile(phys, 0.5, 0.5)
+
+
+# Physical profiles of solve(n) as the per-node exp/log rescaling made them.
+# SHA-256 of the eta, f and f' columns (little-endian float64, in that
+# order), fpp0, and (w, w', f'') at node indices 0, 1, m/4, m/2, 3m/4, m-1
+# for m nodes.
+PHYSICAL_PINS = {
+    0.3: (
+        "95d726d0b5d8df7726f288fe56d2639540fad0354ea74debfb8444d21de710fb",
+        "0x1.90e96626c9915p-2",
+        [
+            ("0x1.82737e37f4b5cp-1", "-0x0.0p+0", "0x1.90e96626c9915p-2"),
+            ("0x1.82737e371fea7p-1", "-0x1.6e71334e424e4p-23", "0x1.90e96623e9b64p-2"),
+            ("0x1.5e62353e5300bp-1", "-0x1.bd6525a1b9f71p-4", "0x1.2135aaa9bbb2ep-2"),
+            ("0x1.892d1127c51dep-2", "-0x1.5100d2b618880p-4", "0x1.510a006ffd858p-5"),
+            ("0x1.9c551908af2b9p-3", "-0x1.8765990644950p-6", "0x1.3979fcd71c0e7p-8"),
+            ("0x1.9c0d352a249b5p-4", "-0x1.6b06715c32126p-8", "0x1.f07bf2dadc85ap-12"),
+        ],
+    ),
+    1.0: (
+        "b53b78e3fb9a1e35fdcec4e93e5b342c5c7d8ccef45b2233e31d88f45ba7f278",
+        "0x1.5406d69dcc1c7p-2",
+        [
+            ("0x1.5406d69dcc1c6p-2", "-0x0.0p+0", "0x1.5406d69dcc1c6p-2"),
+            ("0x1.5406d69d52692p-2", "-0x1.edcbb317f1285p-25", "0x1.5406d69d52692p-2"),
+            ("0x1.90bb05fa66beep-3", "-0x1.cc164f30b6e77p-4", "0x1.90bb05fa66beep-3"),
+            ("0x1.3bf850966e9abp-6", "-0x1.f40306b6bbd94p-6", "0x1.3bf850966e9abp-6"),
+            ("0x1.f1b9cf399fb70p-12", "-0x1.35d182ad15e0cp-10", "0x1.f1b9cf399fb70p-12"),
+            ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"),
+        ],
+    ),
+    1.7: (
+        "d6577da6a2187b97b41fc3c107f509b95e2e3b1fbd1b40f69f90df3dc50aa019",
+        "0x1.8400f72c30bbep-2",
+        [
+            ("0x1.8967f8ee40d07p-3", "-0x0.0p+0", "0x1.8400f72c30bbep-2"),
+            ("0x1.8967f8edd8838p-3", "-0x1.154e99898fd57p-25", "0x1.8400f72bf4392p-2"),
+            ("0x1.1f8644b388214p-3", "-0x1.33c8612faaa98p-4", "0x1.42a7a0a054600p-2"),
+            ("0x1.bfc1674b0927cp-7", "-0x1.ccbe5482005e5p-5", "0x1.47d47e103cf8fp-4"),
+            ("0x1.60890fed5ec92p-13", "-0x1.559a54bdfcc9dp-8", "0x1.8aaa3fa06d703p-8"),
+            ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"),
+        ],
+    ),
+}
+
+
+class TestPhysicalProfile:
+    """Column scaling keeps eta, f, f' and fpp0 bit for bit; only the flux
+    columns and the reported f'' may move, by round-off."""
+
+    @pytest.mark.parametrize("n", sorted(PHYSICAL_PINS))
+    def test_columns_and_fpp0_are_bit_identical(self, n):
+        digest, fpp0_hex, _ = PHYSICAL_PINS[n]
+        result = solve(n)
+        grid = result.profile.grid
+        h = hashlib.sha256()
+        for column in (grid.ts, grid.ys[:, 0], grid.ys[:, 1]):
+            h.update(np.ascontiguousarray(column, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
+        assert result.fpp0.hex() == fpp0_hex
+
+    @pytest.mark.parametrize("n", sorted(PHYSICAL_PINS))
+    def test_flux_columns_within_round_off(self, n):
+        result = solve(n)
+        grid = result.profile.grid
+        fpp = result.profile.curvatures()
+        m = len(grid.ts)
+        for i, pins in zip((0, 1, m // 4, m // 2, 3 * m // 4, m - 1), PHYSICAL_PINS[n][2]):
+            got = (grid.ys[i, 2], grid.dys[i, 2], fpp[i])
+            for value, pin in zip(got, pins):
+                assert value == pytest.approx(float.fromhex(pin), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
+    def test_flux_encodes_the_curvature(self, n):
+        # w = a^2 b W holds because a^(n-2) b^(2n-1) = 1, so the scaled flux
+        # column still encodes the scaled curvature.
+        result = solve(n)
+        fpp = result.profile.curvatures()
+        encoded = np.array([flux_from_curvature(float(x), n) for x in fpp])
+        assert np.allclose(result.profile.grid.ys[:, 2], encoded, rtol=1e-14, atol=0.0)
+        assert fpp[0] == pytest.approx(result.fpp0, rel=4 * ULP, abs=0.0)
 
 
 class TestSolveNitm:

@@ -32,9 +32,16 @@ class TestFlowParams:
         assert FlowParams(0.3).delta == pytest.approx(4.25)
         assert FlowParams(1.7).delta == pytest.approx(-0.125)
         assert FlowParams(2.0).delta == 0.0
+        assert math.copysign(1.0, FlowParams(2.0).delta) == 1.0
 
     def test_delta_undefined_at_half(self):
         assert FlowParams(0.5).delta is None
+
+    def test_delta_is_derived_not_set(self):
+        with pytest.raises(TypeError):
+            FlowParams(1.0, delta=7.0)
+        with pytest.raises(AttributeError):
+            FlowParams(1.0).delta = 7.0
 
     @pytest.mark.parametrize("n", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_exponent(self, n):
@@ -202,7 +209,7 @@ class TestIntegrator:
 
     @pytest.mark.parametrize("n", [0.1, 0.7, 1.0, 1.5, 2.0])
     def test_positivity_and_monotone_slope(self, n):
-        p = FlowParams(n, delta=0.0 if n == 0.5 else None)
+        p = FlowParams(n)
         prof = integrate(
             flux_system(p),
             IvpState(0.0, 0.0, 0.0, 1.0),
