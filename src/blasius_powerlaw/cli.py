@@ -55,8 +55,9 @@ def _positive(text: str) -> float:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eta-inf", type=_positive, default=10.0, help="truncated boundary")
+def _add_common(p: argparse.ArgumentParser, eta_inf: bool = True) -> None:
+    if eta_inf:
+        p.add_argument("--eta-inf", type=_positive, default=10.0, help="truncated boundary")
     p.add_argument("--c0", type=_positive, default=1.0, help="scaled wall curvature")
     p.add_argument("--rtol", type=_positive, default=1e-12)
     p.add_argument("--atol", type=_positive, default=1e-12)
@@ -96,10 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="6,8,10,15,20",
         help="comma-separated truncated boundaries",
     )
-    p.add_argument("--c0", type=_positive, default=1.0)
-    p.add_argument("--rtol", type=_positive, default=1e-12)
-    p.add_argument("--atol", type=_positive, default=1e-12)
-    p.add_argument("--output", default=None)
+    _add_common(p, eta_inf=False)
 
     p = sub.add_parser("profile", help="export solution profile CSV")
     p.add_argument("--n", type=_positive, required=True)

@@ -15,6 +15,7 @@ eta, at n = 2 a pure scaling of f.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -63,8 +64,9 @@ class NitmResult:
     method_tag: str  # "direct" or "extrapolated"
 
 
-def solve_star_ivp(n: float, config: NitmConfig) -> SolutionProfile:
-    """Integrate the scaled IVP f*(0) = f*'(0) = 0, f*''(0) = c0 to eta_star_inf."""
+def solve_star_ivp(n: float, config: NitmConfig, stops: Sequence[float] = ()) -> SolutionProfile:
+    """Integrate the scaled IVP f*(0) = f*'(0) = 0, f*''(0) = c0 to eta_star_inf,
+    with a node at each of `stops`."""
     params = FlowParams(n)
     initial = IvpState(eta=0.0, f=0.0, fp=0.0, w=flux_from_curvature(config.c0, n))
     return integrate(
@@ -75,6 +77,7 @@ def solve_star_ivp(n: float, config: NitmConfig) -> SolutionProfile:
         params,
         star_frame=True,
         project=flux_nonnegative_projector(),
+        stops=stops,
     )
 
 
@@ -84,6 +87,13 @@ def group_parameters(n: float, fp_star_inf: float) -> tuple[float, float]:
     a = fp_star_inf ** ((1.0 - 2.0 * n) / (n + 1.0))
     b = fp_star_inf ** ((n - 2.0) / (n + 1.0))
     return a, b
+
+
+def wall_curvature(n: float, c0: float, fp_star_inf: float) -> float:
+    """f''(0) = c0 F'_inf^(-3/(n+1)) of the star IVP whose slope at its
+    boundary is fp_star_inf."""
+    require_positive("far-field slope", fp_star_inf)
+    return c0 * fp_star_inf ** (-3.0 / (n + 1.0))
 
 
 def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfile:
@@ -111,7 +121,7 @@ def solve(n: float, config: NitmConfig | None = None) -> NitmResult:
         n=n,
         delta=star.params.delta,
         lam=1.0 / a,
-        fpp0=config.c0 * fp_star_inf ** (-3.0 / (n + 1.0)),
+        fpp0=wall_curvature(n, config.c0, fp_star_inf),
         fp_star_inf=fp_star_inf,
         profile=rescale_profile(star, a, b),
         star_profile=star,

@@ -92,10 +92,6 @@ class IvpState:
     fp: float
     w: float
 
-    def fpp(self, n: float) -> float:
-        """f'' recovered from the stored flux."""
-        return curvature_from_flux(self.w, n)
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -166,39 +162,11 @@ _E1, _E2, _E3, _E4, _E5, _E6, _E7 = (
 
 @dataclass
 class GridSolution:
-    """Stored output of one integration: nodes, states and state derivatives.
-
-    Evaluation between nodes uses cubic Hermite interpolation on the stored
-    derivatives; at stored nodes it reproduces the stored values exactly.
-    """
+    """Stored output of one integration: nodes, states and state derivatives."""
 
     ts: np.ndarray
     ys: np.ndarray
     dys: np.ndarray
-
-    def __call__(self, t: float) -> np.ndarray:
-        ts = self.ts
-        if t < ts[0] or t > ts[-1]:
-            raise DomainError(f"evaluation point {t} outside [{ts[0]}, {ts[-1]}]")
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        if i >= len(ts) - 1:
-            i = len(ts) - 2
-        if t == ts[i]:
-            return self.ys[i].copy()
-        if t == ts[i + 1]:
-            return self.ys[i + 1].copy()
-        h = ts[i + 1] - ts[i]
-        s = (t - ts[i]) / h
-        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        h10 = s * (1.0 - s) ** 2
-        h01 = s * s * (3.0 - 2.0 * s)
-        h11 = s * s * (s - 1.0)
-        return (
-            h00 * self.ys[i]
-            + h10 * h * self.dys[i]
-            + h01 * self.ys[i + 1]
-            + h11 * h * self.dys[i + 1]
-        )
 
 
 def integrate_system(
@@ -208,22 +176,26 @@ def integrate_system(
     t_end: float,
     config: IntegratorConfig,
     project: Callable[[State], Sequence[float]] | None = None,
+    stops: Sequence[float] = (),
 ) -> GridSolution:
     """Integrate y' = rhs(t, y) from t0 to t_end with an embedded 5(4) pair.
 
     The state is a tuple of floats: `rhs(t, y)` and `project(y)` receive one
     and may return any length-m sequence.  `rhs` is called once at t0, six
     times per attempted step (the last two at t + h) and once more after
-    each projection that changes the state.  The final step is clipped so
-    the last node lands exactly on t_end.  `project`, when given, maps each
+    each projection that changes the state.  A step that would pass the next
+    of `stops` (strictly increasing, inside (t0, t_end)) or t_end is clipped
+    so that a node lands exactly on it.  `project`, when given, maps each
     accepted state back onto an invariant manifold (used to pin the viscous
     flux at zero once the layer extinguishes, which happens at finite eta
     for n > 1).
     """
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise DomainError(f"integration bounds must be finite, got [{t0}, {t_end}]")
-    if t_end <= t0:
-        raise DomainError("t_end must exceed t0")
+    stops = tuple(map(float, stops))
+    bounds = (t0, *stops, t_end)
+    if not all(a < b for a, b in zip(bounds, bounds[1:])):
+        raise DomainError(f"need t0 < stops < t_end, strictly increasing, got {bounds}")
     if t_end - t0 > config.max_steps * config.h_max:
         # Every step is at most h_max, so the budget cannot reach t_end.
         raise StepBudgetError(
@@ -242,6 +214,7 @@ def integrate_system(
     ts, ys, dys = [t], [y], [k1]
     h = config.h_init
     nsteps = 0
+    targets = [t_end, *reversed(stops)]  # the next node to land on is targets[-1]
 
     # Each weighted sum starts from 0.0 and keeps its zero weights, so every
     # component rounds as a left-to-right sum would: -0.0 becomes +0.0, and
@@ -249,7 +222,9 @@ def integrate_system(
     while t < t_end:
         if nsteps >= max_steps:
             raise StepBudgetError(f"step budget {max_steps} exhausted at t = {t}")
-        h = min(h, h_max, t_end - t)
+        target = targets[-1]
+        h = min(h, h_max, target - t)
+        t_new = target if h == target - t else t + h
         k2 = rhs(t + _C2 * h, tuple([yi + h * (0.0 + _A21 * a) for yi, a in zip(y, k1)]))
         k3 = rhs(t + _C3 * h, tuple([
             yi + h * (0.0 + _A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2)
@@ -262,7 +237,7 @@ def integrate_system(
             yi + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
         ]))
-        k6 = rhs(t + h, tuple([
+        k6 = rhs(t_new, tuple([
             yi + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
             for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
         ]))
@@ -270,7 +245,7 @@ def integrate_system(
             yi + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d + _A75 * e + _A76 * f)
             for yi, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)
         ])
-        k7 = rhs(t + h, y_new)  # first-same-as-last: k1 of the next step
+        k7 = rhs(t_new, y_new)  # first-same-as-last: k1 of the next step
         nsteps += 1
 
         if all(map(isfinite, y_new)):
@@ -285,7 +260,9 @@ def integrate_system(
             err = math.inf
 
         if err <= 1.0:
-            t = t + h
+            t = t_new
+            if t == target:
+                targets.pop()
             y, k1 = y_new, k7
             if project is not None:
                 y_proj = tuple(project(y_new))
@@ -309,32 +286,17 @@ def integrate_system(
 
 @dataclass
 class SolutionProfile:
-    """Ordered solution grid of the (f, f', w) system with dense output."""
+    """Ordered solution grid of the (f, f', w) system."""
 
     grid: GridSolution
     params: FlowParams
     star_frame: bool
 
     @property
-    def etas(self) -> np.ndarray:
-        return self.grid.ts
-
-    @property
-    def rows(self) -> tuple[IvpState, ...]:
-        return tuple(
-            IvpState(eta=float(t), f=float(y[0]), fp=float(y[1]), w=float(y[2]))
-            for t, y in zip(self.grid.ts, self.grid.ys)
-        )
-
-    @property
     def final(self) -> IvpState:
         t = float(self.grid.ts[-1])
         y = self.grid.ys[-1]
         return IvpState(eta=t, f=float(y[0]), fp=float(y[1]), w=float(y[2]))
-
-    def evaluate(self, eta: float) -> IvpState:
-        y = self.grid(eta)
-        return IvpState(eta=float(eta), f=float(y[0]), fp=float(y[1]), w=float(y[2]))
 
     def curvatures(self) -> np.ndarray:
         """f'' at every stored node: the second component of the stored
@@ -375,8 +337,10 @@ def integrate(
     params: FlowParams,
     star_frame: bool = True,
     project: Callable[[State], Sequence[float]] | None = None,
+    stops: Sequence[float] = (),
 ) -> SolutionProfile:
-    """Integrate the (f, f', w) system from `initial` to eta_end."""
+    """Integrate the (f, f', w) system from `initial` to eta_end, with a node
+    at each of `stops`."""
     y0 = (initial.f, initial.fp, initial.w)
-    grid = integrate_system(rhs, initial.eta, y0, eta_end, config, project=project)
+    grid = integrate_system(rhs, initial.eta, y0, eta_end, config, project, stops)
     return SolutionProfile(grid=grid, params=params, star_frame=star_frame)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, asdict, replace
 import numpy as np
 
 from .ode_core import DomainError, OdeError, require_positive
+from . import nitm
 from .nitm import NitmConfig, NitmResult, solve as nitm_solve
 from .shooting import ShootingConfig, solve_shooting
 
@@ -101,17 +102,34 @@ def boundary_sensitivity(
     eta_inf_values: list[float],
     config: NitmConfig | None = None,
 ) -> list[tuple[float, float | None, str | None]]:
-    """Wall curvature as a function of the truncated boundary."""
+    """Wall curvature as a function of the truncated boundary, in input order.
+
+    One star integration runs to the largest boundary and lands a node on
+    each of the others, where F'(eta*) gives that boundary's f''(0).  A
+    boundary fails on its own: if the pass fails, its error is recorded on
+    the largest boundary and the pass is retried on the rest.
+    """
     config = config or NitmConfig()
     for eta in eta_inf_values:
         require_positive("every truncated boundary", eta)
-    out = []
-    for eta in eta_inf_values:
+    pending = sorted(set(eta_inf_values))
+    found = {}
+    while pending:
+        *stops, last = pending
         try:
-            out.append((eta, nitm_solve(n, replace(config, eta_star_inf=eta)).fpp0, None))
+            star = nitm.solve_star_ivp(n, replace(config, eta_star_inf=last), stops)
         except OdeError as exc:
-            out.append((eta, None, str(exc)))
-    return out
+            found[last] = (None, str(exc))
+            pending = stops
+            continue
+        nodes = np.searchsorted(star.grid.ts, pending)
+        for eta, fp in zip(pending, star.grid.ys[nodes, 1].tolist()):
+            try:
+                found[eta] = (nitm.wall_curvature(n, config.c0, fp), None)
+            except OdeError as exc:
+                found[eta] = (None, str(exc))
+        break
+    return [(eta, *found[eta]) for eta in eta_inf_values]
 
 
 def _format_number(x: float) -> str:

@@ -125,6 +125,14 @@ class TestSensitivity:
         last = float(lines[-1].split(",")[1])
         assert last == pytest.approx(0.33205733621519630, abs=1e-9)
 
+    def test_failed_boundary_is_a_row(self, capsys):
+        code, out, err = _run(capsys, ["sensitivity", "--n", "1", "--eta-inf", "6,1e7"])
+        assert code == 1
+        lines = out.strip().split("\n")
+        assert float(lines[1].split(",")[1]) == pytest.approx(0.33205752415, abs=1e-10)
+        assert lines[2].startswith("1e+07,,step budget")
+        assert "Traceback" not in out + err
+
     def test_bad_list(self, capsys):
         code, _, err = _run(capsys, ["sensitivity", "--n", "1.0", "--eta-inf", "6,x"])
         assert code == 2

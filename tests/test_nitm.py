@@ -133,9 +133,8 @@ class TestLambdaAlgebra:
 class TestStarIvp:
     def test_initial_conditions(self):
         prof = solve_star_ivp(1.3, NitmConfig())
-        first = prof.rows[0]
-        assert (first.eta, first.f, first.fp) == (0.0, 0.0, 0.0)
-        assert first.w == 1.0
+        assert prof.grid.ts[0] == 0.0
+        assert tuple(prof.grid.ys[0]) == (0.0, 0.0, 1.0)
 
     def test_blasius_far_field(self):
         prof = solve_star_ivp(1.0, NitmConfig())
@@ -144,7 +143,7 @@ class TestStarIvp:
 
     def test_custom_c0_initial_flux(self):
         prof = solve_star_ivp(2.0, NitmConfig(c0=3.0))
-        assert prof.rows[0].w == pytest.approx(9.0)
+        assert prof.grid.ys[0, 2] == pytest.approx(9.0)
 
     @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
     def test_curvatures_are_the_decoded_flux(self, n):
@@ -171,9 +170,9 @@ class TestRescale:
     def test_origin_row(self):
         star = solve_star_ivp(1.0, NitmConfig())
         phys = rescale_profile(star, 0.5, 0.5)
-        first = phys.rows[0]
-        assert first.eta == 0.0 and first.f == 0.0 and first.fp == 0.0
-        assert first.fpp(1.0) == pytest.approx(0.125)
+        assert phys.grid.ts[0] == 0.0
+        assert phys.grid.ys[0, 0] == 0.0 and phys.grid.ys[0, 1] == 0.0
+        assert phys.curvatures()[0] == pytest.approx(0.125)
 
     def test_physical_profile_rejected(self):
         star = solve_star_ivp(1.0, NitmConfig())

@@ -234,30 +234,39 @@ class TestIntegrator:
         # from zero; the gap is limited by accumulated global error, roughly
         # 1e2-1e3 times the local tolerance.
         p = FlowParams(n)
-        gf = integrate_system(flux_system(p), 0.0, [0.0, 0.0, 1.0], 2.5, CFG)
-        gd = integrate_system(direct_system(p), 0.0, [0.0, 0.0, 1.0], 2.5, CFG)
-        for t in np.linspace(0.0, 2.5, 40):
-            assert abs(gf(t)[1] - gd(t)[1]) < 1e-9
+        abscissae = np.linspace(0.0, 2.5, 40)
+        slopes = []
+        for rhs in (flux_system(p), direct_system(p)):
+            g = integrate_system(rhs, 0.0, [0.0, 0.0, 1.0], 2.5, CFG, stops=abscissae[1:-1])
+            nodes = np.searchsorted(g.ts, abscissae)
+            assert np.array_equal(g.ts[nodes], abscissae)
+            slopes.append(g.ys[nodes, 1])
+        assert np.all(np.abs(slopes[0] - slopes[1]) < 1e-9)
 
-    def test_dense_output_exact_at_nodes(self):
-        p = FlowParams(1.0)
-        prof = integrate(flux_system(p), IvpState(0.0, 0.0, 0.0, 1.0), 5.0, CFG, p)
-        for i in (0, 1, len(prof.etas) // 2, -1):
-            eta = float(prof.etas[i])
-            state = prof.evaluate(eta)
-            assert state.f == prof.grid.ys[i][0]
-            assert state.fp == prof.grid.ys[i][1]
-            assert state.w == prof.grid.ys[i][2]
+    def test_stops_are_nodes(self):
+        stops = (0.1, 1.0 / 3.0, 2.0, 6.0, 9.999)
+        grid = integrate_system(lambda t, y: y, 0.0, [1.0], 10.0, CFG, stops=stops)
+        assert set(stops) <= set(grid.ts.tolist())
+        assert np.all(np.diff(grid.ts) > 0.0) and grid.ts[-1] == 10.0
+        assert grid.ys[-1][0] == pytest.approx(math.exp(10.0), rel=1e-10)
 
-    def test_dense_output_between_nodes(self):
-        sol = integrate_system(lambda t, y: y, 0.0, [1.0], 1.0, CFG)
-        for t in (0.123, 0.5, 0.987):
-            assert sol(t)[0] == pytest.approx(math.exp(t), rel=1e-9)
+    def test_stop_is_not_overshot(self):
+        # From t = -0.4 the clipped step 3e-17 - t rounds up to 0.4 + 2^-54,
+        # so t + h would pass the stop by 2.6e-17; the node is set on it.
+        cfg = IntegratorConfig(h_init=0.5)
+        grid = integrate_system(lambda t, y: (0.0,), -0.4, [1.0], 1.0, cfg, stops=(3e-17,))
+        assert grid.ts.tolist() == [-0.4, 3e-17, 0.5, 1.0]
 
-    def test_dense_output_out_of_range(self):
-        sol = integrate_system(lambda t, y: y, 0.0, [1.0], 1.0, CFG)
+    @pytest.mark.parametrize(
+        "stops",
+        [(2.0, 1.0), (1.0, 1.0), (0.0,), (-1.0,), (3.0,), (5.0,), (math.nan,), (math.inf,)],
+        ids=["unsorted", "repeated", "at-t0", "before-t0", "at-t_end", "past-t_end", "nan", "inf"],
+    )
+    def test_bad_stops_rejected_before_stepping(self, stops):
+        calls = []
         with pytest.raises(DomainError):
-            sol(1.5)
+            integrate_system(lambda t, y: calls.append(t) or y, 0.0, [1.0], 3.0, CFG, stops=stops)
+        assert calls == []
 
 
 class TestKernel:
@@ -281,9 +290,13 @@ class TestKernel:
         assert len(result.star_profile.grid.ts) == nodes
 
     # Right-hand-side calls and state-changing projections that loop made
-    # on the default star IVP.
-    @pytest.mark.parametrize("n, calls, projections", [(0.3, 1597, 0), (1.0, 2120, 1), (1.7, 1784, 1)])
-    def test_rhs_call_contract(self, n, calls, projections):
+    # on the default star IVP, and those of one run with stops at 6 and 8.
+    @pytest.mark.parametrize(
+        "n, stops, calls, projections",
+        [(0.3, (), 1597, 0), (1.0, (), 2120, 1), (1.7, (), 1784, 1), (1.0, (6.0, 8.0), 2132, 1)],
+        ids=["0.3-1597-0", "1.0-2120-1", "1.7-1784-1", "1.0-stops-2132-1"],
+    )
+    def test_rhs_call_contract(self, n, stops, calls, projections):
         p = FlowParams(n)
         rhs, project = flux_system(p), flux_nonnegative_projector()
         abscissas, changed = [], []
@@ -297,7 +310,9 @@ class TestKernel:
             changed.append(out != y)
             return out
 
-        grid = integrate_system(counted_rhs, 0.0, (0.0, 0.0, 1.0), 10.0, CFG, counted_project)
+        grid = integrate_system(
+            counted_rhs, 0.0, (0.0, 0.0, 1.0), 10.0, CFG, counted_project, stops
+        )
         # An attempted step ends with two stages at t + h, and a projection
         # that changes the state re-evaluates at that same t: count each run
         # of equal abscissas once.

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from blasius_powerlaw import ode_core
 from blasius_powerlaw.ode_core import DomainError
 from blasius_powerlaw.nitm import NitmConfig, solve as nitm_solve
 from blasius_powerlaw.report import (
@@ -75,6 +76,41 @@ class TestBoundarySensitivity:
         assert abs(values[2] - values[1]) < abs(values[1] - values[0])
         assert values[2] == pytest.approx(0.3320573362171015, abs=1e-10)
 
+    def test_input_order_and_duplicates_kept(self):
+        records = boundary_sensitivity(1.0, [10.0, 6.0, 10.0])
+        assert [eta for eta, _, _ in records] == [10.0, 6.0, 10.0]
+        assert records[0] == records[2]
+        assert all(v is not None and err is None for _, v, err in records)
+
+    @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
+    def test_one_pass_matches_separate_solves(self, n, monkeypatch):
+        calls = []
+        original = ode_core.integrate_system
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        etas = [15.0, 6.0, 40.0, 8.0]
+        monkeypatch.setattr(ode_core, "integrate_system", counting)
+        records = boundary_sensitivity(n, etas)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # The pass up to the smallest boundary is the same run as a solve
+        # to it; after that stop the step sequence differs.
+        for eta, value, _ in records:
+            alone = nitm_solve(n, NitmConfig(eta_star_inf=eta)).fpp0
+            if eta == min(etas):
+                assert value == alone
+            else:
+                assert value == pytest.approx(alone, rel=1e-11, abs=0.0)
+
+    def test_failed_boundary_keeps_the_others(self):
+        # 1e7 is beyond the default step budget of 1e6 steps of h_max 0.5.
+        (_, value, error), (_, value_far, error_far) = boundary_sensitivity(1.0, [6.0, 1e7])
+        assert value == nitm_solve(1.0, NitmConfig(eta_star_inf=6.0)).fpp0 and error is None
+        assert value_far is None and "step budget" in error_far
+
     def test_bad_boundary_rejected(self):
         with pytest.raises(DomainError):
             boundary_sensitivity(1.0, [10.0, -1.0])
@@ -88,7 +124,7 @@ class TestExportProfile:
         text = export_profile(result)
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(PROFILE_COLUMNS)
-        assert len(lines) == 1 + len(result.profile.etas)
+        assert len(lines) == 1 + len(result.profile.grid.ts)
 
     def test_column_subset_and_full_precision(self):
         result = nitm_solve(1.0)

@@ -70,9 +70,8 @@ class TestSolveShooting:
     @pytest.mark.parametrize("n", [0.3, 0.8, 1.3, 1.9])
     def test_boundary_conditions(self, n):
         prof = solve_shooting(n).profile
-        first, last = prof.rows[0], prof.final
-        assert first.f == 0.0 and first.fp == 0.0
-        assert abs(last.fp - 1.0) <= 1e-10
+        assert prof.grid.ys[0, 0] == 0.0 and prof.grid.ys[0, 1] == 0.0
+        assert abs(prof.final.fp - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("n", [0.4, 1.0, 1.6])
     def test_agrees_with_one_ivp_method_at_matched_boundary(self, n):
