@@ -12,7 +12,6 @@ and cross-validates it with an iterative shooting solver.
 from .ode_core import (
     DivergenceError,
     DomainError,
-    FlowParams,
     IntegratorConfig,
     IvpState,
     OdeError,

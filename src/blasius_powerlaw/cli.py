@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit status: 0 on success, 1 on numerical failure, 2 on usage errors (bad
-flags, out-of-range numbers, an unwritable --output).  Data goes to --output
+flags, out-of-range numbers, an empty --eta-inf list, an unknown --columns
+name, an unwritable --output).  Data goes to --output
 (default stdout); diagnostics go to stderr.
 """
 
@@ -140,6 +141,7 @@ def _cmd_solve(args) -> int:
         "fpp0": result.fpp0,
         "fp_star_inf": result.fp_star_inf,
         "eta_star_inf": args.eta_inf,
+        "eta_inf_physical": result.profile.final.eta,
         "method_tag": result.method_tag,
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
@@ -191,6 +193,8 @@ def _cmd_sensitivity(args) -> int:
         etas = [_positive(x) for x in args.eta_inf_list.split(",") if x]
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"bad --eta-inf list: {exc}") from exc
+    if not etas:
+        raise UsageError("--eta-inf must list at least one boundary")
     cfg = NitmConfig(c0=args.c0, integrator=_integrator(args))
     records = report.boundary_sensitivity(args.n, etas, cfg)
     lines = ["eta_inf,fpp0,error"]
@@ -226,7 +230,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.subcommand](args)
-    except UsageError as exc:
+    except (UsageError, report.SelectionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except OdeError as exc:

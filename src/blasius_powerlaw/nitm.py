@@ -1,9 +1,9 @@
 """Non-iterative solution of the power-law boundary-layer BVP.
 
-One initial value problem is integrated in scaled ("star") variables with a
-prescribed unit curvature at the wall.  The equation and the wall conditions
-are invariant under f(eta) = a F(b eta) whenever a^(n-2) b^(2n-1) = 1; the
-far-field condition a b F'_inf = 1 then fixes
+One wall IVP (`ode_core.integrate`) is integrated in scaled ("star")
+variables with wall curvature c0, 1 by default.  The equation and the wall
+conditions are invariant under f(eta) = a F(b eta) whenever
+a^(n-2) b^(2n-1) = 1; the far-field condition a b F'_inf = 1 then fixes
 
     a = F'_inf^((1-2n)/(n+1)),  b = F'_inf^((n-2)/(n+1)),
     f''(0) = c0 F'_inf^(-3/(n+1)),
@@ -20,11 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .ode_core import (
+    FLUX_CUTOFF,
     DomainError,
-    FlowParams,
     GridSolution,
     IntegratorConfig,
-    IvpState,
     SolutionProfile,
     flux_from_curvature,
     flux_nonnegative_projector,
@@ -55,7 +54,7 @@ class NitmConfig:
 @dataclass(frozen=True)
 class NitmResult:
     n: float
-    delta: float | None  # (2 - n)/(1 - 2n); None at n = 1/2
+    delta: float | None  # (2 - n)/(1 - 2n), unused by the solve; None at n = 1/2, +0.0 at n = 2
     lam: float  # 1/a, the classical group parameter lambda
     fpp0: float
     fp_star_inf: float
@@ -66,19 +65,18 @@ class NitmResult:
 
 def solve_star_ivp(n: float, config: NitmConfig, stops: Sequence[float] = ()) -> SolutionProfile:
     """Integrate the scaled IVP f*(0) = f*'(0) = 0, f*''(0) = c0 to eta_star_inf,
-    with a node at each of `stops`."""
-    params = FlowParams(n)
-    initial = IvpState(eta=0.0, f=0.0, fp=0.0, w=flux_from_curvature(config.c0, n))
-    return integrate(
-        flux_system(params),
-        initial,
-        config.eta_star_inf,
-        config.integrator,
-        params,
-        star_frame=True,
-        project=flux_nonnegative_projector(),
-        stops=stops,
-    )
+    with a node at each of `stops`.
+
+    A wall flux c0^n at or below FLUX_CUTOFF is refused: the projector would
+    pin it to zero after the first step, F' would stop growing there, and
+    f''(0) would come out wrong (1e10 for c0 = 1e-11 at n = 1).
+    """
+    rhs, project = flux_system(n), flux_nonnegative_projector()
+    if flux_from_curvature(config.c0, n) <= FLUX_CUTOFF:
+        raise DomainError(
+            f"wall flux c0^n = {config.c0}^{n} is at or below the cutoff {FLUX_CUTOFF}"
+        )
+    return integrate(rhs, n, config.c0, config.eta_star_inf, config.integrator, project, stops)
 
 
 def group_parameters(n: float, fp_star_inf: float) -> tuple[float, float]:
@@ -104,11 +102,9 @@ def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfil
     which needs a^(n-2) b^(2n-1) = 1 (true of `group_parameters`).  The node
     derivatives (f', f'', w') scale by b times the same factors.
     """
-    if not star.star_frame:
-        raise DomainError("rescale_profile expects a star-frame profile")
     s = np.array([a, a * b, a * a * b])
     grid = GridSolution(ts=star.grid.ts / b, ys=star.grid.ys * s, dys=star.grid.dys * (b * s))
-    return SolutionProfile(grid=grid, params=star.params, star_frame=False)
+    return SolutionProfile(grid, star.n)
 
 
 def solve(n: float, config: NitmConfig | None = None) -> NitmResult:
@@ -119,7 +115,7 @@ def solve(n: float, config: NitmConfig | None = None) -> NitmResult:
     a, b = group_parameters(n, fp_star_inf)
     return NitmResult(
         n=n,
-        delta=star.params.delta,
+        delta=None if n == 0.5 else (n - 2.0) / (2.0 * n - 1.0),
         lam=1.0 / a,
         fpp0=wall_curvature(n, config.c0, fp_star_inf),
         fp_star_inf=fp_star_inf,
@@ -173,7 +169,7 @@ def profile_ode_residuals(profile: SolutionProfile) -> np.ndarray:
     difference of the stored flux, so the result is limited by the grid
     spacing, not just the integration tolerance.
     """
-    n = profile.params.n
+    n = profile.n
     t = profile.grid.ts
     w = profile.grid.ys[:, 2]
     f = profile.grid.ys[:, 0]

@@ -4,6 +4,8 @@ power-law boundary-layer equation.
 The governing third-order equation is integrated as a first-order system in
 (f, f', w) where w = |f''|^(n-1) f'' is the viscous flux.  Working with w
 avoids dividing by n|f''|^(n-1), which is singular as f'' -> 0 for n > 1.
+Both solution routes integrate the same wall IVP, defined by the exponent n
+and the wall curvature f''(0) alone, through `integrate`.
 """
 
 from __future__ import annotations
@@ -68,22 +70,6 @@ def require_positive(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class FlowParams:
-    """Power-law exponent n of the boundary-layer equation."""
-
-    n: float
-
-    def __post_init__(self) -> None:
-        require_positive("power-law exponent", self.n)
-
-    @property
-    def delta(self) -> float | None:
-        """Classical exponent (2-n)/(1-2n) of f* = lambda f, eta* = lambda^delta eta,
-        unused by `nitm`; None at n = 1/2 and +0.0 (not -0.0) at n = 2."""
-        return None if self.n == 0.5 else (self.n - 2.0) / (2.0 * self.n - 1.0)
-
-
-@dataclass(frozen=True)
 class IvpState:
     """One grid point of the first-order system (eta, f, f', w)."""
 
@@ -117,9 +103,9 @@ State = tuple[float, ...]
 Rhs = Callable[[float, State], Sequence[float]]
 
 
-def flux_system(params: FlowParams) -> Rhs:
+def flux_system(n: float) -> Rhs:
     """Vector field over y = (f, f', w) for the generic integrator."""
-    n = params.n
+    require_positive("power-law exponent", n)
     inv_np1 = 1.0 / (n + 1.0)
 
     def rhs(eta: float, y: State) -> State:
@@ -129,12 +115,11 @@ def flux_system(params: FlowParams) -> Rhs:
     return rhs
 
 
-def direct_system(params: FlowParams) -> Rhs:
+def direct_system(n: float) -> Rhs:
     """Vector field over y = (f, f', f'') with f''' = -f f'' |f''|^(1-n) / (n(n+1)).
 
     Only valid while f'' != 0; the flux form has no such restriction.
     """
-    n = params.n
 
     def rhs(eta: float, y: State) -> State:
         if y[2] == 0.0:
@@ -286,11 +271,10 @@ def integrate_system(
 
 @dataclass
 class SolutionProfile:
-    """Ordered solution grid of the (f, f', w) system."""
+    """Ordered solution grid of the (f, f', w) system at exponent n."""
 
     grid: GridSolution
-    params: FlowParams
-    star_frame: bool
+    n: float
 
     @property
     def final(self) -> IvpState:
@@ -312,7 +296,7 @@ class SolutionProfile:
 FLUX_CUTOFF = 1e-10
 
 
-def flux_nonnegative_projector(cutoff: float = FLUX_CUTOFF) -> Callable[[State], State]:
+def flux_nonnegative_projector() -> Callable[[State], State]:
     """Pin the flux component of a (f, f', w) state to zero once it is spent.
 
     The boundary-layer solutions of interest start from w(0) > 0 and w decays
@@ -322,7 +306,7 @@ def flux_nonnegative_projector(cutoff: float = FLUX_CUTOFF) -> Callable[[State],
     """
 
     def project(y: State) -> State:
-        if y[2] < cutoff:
+        if y[2] < FLUX_CUTOFF:
             return (y[0], y[1], 0.0)
         return y
 
@@ -331,16 +315,15 @@ def flux_nonnegative_projector(cutoff: float = FLUX_CUTOFF) -> Callable[[State],
 
 def integrate(
     rhs: Rhs,
-    initial: IvpState,
+    n: float,
+    fpp0: float,
     eta_end: float,
     config: IntegratorConfig,
-    params: FlowParams,
-    star_frame: bool = True,
     project: Callable[[State], Sequence[float]] | None = None,
     stops: Sequence[float] = (),
 ) -> SolutionProfile:
-    """Integrate the (f, f', w) system from `initial` to eta_end, with a node
-    at each of `stops`."""
-    y0 = (initial.f, initial.fp, initial.w)
-    grid = integrate_system(rhs, initial.eta, y0, eta_end, config, project, stops)
-    return SolutionProfile(grid=grid, params=params, star_frame=star_frame)
+    """Integrate the (f, f', w) system at exponent n from the wall, f = f' = 0
+    and f'' = fpp0, to eta_end, with a node at each of `stops`."""
+    require_positive("power-law exponent", n)
+    y0 = (0.0, 0.0, flux_from_curvature(fpp0, n))
+    return SolutionProfile(integrate_system(rhs, 0.0, y0, eta_end, config, project, stops), n)

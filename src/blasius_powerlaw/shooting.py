@@ -1,11 +1,12 @@
 """Iterative shooting solution of the power-law boundary-layer BVP.
 
-Root-finds on the unknown wall curvature so that the integrated slope reaches
-one at the truncated boundary: a secant in log-log coordinates (log of the
-curvature against log of the far-field slope), guarded by a sign-change
-bracket with bisection as fallback.  The converged trial's profile is the
-result, so the root is not integrated again.  The coordinates only choose the
-next trial; convergence is the plain residual test, and shooting needs no
+Root-finds on the unknown wall curvature, each trial one wall IVP
+(`ode_core.integrate`), so that the integrated slope reaches one at the
+truncated boundary: a secant in log-log coordinates (log of the curvature
+against log of the far-field slope), guarded by a sign-change bracket with
+bisection as fallback.  The converged trial's profile is the result, so the
+root is not integrated again.  The coordinates only choose the next trial;
+convergence is the residual test against ROOT_TOL, and shooting needs no
 scaling invariance, so it works at every n > 0 including n = 1/2 and n = 2,
 and serves as the independent check on the non-iterative route.
 """
@@ -16,13 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 from .ode_core import (
-    DomainError,
-    FlowParams,
     IntegratorConfig,
-    IvpState,
     OdeError,
     SolutionProfile,
-    flux_from_curvature,
     flux_nonnegative_projector,
     flux_system,
     integrate,
@@ -38,20 +35,19 @@ class ConvergenceError(OdeError):
     """Iteration budget exhausted before the residual tolerance was met."""
 
 
+#: Initial bracket on the trial wall curvature, the tolerance on
+#: |f'(eta_inf) - 1| and the budget of secant/bisection iterations.
+BRACKET_LO, BRACKET_HI = 0.05, 1.5
+ROOT_TOL = 1e-12
+MAX_ITERS = 100
+
+
 @dataclass(frozen=True)
 class ShootingConfig:
     eta_inf: float = 10.0
-    bracket_lo: float = 0.05
-    bracket_hi: float = 1.5
-    root_tol: float = 1e-12
-    max_iters: int = 100
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
 
     def __post_init__(self) -> None:
-        require_positive("bracket_hi", self.bracket_hi)
-        if not (0.0 < self.bracket_lo < self.bracket_hi):
-            raise DomainError("bracket must satisfy 0 < lo < hi")
-        require_positive("root_tol", self.root_tol)
         require_positive("eta_inf", self.eta_inf)
 
 
@@ -69,16 +65,8 @@ def shoot_residual(
     """Residual f'(eta_inf) - 1 of the trial wall curvature `guess`, and its profile."""
     config = config or ShootingConfig()
     require_positive("trial curvature", guess)
-    params = FlowParams(n)
-    initial = IvpState(eta=0.0, f=0.0, fp=0.0, w=flux_from_curvature(guess, n))
     profile = integrate(
-        flux_system(params),
-        initial,
-        config.eta_inf,
-        config.integrator,
-        params,
-        star_frame=False,
-        project=flux_nonnegative_projector(),
+        flux_system(n), n, guess, config.eta_inf, config.integrator, flux_nonnegative_projector()
     )
     return profile.final.fp - 1.0, profile
 
@@ -106,7 +94,7 @@ def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingRe
     root is never integrated twice.
     """
     config = config or ShootingConfig()
-    lo, hi = config.bracket_lo, config.bracket_hi
+    lo, hi = BRACKET_LO, BRACKET_HI
     f_lo, p_lo = shoot_residual(n, lo, config)
     f_hi, p_hi = shoot_residual(n, hi, config)
 
@@ -125,14 +113,14 @@ def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingRe
             f"no sign change in [{lo}, {hi}] after {expansions} expansions (n = {n})"
         )
 
-    if abs(f_lo) <= config.root_tol:
+    if abs(f_lo) <= ROOT_TOL:
         return ShootingResult(lo, f_lo, 0, p_lo)
-    if abs(f_hi) <= config.root_tol:
+    if abs(f_hi) <= ROOT_TOL:
         return ShootingResult(hi, f_hi, 0, p_hi)
 
     u_prev, v_prev = math.log(lo), _log_slope(f_lo)
     u_curr, v_curr = math.log(hi), _log_slope(f_hi)
-    for iteration in range(1, config.max_iters + 1):
+    for iteration in range(1, MAX_ITERS + 1):
         # Secant proposal, guarded by the bracket; bisection as fallback.
         x_next = None
         if v_curr is not None and v_prev is not None and v_curr != v_prev:
@@ -144,7 +132,7 @@ def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingRe
             x_next = 0.5 * (lo + hi)
         f_next, profile = shoot_residual(n, x_next, config)
 
-        if abs(f_next) <= config.root_tol:
+        if abs(f_next) <= ROOT_TOL:
             return ShootingResult(x_next, f_next, iteration, profile)
 
         if f_lo * f_next < 0.0:
@@ -155,5 +143,5 @@ def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingRe
         u_curr, v_curr = math.log(x_next), _log_slope(f_next)
 
     raise ConvergenceError(
-        f"no convergence to |residual| <= {config.root_tol} in {config.max_iters} iterations"
+        f"no convergence to |residual| <= {ROOT_TOL} in {MAX_ITERS} iterations"
     )

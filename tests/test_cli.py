@@ -47,6 +47,25 @@ class TestSolve:
         assert code == 1
         assert "numerical failure" in err
 
+    def test_reports_physical_boundary(self, capsys):
+        # A small c0 maps the star boundary 10 to a physical one near 0.99,
+        # so the answer is that of the problem truncated there, and says so.
+        code, out, _ = _run(capsys, ["solve", "--n", "1", "--c0", "1e-3"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["fpp0"] == pytest.approx(1.0312, abs=1e-4)
+        assert doc["eta_inf_physical"] == pytest.approx(0.98980, abs=1e-5)
+        # eta*/b with b = a = 1/lambda at n = 1.
+        assert doc["eta_inf_physical"] == pytest.approx(10.0 * doc["lambda"], rel=1e-14)
+
+    def test_wall_flux_below_cutoff_is_numerical_failure(self, capsys):
+        # The flux projector would zero c0^n = 1e-11 after one step, and the
+        # printed fpp0 would be ~1e10.
+        code, out, err = _run(capsys, ["solve", "--n", "1", "--c0", "1e-11"])
+        assert code == 1 and out == ""
+        assert "numerical failure: wall flux" in err
+        assert "Traceback" not in err
+
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "solve.json"
         code, _, err = _run(capsys, ["solve", "--n", "1.0", "--output", str(target)])
@@ -138,6 +157,12 @@ class TestSensitivity:
         assert code == 2
         assert "usage error" in err
 
+    @pytest.mark.parametrize("etas", [",", "", ",,"])
+    def test_empty_list_is_usage_error(self, capsys, etas):
+        code, out, err = _run(capsys, ["sensitivity", "--n", "1.0", "--eta-inf", etas])
+        assert code == 2 and out == ""
+        assert "usage error" in err
+
 
 class TestProfile:
     def test_default_columns(self, capsys):
@@ -154,9 +179,11 @@ class TestProfile:
         assert float(lines[-1].split(",")[1]) == pytest.approx(1.0, abs=1e-10)
 
     def test_unknown_column_is_numerical_domain_error(self, capsys):
-        code, _, err = _run(capsys, ["profile", "--n", "1.3", "--columns", "zzz"])
-        assert code == 1
-        assert "unknown column" in err
+        # export_profile raises report.SelectionError, a DomainError; the CLI
+        # reports it as the bad flag value it is: exit 2, not 1.
+        code, out, err = _run(capsys, ["profile", "--n", "1.3", "--columns", "zzz"])
+        assert code == 2 and out == ""
+        assert "usage error: unknown column" in err
 
 
 class TestParser:

@@ -1,12 +1,14 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from blasius_powerlaw import ode_core
 from blasius_powerlaw.ode_core import (
+    DivergenceError,
     DomainError,
-    FlowParams,
     IntegratorConfig,
     curvature_from_flux,
     flux_from_curvature,
@@ -21,7 +23,7 @@ from blasius_powerlaw.nitm import (
     solve_nitm,
     solve_star_ivp,
 )
-from blasius_powerlaw.shooting import ShootingConfig, solve_shooting
+from blasius_powerlaw.shooting import ShootingConfig, shoot_residual, solve_shooting
 
 # Wall curvatures computed by this package at eta*_inf = 10 with tolerance
 # 1e-12, cross-validated to ~5e-11 against an independent implicit
@@ -63,6 +65,8 @@ class TestScalingExponent:
         assert solve(1.0).delta == -1.0
         assert solve(0.3).delta == pytest.approx(4.25)
         assert solve(1.7).delta == pytest.approx(-0.125)
+        assert solve(2.0).delta == 0.0
+        assert math.copysign(1.0, solve(2.0).delta) == 1.0  # +0.0, not -0.0
 
     def test_half_undefined(self):
         result = solve(0.5)
@@ -78,6 +82,15 @@ class TestScalingExponent:
     def test_invalid(self):
         with pytest.raises(DomainError):
             solve(-1.0)
+
+    @pytest.mark.parametrize("n", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_exponent(self, n):
+        # Both routes refuse the exponent; flux_system does so before it
+        # takes 1/(n + 1).
+        with pytest.raises(DomainError, match="exponent"):
+            solve(n)
+        with pytest.raises(DomainError, match="exponent"):
+            shoot_residual(n, 0.3)
 
 
 class TestLambdaAlgebra:
@@ -110,7 +123,8 @@ class TestLambdaAlgebra:
         # n = 1/2 and 1 - delta blows up beside it.
         assume(abs(n - 0.5) > 0.05)
         a, _ = group_parameters(n, fp)
-        assert (1.0 / a) ** (1.0 - FlowParams(n).delta) == pytest.approx(fp, rel=1e-13)
+        delta = (n - 2.0) / (2.0 * n - 1.0)
+        assert (1.0 / a) ** (1.0 - delta) == pytest.approx(fp, rel=1e-13)
 
     # The exponents (1-2n)/(n+1) and (n-2)/(n+1) are rounded separately and
     # |ln F'_inf| <= 4 amplifies that rounding: a scan of 10^6 points gave
@@ -145,6 +159,23 @@ class TestStarIvp:
         prof = solve_star_ivp(2.0, NitmConfig(c0=3.0))
         assert prof.grid.ys[0, 2] == pytest.approx(9.0)
 
+    @pytest.mark.parametrize("n, c0", [(1.0, 1e-11), (2.0, 1e-5), (300.0, 0.9)])
+    def test_wall_flux_below_cutoff_rejected(self, monkeypatch, n, c0):
+        # The projector would zero such a flux after the first step and leave
+        # F' nearly flat, so f''(0) would be ~1e10 at n = 1, c0 = 1e-11.
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated a wall flux below the cutoff")
+
+        monkeypatch.setattr(ode_core, "integrate_system", no_integration)
+        with pytest.raises(DomainError, match="wall flux"):
+            solve(n, NitmConfig(c0=c0))
+
+    def test_wall_flux_overflow_is_numerical_failure(self):
+        # The check compares the encoded flux, so c0^n that overflows a float
+        # is an OdeError, not an OverflowError.
+        with pytest.raises(DivergenceError, match="overflows"):
+            solve(3000.0, NitmConfig(c0=10.0))
+
     @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
     def test_curvatures_are_the_decoded_flux(self, n):
         # curvatures() reads f'' from the stored derivatives; it must equal
@@ -165,7 +196,7 @@ class TestRescale:
         assert np.array_equal(phys.grid.ts, star.grid.ts)
         assert np.array_equal(phys.grid.ys, star.grid.ys)
         assert np.array_equal(phys.grid.dys, star.grid.dys)
-        assert not phys.star_frame
+        assert phys.n == star.n == 1.0
 
     def test_origin_row(self):
         star = solve_star_ivp(1.0, NitmConfig())
@@ -173,12 +204,6 @@ class TestRescale:
         assert phys.grid.ts[0] == 0.0
         assert phys.grid.ys[0, 0] == 0.0 and phys.grid.ys[0, 1] == 0.0
         assert phys.curvatures()[0] == pytest.approx(0.125)
-
-    def test_physical_profile_rejected(self):
-        star = solve_star_ivp(1.0, NitmConfig())
-        phys = rescale_profile(star, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            rescale_profile(phys, 0.5, 0.5)
 
 
 # Physical profiles of solve(n) as the per-node exp/log rescaling made them.
@@ -336,7 +361,7 @@ class TestSolveExcluded:
 
     def test_profile_from_nearest_node(self):
         result = solve_excluded(2.0)
-        assert result.profile.params.n == pytest.approx(1.9)
+        assert result.profile.n == pytest.approx(1.9)
 
 
 class TestResiduals:

@@ -8,9 +8,7 @@ from blasius_powerlaw.nitm import solve
 from blasius_powerlaw.ode_core import (
     DivergenceError,
     DomainError,
-    FlowParams,
     IntegratorConfig,
-    IvpState,
     SingularityError,
     StepBudgetError,
     curvature_from_flux,
@@ -24,29 +22,6 @@ from blasius_powerlaw.ode_core import (
 
 
 CFG = IntegratorConfig()
-
-
-class TestFlowParams:
-    def test_delta_values(self):
-        assert FlowParams(1.0).delta == -1.0
-        assert FlowParams(0.3).delta == pytest.approx(4.25)
-        assert FlowParams(1.7).delta == pytest.approx(-0.125)
-        assert FlowParams(2.0).delta == 0.0
-        assert math.copysign(1.0, FlowParams(2.0).delta) == 1.0
-
-    def test_delta_undefined_at_half(self):
-        assert FlowParams(0.5).delta is None
-
-    def test_delta_is_derived_not_set(self):
-        with pytest.raises(TypeError):
-            FlowParams(1.0, delta=7.0)
-        with pytest.raises(AttributeError):
-            FlowParams(1.0).delta = 7.0
-
-    @pytest.mark.parametrize("n", [0.0, -1.0, math.nan, math.inf])
-    def test_invalid_exponent(self, n):
-        with pytest.raises(DomainError):
-            FlowParams(n)
 
 
 class TestFluxEncoding:
@@ -82,38 +57,36 @@ class TestRhsFlux:
     """The flux form: d/deta (f, f', w) = (f', f'', -f f''/(n+1))."""
 
     def test_origin_blasius(self):
-        d = flux_system(FlowParams(1.0))(0.0, (0.0, 0.0, 1.0))
+        d = flux_system(1.0)(0.0, (0.0, 0.0, 1.0))
         assert d == (0.0, 1.0, 0.0)
 
     def test_direct_substitution_n1(self):
-        d = flux_system(FlowParams(1.0))(1.0, (2.0, 0.5, 0.25))
+        d = flux_system(1.0)(1.0, (2.0, 0.5, 0.25))
         assert d == pytest.approx((0.5, 0.25, -0.25))
 
     def test_direct_substitution_half(self):
-        d = flux_system(FlowParams(0.5))(1.0, (1.0, 0.0, 0.04))
+        d = flux_system(0.5)(1.0, (1.0, 0.0, 0.04))
         assert d == pytest.approx((0.0, 0.0016, -0.0016 / 1.5))
 
     def test_nonfinite_rejected(self):
-        p = FlowParams(1.0)
-        initial = IvpState(eta=0.0, f=math.nan, fp=0.0, w=1.0)
         with pytest.raises(DomainError):
-            integrate(flux_system(p), initial, 1.0, CFG, p)
+            integrate(flux_system(1.0), 1.0, math.nan, 1.0, CFG)
 
 
 class TestRhsDirect:
     """The expanded form: d/deta (f, f', f'') with f''' written out."""
 
     def test_blasius_form(self):
-        d = direct_system(FlowParams(1.0))(0.0, (2.0, 0.5, 0.25))
+        d = direct_system(1.0)(0.0, (2.0, 0.5, 0.25))
         assert d == pytest.approx((0.5, 0.25, -0.25))
 
     def test_n2(self):
-        d = direct_system(FlowParams(2.0))(0.0, (1.0, 0.0, 4.0))
+        d = direct_system(2.0)(0.0, (1.0, 0.0, 4.0))
         assert d[2] == pytest.approx(-1.0 / 6.0)
 
     def test_zero_curvature_singular(self):
         with pytest.raises(SingularityError):
-            direct_system(FlowParams(1.3))(0.0, (1.0, 0.5, 0.0))
+            direct_system(1.3)(0.0, (1.0, 0.5, 0.0))
 
     @given(
         f=st.floats(min_value=0.0, max_value=5.0),
@@ -123,11 +96,10 @@ class TestRhsDirect:
     def test_consistent_with_flux_form(self, f, fpp, n):
         # Mapping f''' through dw = n |f''|^(n-1) df'' must reproduce the
         # flux-form w'.
-        params = FlowParams(n)
-        fppp = direct_system(params)(0.0, (f, 0.0, fpp))[2]
+        fppp = direct_system(n)(0.0, (f, 0.0, fpp))[2]
         w_rate_direct = n * abs(fpp) ** (n - 1.0) * fppp
         w = flux_from_curvature(fpp, n)
-        w_rate_flux = flux_system(params)(0.0, (f, 0.0, w))[2]
+        w_rate_flux = flux_system(n)(0.0, (f, 0.0, w))[2]
         assert w_rate_direct == pytest.approx(w_rate_flux, rel=1e-9, abs=1e-12)
 
 
@@ -148,11 +120,27 @@ class TestIntegrator:
     def test_star_ivp_endpoint_n1(self):
         # Far-field slope of the scaled Blasius IVP; the wall curvature it
         # implies is the classical 0.33205733621519630.
-        p = FlowParams(1.0)
-        prof = integrate(flux_system(p), IvpState(0.0, 0.0, 0.0, 1.0), 10.0, CFG, p)
+        prof = integrate(flux_system(1.0), 1.0, 1.0, 10.0, CFG)
         fp_inf = prof.final.fp
         assert fp_inf == pytest.approx(0.33205733621519630 ** (-2.0 / 3.0), abs=1e-8)
         assert fp_inf == pytest.approx(2.08541, abs=1e-5)
+
+    @pytest.mark.parametrize("n, fpp0", [(0.3, 0.5), (1.0, 1.0), (1.7, 2.0)])
+    def test_integrate_starts_at_the_wall(self, n, fpp0):
+        # The wall IVP is defined by (n, f''(0)) alone: f = f' = 0 and the
+        # encoded flux at eta = 0, with the exponent carried on the profile.
+        prof = integrate(flux_system(n), n, fpp0, 1.0, CFG)
+        assert prof.n == n
+        assert prof.grid.ts[0] == 0.0
+        assert tuple(prof.grid.ys[0]) == (0.0, 0.0, flux_from_curvature(fpp0, n))
+        assert prof.final.eta == 1.0
+
+    @pytest.mark.parametrize("n", [0.0, -1.0, math.nan, math.inf])
+    def test_integrate_rejects_invalid_exponent(self, n):
+        calls = []
+        with pytest.raises(DomainError, match="exponent"):
+            integrate(lambda t, y: calls.append(t) or y, n, 1.0, 1.0, CFG)
+        assert calls == []
 
     def test_step_budget_error(self):
         cfg = IntegratorConfig(max_steps=3)
@@ -198,26 +186,17 @@ class TestIntegrator:
         assert sol.ys[-1][0] == pytest.approx(0.01, rel=1e-12)
 
     def test_step_halving_convergence(self):
-        p = FlowParams(1.0)
         tau = 1e-8
         vals = []
         for tol in (tau, tau / 10.0):
             cfg = IntegratorConfig(rel_tol=tol, abs_tol=tol)
-            sol = integrate_system(flux_system(p), 0.0, [0.0, 0.0, 1.0], 10.0, cfg)
+            sol = integrate_system(flux_system(1.0), 0.0, [0.0, 0.0, 1.0], 10.0, cfg)
             vals.append(sol.ys[-1][1])
         assert abs(vals[0] - vals[1]) < 10.0 * tau
 
     @pytest.mark.parametrize("n", [0.1, 0.7, 1.0, 1.5, 2.0])
     def test_positivity_and_monotone_slope(self, n):
-        p = FlowParams(n)
-        prof = integrate(
-            flux_system(p),
-            IvpState(0.0, 0.0, 0.0, 1.0),
-            10.0,
-            CFG,
-            p,
-            project=flux_nonnegative_projector(),
-        )
+        prof = integrate(flux_system(n), n, 1.0, 10.0, CFG, flux_nonnegative_projector())
         w = prof.grid.ys[:, 2]
         fp = prof.grid.ys[:, 1]
         # For n > 1 the flux extinguishes at finite eta; beyond that point it
@@ -233,10 +212,9 @@ class TestIntegrator:
         # Flux and explicit-curvature forms must agree while f'' is well away
         # from zero; the gap is limited by accumulated global error, roughly
         # 1e2-1e3 times the local tolerance.
-        p = FlowParams(n)
         abscissae = np.linspace(0.0, 2.5, 40)
         slopes = []
-        for rhs in (flux_system(p), direct_system(p)):
+        for rhs in (flux_system(n), direct_system(n)):
             g = integrate_system(rhs, 0.0, [0.0, 0.0, 1.0], 2.5, CFG, stops=abscissae[1:-1])
             nodes = np.searchsorted(g.ts, abscissae)
             assert np.array_equal(g.ts[nodes], abscissae)
@@ -297,8 +275,7 @@ class TestKernel:
         ids=["0.3-1597-0", "1.0-2120-1", "1.7-1784-1", "1.0-stops-2132-1"],
     )
     def test_rhs_call_contract(self, n, stops, calls, projections):
-        p = FlowParams(n)
-        rhs, project = flux_system(p), flux_nonnegative_projector()
+        rhs, project = flux_system(n), flux_nonnegative_projector()
         abscissas, changed = [], []
 
         def counted_rhs(t, y):

@@ -1,6 +1,6 @@
 import pytest
 
-from blasius_powerlaw import ode_core
+from blasius_powerlaw import ode_core, shooting
 from blasius_powerlaw.ode_core import DomainError
 from blasius_powerlaw.nitm import solve_nitm
 from blasius_powerlaw.shooting import (
@@ -80,33 +80,34 @@ class TestSolveShooting:
         shoot = solve_shooting(n, ShootingConfig(eta_inf=eta_match))
         assert abs(nitm.fpp0 - shoot.fpp0) <= 1e-10
 
-    def test_bracket_expansion(self):
+    def test_bracket_expansion(self, monkeypatch):
         # A bracket that excludes the root on both sides still converges
         # after expansion.
-        cfg = ShootingConfig(bracket_lo=0.9, bracket_hi=1.5)
-        assert solve_shooting(1.0, cfg).fpp0 == pytest.approx(0.332057337, abs=1e-8)
+        monkeypatch.setattr(shooting, "BRACKET_LO", 0.9)
+        assert solve_shooting(1.0).fpp0 == pytest.approx(0.332057337, abs=1e-8)
 
-    def test_bracket_error(self):
+    def test_bracket_error(self, monkeypatch):
         # Limiting expansion by an absurd bracket far above the root with no
         # room to recover: shrink the allowance by moving lo and hi together.
-        cfg = ShootingConfig(bracket_lo=20.0, bracket_hi=21.0)
+        monkeypatch.setattr(shooting, "BRACKET_LO", 20.0)
+        monkeypatch.setattr(shooting, "BRACKET_HI", 21.0)
         with pytest.raises(BracketError):
-            solve_shooting(1.0, cfg)
+            solve_shooting(1.0)
 
-    def test_convergence_error(self):
-        cfg = ShootingConfig(max_iters=2)
-        with pytest.raises(ConvergenceError):
-            solve_shooting(1.0, cfg)
+    def test_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(shooting, "MAX_ITERS", 2)
+        with pytest.raises(ConvergenceError, match="in 2 iterations"):
+            solve_shooting(1.0)
 
 
 class TestConvergedTrialContract:
-    @pytest.mark.parametrize(
-        "cfg, expansions",
-        [(ShootingConfig(), 0), (ShootingConfig(bracket_lo=0.9, bracket_hi=1.5), 2)],
-    )
+    # cfg: shooting module constants to override.
+    @pytest.mark.parametrize("cfg, expansions", [({}, 0), ({"BRACKET_LO": 0.9}, 2)])
     def test_no_reintegration(self, monkeypatch, cfg, expansions):
         # Every integration is a counted trial: two bracket ends, one per
         # expansion and one per iteration, and none after convergence.
+        for name, value in cfg.items():
+            monkeypatch.setattr(shooting, name, value)
         calls = []
         original = ode_core.integrate_system
 
@@ -115,7 +116,7 @@ class TestConvergedTrialContract:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(ode_core, "integrate_system", counting)
-        result = solve_shooting(1.0, cfg)
+        result = solve_shooting(1.0)
         assert len(calls) == 2 + expansions + result.iterations
 
     @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
@@ -137,13 +138,11 @@ class TestConvergedTrialContract:
 class TestShootingConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
-            ShootingConfig(bracket_lo=0.5, bracket_hi=0.1)
-        with pytest.raises(DomainError):
-            ShootingConfig(root_tol=0.0)
-        with pytest.raises(DomainError):
             ShootingConfig(eta_inf=-1.0)
+        with pytest.raises(DomainError):
+            ShootingConfig(eta_inf=0.0)
 
-    @pytest.mark.parametrize("field", ["eta_inf", "bracket_lo", "bracket_hi", "root_tol"])
+    @pytest.mark.parametrize("field", ["eta_inf"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_nonfinite_rejected(self, field, value):
         with pytest.raises(DomainError):
