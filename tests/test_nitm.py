@@ -65,8 +65,6 @@ class TestScalingExponent:
         assert solve(1.0).delta == -1.0
         assert solve(0.3).delta == pytest.approx(4.25)
         assert solve(1.7).delta == pytest.approx(-0.125)
-        assert solve(2.0).delta == 0.0
-        assert math.copysign(1.0, solve(2.0).delta) == 1.0  # +0.0, not -0.0
 
     def test_half_undefined(self):
         result = solve(0.5)

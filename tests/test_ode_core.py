@@ -24,6 +24,21 @@ from blasius_powerlaw.ode_core import (
 CFG = IntegratorConfig()
 
 
+class TestFlowParams:
+    """The classical scaling exponent delta = (2 - n)/(1 - 2n), reported by
+    the solve alongside f''(0)."""
+
+    def test_delta_values(self):
+        assert solve(1.0).delta == -1.0
+        assert solve(0.3).delta == pytest.approx(4.25)
+        assert solve(1.7).delta == pytest.approx(-0.125)
+        assert solve(2.0).delta == 0.0
+        assert math.copysign(1.0, solve(2.0).delta) == 1.0  # +0.0, not -0.0
+
+    def test_delta_undefined_at_half(self):
+        assert solve(0.5).delta is None
+
+
 class TestFluxEncoding:
     def test_positive_roundtrip(self):
         assert curvature_from_flux(0.25, 0.5) == pytest.approx(0.0625)
