@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit status: 0 on success, 1 on numerical failure, 2 on usage errors (bad
-flags, out-of-range numbers, an empty --eta-inf list, an unknown --columns
-name, an unwritable --output).  Data goes to --output
+flags, out-of-range numbers, an empty --eta-inf or --columns list, an unknown
+--columns name, an unwritable --output).  Data goes to --output
 (default stdout); diagnostics go to stderr.
 """
 
@@ -28,10 +28,6 @@ def _integrator(args) -> IntegratorConfig:
 
 def _nitm_config(args) -> NitmConfig:
     return NitmConfig(eta_star_inf=args.eta_inf, c0=args.c0, integrator=_integrator(args))
-
-
-def _shooting_config(args) -> ShootingConfig:
-    return ShootingConfig(eta_inf=args.eta_inf, integrator=_integrator(args))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -153,7 +149,6 @@ def _cmd_table(args) -> int:
         n_values=_grid(args),
         method=args.method,
         nitm_config=_nitm_config(args),
-        shooting_config=_shooting_config(args),
     )
     rows = report.sweep_table(spec)
     if args.format == "json":
@@ -208,6 +203,8 @@ def _cmd_sensitivity(args) -> int:
 
 def _cmd_profile(args) -> int:
     columns = tuple(c for c in args.columns.split(",") if c)
+    if not columns:
+        raise UsageError("--columns must name at least one column")
     result = nitm_solve(args.n, _nitm_config(args))
     _emit(report.export_profile(result, columns), args.output)
     return 0

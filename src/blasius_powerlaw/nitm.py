@@ -14,13 +14,14 @@ eta, at n = 2 a pure scaling of f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .ode_core import (
     FLUX_CUTOFF,
+    DivergenceError,
     DomainError,
     GridSolution,
     IntegratorConfig,
@@ -82,8 +83,11 @@ def solve_star_ivp(n: float, config: NitmConfig, stops: Sequence[float] = ()) ->
 def group_parameters(n: float, fp_star_inf: float) -> tuple[float, float]:
     """Group element (a, b) of f = a F(b eta) that maps F'_inf to one."""
     require_positive("far-field slope", fp_star_inf)
-    a = fp_star_inf ** ((1.0 - 2.0 * n) / (n + 1.0))
-    b = fp_star_inf ** ((n - 2.0) / (n + 1.0))
+    try:
+        a = fp_star_inf ** ((1.0 - 2.0 * n) / (n + 1.0))
+        b = fp_star_inf ** ((n - 2.0) / (n + 1.0))
+    except OverflowError:
+        raise DivergenceError(f"a or b overflows at F'_inf = {fp_star_inf}, n = {n}") from None
     return a, b
 
 
@@ -91,7 +95,10 @@ def wall_curvature(n: float, c0: float, fp_star_inf: float) -> float:
     """f''(0) = c0 F'_inf^(-3/(n+1)) of the star IVP whose slope at its
     boundary is fp_star_inf."""
     require_positive("far-field slope", fp_star_inf)
-    return c0 * fp_star_inf ** (-3.0 / (n + 1.0))
+    try:
+        return c0 * fp_star_inf ** (-3.0 / (n + 1.0))
+    except OverflowError:
+        raise DivergenceError(f"f''(0) overflows at F'_inf = {fp_star_inf}, n = {n}") from None
 
 
 def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfile:
@@ -135,31 +142,19 @@ def solve_excluded(n: float, config: NitmConfig | None = None) -> NitmResult:
     computes them directly.  n = 1/2 takes the central average of the
     n -+ EXCLUDED_STEP solves (error O(step^2)); n = 2 is approached from
     below only, via a quadratic through n - step, n - 2 step, n - 3 step.
+    Only fpp0 is approximated: the rest of the result is `solve(n)`'s.
     """
     config = config or NitmConfig()
     if n not in EXCLUDED_EXPONENTS:
         raise DomainError(f"n = {n} is not one of {EXCLUDED_EXPONENTS}")
     eps = EXCLUDED_STEP
+    nodes = [n - eps, n + eps] if n == 0.5 else [n - 3 * eps, n - 2 * eps, n - eps]
+    values = [solve(x, config).fpp0 for x in nodes]
     if n == 0.5:
-        nodes = [n - eps, n + eps]
-        results = [solve(x, config) for x in nodes]
-        fpp0 = 0.5 * (results[0].fpp0 + results[1].fpp0)
+        fpp0 = 0.5 * (values[0] + values[1])
     else:
-        nodes = [n - 3 * eps, n - 2 * eps, n - eps]
-        results = [solve(x, config) for x in nodes]
-        coeffs = np.polyfit(nodes, [r.fpp0 for r in results], 2)
-        fpp0 = float(np.polyval(coeffs, n))
-    nearest = min(results, key=lambda r: abs(r.n - n))
-    return NitmResult(
-        n=n,
-        delta=nearest.delta,
-        lam=nearest.lam,
-        fpp0=fpp0,
-        fp_star_inf=nearest.fp_star_inf,
-        profile=nearest.profile,
-        star_profile=nearest.star_profile,
-        method_tag="extrapolated",
-    )
+        fpp0 = float(np.polyval(np.polyfit(nodes, values, 2), n))
+    return replace(solve(n, config), fpp0=fpp0, method_tag="extrapolated")
 
 
 def profile_ode_residuals(profile: SolutionProfile) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Adaptive Runge-Kutta integration and the two right-hand-side forms of the
+"""Adaptive Runge-Kutta integration and the flux-form right-hand side of the
 power-law boundary-layer equation.
 
 The governing third-order equation is integrated as a first-order system in
@@ -34,7 +34,7 @@ class StepBudgetError(OdeError):
 
 
 class StepUnderflowError(OdeError):
-    """Error control forced the step below h_min (stiffness)."""
+    """Error control forced the step below H_MIN (stiffness)."""
 
 
 class DivergenceError(OdeError):
@@ -50,7 +50,10 @@ def curvature_from_flux(w: float, n: float) -> float:
     """Recover f'' = sign(w) |w|^(1/n) from the viscous flux w."""
     if abs(w) < _FLUX_UNDERFLOW:
         return 0.0
-    return math.copysign(math.exp(math.log(abs(w)) / n), w)
+    try:
+        return math.copysign(math.exp(math.log(abs(w)) / n), w)
+    except OverflowError:
+        raise DivergenceError(f"curvature |w|^(1/n) overflows at w = {w}, n = {n}") from None
 
 
 def flux_from_curvature(fpp: float, n: float) -> float:
@@ -79,24 +82,21 @@ class IvpState:
     w: float
 
 
+#: First trial step, smallest step and step budget of `integrate_system`.
+H_INIT, H_MIN, MAX_STEPS = 1e-3, 1e-12, 1_000_000
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
-    h_init: float = 1e-3
-    h_min: float = 1e-12
     h_max: float = 0.5
-    max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
         require_positive("rel_tol", self.rel_tol)
         require_positive("abs_tol", self.abs_tol)
-        require_positive("h_min", self.h_min)
-        require_positive("h_max", self.h_max)
-        if not (self.h_min <= self.h_init <= self.h_max):
-            raise DomainError("step bounds must satisfy h_min <= h_init <= h_max")
-        if not (self.max_steps >= 1) or not math.isfinite(self.max_steps):
-            raise DomainError(f"max_steps must be finite and >= 1, got {self.max_steps}")
+        if not H_INIT <= self.h_max < math.inf:
+            raise DomainError(f"h_max must be finite and >= H_INIT = {H_INIT}, got {self.h_max}")
 
 
 State = tuple[float, ...]
@@ -111,21 +111,6 @@ def flux_system(n: float) -> Rhs:
     def rhs(eta: float, y: State) -> State:
         fpp = curvature_from_flux(y[2], n)
         return (y[1], fpp, -y[0] * fpp * inv_np1)
-
-    return rhs
-
-
-def direct_system(n: float) -> Rhs:
-    """Vector field over y = (f, f', f'') with f''' = -f f'' |f''|^(1-n) / (n(n+1)).
-
-    Only valid while f'' != 0; the flux form has no such restriction.
-    """
-
-    def rhs(eta: float, y: State) -> State:
-        if y[2] == 0.0:
-            raise SingularityError("direct form undefined at f'' = 0")
-        fppp = -y[0] * y[2] * abs(y[2]) ** (1.0 - n) / (n * (n + 1.0))
-        return (y[1], y[2], fppp)
 
     return rhs
 
@@ -181,23 +166,22 @@ def integrate_system(
     bounds = (t0, *stops, t_end)
     if not all(a < b for a, b in zip(bounds, bounds[1:])):
         raise DomainError(f"need t0 < stops < t_end, strictly increasing, got {bounds}")
-    if t_end - t0 > config.max_steps * config.h_max:
+    if t_end - t0 > MAX_STEPS * config.h_max:
         # Every step is at most h_max, so the budget cannot reach t_end.
         raise StepBudgetError(
-            f"step budget {config.max_steps} x h_max {config.h_max} cannot reach t = {t_end}"
+            f"step budget {MAX_STEPS} x h_max {config.h_max} cannot reach t = {t_end}"
         )
     y = tuple(map(float, y0))
     if not all(map(math.isfinite, y)):
         raise DomainError("non-finite initial state")
 
     m = len(y)
-    rtol, atol = config.rel_tol, config.abs_tol
-    h_min, h_max, max_steps = config.h_min, config.h_max, config.max_steps
+    rtol, atol, h_max = config.rel_tol, config.abs_tol, config.h_max
     isfinite = math.isfinite
     t = t0
     k1 = rhs(t, y)
     ts, ys, dys = [t], [y], [k1]
-    h = config.h_init
+    h = H_INIT
     nsteps = 0
     targets = [t_end, *reversed(stops)]  # the next node to land on is targets[-1]
 
@@ -205,8 +189,8 @@ def integrate_system(
     # component rounds as a left-to-right sum would: -0.0 becomes +0.0, and
     # 0 * inf still turns the step into NaN, which rejects it.
     while t < t_end:
-        if nsteps >= max_steps:
-            raise StepBudgetError(f"step budget {max_steps} exhausted at t = {t}")
+        if nsteps >= MAX_STEPS:
+            raise StepBudgetError(f"step budget {MAX_STEPS} exhausted at t = {t}")
         target = targets[-1]
         h = min(h, h_max, target - t)
         t_new = target if h == target - t else t + h
@@ -260,11 +244,11 @@ def integrate_system(
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h = h * factor
         else:
-            if not isfinite(err) and h <= h_min * (1.0 + 1e-12):
+            if not isfinite(err) and h <= H_MIN * (1.0 + 1e-12):
                 raise DivergenceError(f"state became non-finite at t = {t}")
             h = h * (0.5 if not isfinite(err) else max(0.2, 0.9 * err ** -0.2))
-            if h < h_min:
-                raise StepUnderflowError(f"step underflow below h_min at t = {t}")
+            if h < H_MIN:
+                raise StepUnderflowError(f"step underflow below H_MIN at t = {t}")
 
     return GridSolution(np.array(ts), np.array(ys, dtype=float), np.array(dys, dtype=float))
 

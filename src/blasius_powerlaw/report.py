@@ -28,10 +28,13 @@ class SelectionError(DomainError):
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """`nitm_config` also sets shooting's integrator, and its physical boundary
+    where a row has no one-IVP endpoint to match (method "shooting", or a
+    failed one-IVP solve): eta_inf = `nitm_config.eta_star_inf`."""
+
     n_values: tuple[float, ...]
     method: str = "nitm"  # nitm | shooting | both
     nitm_config: NitmConfig = field(default_factory=NitmConfig)
-    shooting_config: ShootingConfig = field(default_factory=ShootingConfig)
 
     def __post_init__(self) -> None:
         if len(self.n_values) == 0:
@@ -74,8 +77,8 @@ def sweep_table(spec: SweepSpec) -> list[SweepRow]:
                 errors.append(f"nitm: {exc}")
         if spec.method in ("shooting", "both"):
             if eta_physical is None:
-                eta_physical = spec.shooting_config.eta_inf
-            shooting_config = replace(spec.shooting_config, eta_inf=eta_physical)
+                eta_physical = spec.nitm_config.eta_star_inf
+            shooting_config = ShootingConfig(eta_physical, spec.nitm_config.integrator)
             try:
                 fpp0_shooting = solve_shooting(n, shooting_config).fpp0
             except OdeError as exc:

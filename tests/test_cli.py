@@ -185,6 +185,12 @@ class TestProfile:
         assert code == 2 and out == ""
         assert "usage error: unknown column" in err
 
+    @pytest.mark.parametrize("columns", [",", "", ",,"])
+    def test_empty_column_list_is_usage_error(self, capsys, columns):
+        code, out, err = _run(capsys, ["profile", "--n", "1.3", "--columns", columns])
+        assert code == 2 and out == ""
+        assert "usage error" in err
+
 
 class TestParser:
     @pytest.mark.parametrize(
@@ -284,6 +290,9 @@ class TestExitCodeProperty:
     @example(argv=["table", "--method", "shooting", "--n", "300"])
     @example(argv=["verify", "--n", "3000"])
     @example(argv=["table", "--n-from", "0.1", "--n-to", "2", "--n-step", "1e-300"])
+    @example(argv=["solve", "--n", "1e-20"])
+    @example(argv=["solve", "--n", "5", "--eta-inf", "1e-210"])
+    @example(argv=["sensitivity", "--n", "1", "--eta-inf", "1e-250,10"])
     def test_exit_code_contract(self, argv):
         # cli.run must map every input to 0, 1 or 2 and raise nothing.
         out, err = io.StringIO(), io.StringIO()

@@ -22,6 +22,7 @@ from blasius_powerlaw.nitm import (
     solve_excluded,
     solve_nitm,
     solve_star_ivp,
+    wall_curvature,
 )
 from blasius_powerlaw.shooting import ShootingConfig, shoot_residual, solve_shooting
 
@@ -114,6 +115,15 @@ class TestLambdaAlgebra:
     def test_nonpositive_slope_rejected(self):
         with pytest.raises(DomainError):
             group_parameters(1.0, 0.0)
+
+    def test_overflow_is_divergence(self):
+        # a = F'_inf^(-3/2) at n = 5 passes the largest float.
+        with pytest.raises(DivergenceError, match="overflows"):
+            group_parameters(5.0, 1e-210)
+
+    def test_wall_curvature_overflow_is_divergence(self):
+        with pytest.raises(DivergenceError, match="overflows"):
+            wall_curvature(1.0, 1.0, 1e-250)
 
     @given(n=exponents, fp=slopes)
     def test_lambda_inverts_far_field(self, n, fp):
@@ -358,8 +368,14 @@ class TestSolveExcluded:
             solve_excluded(1.3)
 
     def test_profile_from_nearest_node(self):
-        result = solve_excluded(2.0)
-        assert result.profile.n == pytest.approx(1.9)
+        # Only fpp0 comes from the neighbouring nodes; the profile and the
+        # group parameters are those of n itself, not of n = 1.9.
+        result, direct = solve_excluded(2.0), solve(2.0)
+        assert result.profile.n == 2.0
+        assert result.delta == direct.delta == 0.0
+        assert math.copysign(1.0, result.delta) == 1.0
+        assert result.lam == direct.lam and result.fp_star_inf == direct.fp_star_inf
+        assert np.array_equal(result.profile.grid.ys, direct.profile.grid.ys)
 
 
 class TestResiduals:

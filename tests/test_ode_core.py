@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from blasius_powerlaw import ode_core
 from blasius_powerlaw.nitm import solve
 from blasius_powerlaw.ode_core import (
     DivergenceError,
@@ -12,7 +13,6 @@ from blasius_powerlaw.ode_core import (
     SingularityError,
     StepBudgetError,
     curvature_from_flux,
-    direct_system,
     flux_from_curvature,
     flux_nonnegative_projector,
     flux_system,
@@ -22,6 +22,22 @@ from blasius_powerlaw.ode_core import (
 
 
 CFG = IntegratorConfig()
+
+
+def direct_system(n):
+    """Vector field over y = (f, f', f'') with f''' = -f f'' |f''|^(1-n) / (n(n+1)):
+    the expanded form, an independent check on the package's flux form.
+
+    Only valid while f'' != 0; the flux form has no such restriction.
+    """
+
+    def rhs(eta, y):
+        if y[2] == 0.0:
+            raise SingularityError("direct form undefined at f'' = 0")
+        fppp = -y[0] * y[2] * abs(y[2]) ** (1.0 - n) / (n * (n + 1.0))
+        return (y[1], y[2], fppp)
+
+    return rhs
 
 
 class TestFlowParams:
@@ -51,6 +67,11 @@ class TestFluxEncoding:
     def test_overflow_is_divergence(self):
         with pytest.raises(DivergenceError, match="overflows"):
             flux_from_curvature(1.5, 3000.0)
+
+    def test_curvature_overflow_is_divergence(self):
+        # |w|^(1/n) for w just above 1 and n = 1e-20, as in `solve --n 1e-20`.
+        with pytest.raises(DivergenceError, match="overflows"):
+            curvature_from_flux(1.0000000000000007, 1e-20)
 
     @given(
         fpp=st.floats(min_value=1e-6, max_value=1e3),
@@ -157,23 +178,24 @@ class TestIntegrator:
             integrate(lambda t, y: calls.append(t) or y, n, 1.0, 1.0, CFG)
         assert calls == []
 
-    def test_step_budget_error(self):
-        cfg = IntegratorConfig(max_steps=3)
+    def test_step_budget_error(self, monkeypatch):
+        monkeypatch.setattr(ode_core, "MAX_STEPS", 3)
         with pytest.raises(StepBudgetError):
-            integrate_system(lambda t, y: y, 0.0, [1.0], 50.0, cfg)
+            integrate_system(lambda t, y: y, 0.0, [1.0], 50.0, CFG)
 
-    def test_impossible_budget_rejected_before_stepping(self):
+    def test_impossible_budget_rejected_before_stepping(self, monkeypatch):
         # 3 steps of at most h_max = 0.5 cannot cover [0, 2].
         calls = []
-        cfg = IntegratorConfig(max_steps=3)
+        monkeypatch.setattr(ode_core, "MAX_STEPS", 3)
         with pytest.raises(StepBudgetError):
-            integrate_system(lambda t, y: calls.append(t) or y, 0.0, [1.0], 2.0, cfg)
+            integrate_system(lambda t, y: calls.append(t) or y, 0.0, [1.0], 2.0, CFG)
         assert calls == []
 
-    def test_budget_exhausted_while_stepping(self):
-        # Reachable in 3 steps of h_max, but the first steps start from h_init.
+    def test_budget_exhausted_while_stepping(self, monkeypatch):
+        # Reachable in 3 steps of h_max, but the first steps start from H_INIT.
+        monkeypatch.setattr(ode_core, "MAX_STEPS", 3)
         with pytest.raises(StepBudgetError, match="exhausted"):
-            integrate_system(lambda t, y: y, 0.0, [1.0], 1.0, IntegratorConfig(max_steps=3))
+            integrate_system(lambda t, y: y, 0.0, [1.0], 1.0, CFG)
 
     def test_divergence_error(self):
         # y' = y^2 blows up at t = 1.  `y[0] * y[0]` overflows to inf where
@@ -243,11 +265,11 @@ class TestIntegrator:
         assert np.all(np.diff(grid.ts) > 0.0) and grid.ts[-1] == 10.0
         assert grid.ys[-1][0] == pytest.approx(math.exp(10.0), rel=1e-10)
 
-    def test_stop_is_not_overshot(self):
+    def test_stop_is_not_overshot(self, monkeypatch):
         # From t = -0.4 the clipped step 3e-17 - t rounds up to 0.4 + 2^-54,
         # so t + h would pass the stop by 2.6e-17; the node is set on it.
-        cfg = IntegratorConfig(h_init=0.5)
-        grid = integrate_system(lambda t, y: (0.0,), -0.4, [1.0], 1.0, cfg, stops=(3e-17,))
+        monkeypatch.setattr(ode_core, "H_INIT", 0.5)
+        grid = integrate_system(lambda t, y: (0.0,), -0.4, [1.0], 1.0, CFG, stops=(3e-17,))
         assert grid.ts.tolist() == [-0.4, 3e-17, 0.5, 1.0]
 
     @pytest.mark.parametrize(
@@ -324,16 +346,13 @@ class TestIntegratorConfig:
         with pytest.raises(DomainError):
             IntegratorConfig(rel_tol=0.0)
 
-    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "h_init", "h_min", "h_max", "max_steps"])
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "h_max"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nonfinite_rejected(self, field, value):
         with pytest.raises(DomainError):
             IntegratorConfig(**{field: value})
 
     def test_bad_step_bounds(self):
+        # h_max below the first trial step H_INIT = 1e-3.
         with pytest.raises(DomainError):
-            IntegratorConfig(h_init=1.0, h_max=0.5)
-
-    def test_bad_budget(self):
-        with pytest.raises(DomainError):
-            IntegratorConfig(max_steps=0)
+            IntegratorConfig(h_max=5e-4)

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from blasius_powerlaw import ode_core
-from blasius_powerlaw.ode_core import DomainError
+from blasius_powerlaw import ode_core, report
+from blasius_powerlaw.ode_core import DomainError, IntegratorConfig
 from blasius_powerlaw.nitm import NitmConfig, solve as nitm_solve
 from blasius_powerlaw.report import (
     PROFILE_COLUMNS,
@@ -17,6 +17,7 @@ from blasius_powerlaw.report import (
     render_table,
     sweep_table,
 )
+from blasius_powerlaw.shooting import ShootingConfig
 
 
 class TestSweepSpec:
@@ -49,6 +50,11 @@ class TestSweepTable:
         assert row.eta_star_inf == 10.0
         assert row.eta_inf_physical == nitm_solve(1.0).profile.final.eta
 
+    def test_overflow_is_a_row_error(self):
+        cfg = NitmConfig(eta_star_inf=1e-250)  # f''(0) = F'_inf^(-3/2) overflows
+        (row,) = sweep_table(SweepSpec(n_values=(1.0,), nitm_config=cfg))
+        assert row.fpp0_nitm is None and "overflows" in row.error
+
     def test_shooting_only(self):
         rows = sweep_table(SweepSpec(n_values=(1.0,), method="shooting"))
         assert rows[0].fpp0_nitm is None
@@ -56,15 +62,28 @@ class TestSweepTable:
         assert rows[0].eta_star_inf is None
         assert rows[0].eta_inf_physical == 10.0
 
-    def test_per_row_error_capture(self):
+    def test_per_row_error_capture(self, monkeypatch):
         # A bad truncated boundary cannot be built, so provoke a row-level
         # numerical failure with a step budget too small to finish.
-        from blasius_powerlaw.ode_core import IntegratorConfig
-
-        cfg = NitmConfig(integrator=IntegratorConfig(max_steps=50))
-        rows = sweep_table(SweepSpec(n_values=(1.0,), nitm_config=cfg))
+        monkeypatch.setattr(ode_core, "MAX_STEPS", 50)
+        rows = sweep_table(SweepSpec(n_values=(1.0,)))
         assert rows[0].error is not None
         assert rows[0].fpp0_nitm is None
+
+    @pytest.mark.parametrize("method", ["both", "shooting", "both-nitm-failed"])
+    def test_shooting_runs_on_the_nitm_config(self, method, monkeypatch):
+        # Shooting takes nitm_config's integrator, and the row's one-IVP
+        # physical endpoint as its boundary, or eta_star_inf without one.
+        cfg = NitmConfig(eta_star_inf=8.0, integrator=IntegratorConfig(rel_tol=1e-11))
+        eta = nitm_solve(0.7, cfg).profile.final.eta if method == "both" else 8.0
+        if method == "both-nitm-failed":
+            monkeypatch.setattr(ode_core, "MAX_STEPS", 3)  # too few for the one-IVP solve
+            method = "both"
+        seen, shoot = [], report.solve_shooting
+        monkeypatch.setattr(report, "solve_shooting", lambda n, c: seen.append(c) or shoot(n, c))
+        (row,) = sweep_table(SweepSpec(n_values=(0.7,), method=method, nitm_config=cfg))
+        assert seen == [ShootingConfig(eta_inf=eta, integrator=cfg.integrator)]
+        assert row.eta_inf_physical == eta
 
 
 class TestBoundarySensitivity:
@@ -110,6 +129,12 @@ class TestBoundarySensitivity:
         (_, value, error), (_, value_far, error_far) = boundary_sensitivity(1.0, [6.0, 1e7])
         assert value == nitm_solve(1.0, NitmConfig(eta_star_inf=6.0)).fpp0 and error is None
         assert value_far is None and "step budget" in error_far
+
+    def test_overflowing_boundary_keeps_the_others(self):
+        # At eta* = 1e-250, f''(0) = F'_inf^(-3/2) overflows.
+        (_, value, error), (_, value_far, error_far) = boundary_sensitivity(1.0, [1e-250, 10.0])
+        assert value is None and "overflows" in error
+        assert value_far == pytest.approx(nitm_solve(1.0).fpp0, rel=1e-11) and error_far is None
 
     def test_bad_boundary_rejected(self):
         with pytest.raises(DomainError):
