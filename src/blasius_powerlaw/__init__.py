@@ -15,7 +15,6 @@ from .ode_core import (
     IntegratorConfig,
     IvpState,
     OdeError,
-    SingularityError,
     SolutionProfile,
     StepBudgetError,
     StepUnderflowError,

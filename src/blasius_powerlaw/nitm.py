@@ -14,6 +14,7 @@ eta, at n = 2 a pure scaling of f.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -81,13 +82,19 @@ def solve_star_ivp(n: float, config: NitmConfig, stops: Sequence[float] = ()) ->
 
 
 def group_parameters(n: float, fp_star_inf: float) -> tuple[float, float]:
-    """Group element (a, b) of f = a F(b eta) that maps F'_inf to one."""
+    """Group element (a, b) of f = a F(b eta) that maps F'_inf to one.
+
+    Raises DivergenceError unless the column factors of `rescale_profile`
+    (a, a b, a^2 b, and each times b) are finite.
+    """
     require_positive("far-field slope", fp_star_inf)
     try:
         a = fp_star_inf ** ((1.0 - 2.0 * n) / (n + 1.0))
         b = fp_star_inf ** ((n - 2.0) / (n + 1.0))
     except OverflowError:
         raise DivergenceError(f"a or b overflows at F'_inf = {fp_star_inf}, n = {n}") from None
+    if not all(math.isfinite(x) and math.isfinite(x * b) for x in (a, a * b, a * a * b)):
+        raise DivergenceError(f"a rescaling factor overflows at F'_inf = {fp_star_inf}, n = {n}")
     return a, b
 
 
@@ -107,10 +114,15 @@ def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfil
     The group scales every column by a constant: eta = eta*/b, f = a F,
     f' = a b F', f'' = a b^2 F'', and the flux w = (a b^2)^n W = a^2 b W,
     which needs a^(n-2) b^(2n-1) = 1 (true of `group_parameters`).  The node
-    derivatives (f', f'', w') scale by b times the same factors.
+    derivatives (f', f'', w') scale by b times the same factors.  Finite
+    factors can still overflow a column (a large wall flux c0^n, say): that
+    raises DivergenceError.
     """
     s = np.array([a, a * b, a * a * b])
-    grid = GridSolution(ts=star.grid.ts / b, ys=star.grid.ys * s, dys=star.grid.dys * (b * s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = GridSolution(ts=star.grid.ts / b, ys=star.grid.ys * s, dys=star.grid.dys * (b * s))
+    if not all(np.isfinite(x).all() for x in (grid.ts, grid.ys, grid.dys)):
+        raise DivergenceError(f"physical profile overflows when rescaled by a = {a}, b = {b}")
     return SolutionProfile(grid, star.n)
 
 

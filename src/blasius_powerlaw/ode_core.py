@@ -5,7 +5,8 @@ The governing third-order equation is integrated as a first-order system in
 (f, f', w) where w = |f''|^(n-1) f'' is the viscous flux.  Working with w
 avoids dividing by n|f''|^(n-1), which is singular as f'' -> 0 for n > 1.
 Both solution routes integrate the same wall IVP, defined by the exponent n
-and the wall curvature f''(0) alone, through `integrate`.
+and the wall curvature f''(0) alone, through `integrate`.  The stepper is
+written for that 3-component state: each stage is unrolled per component.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ class OdeError(Exception):
 
 class DomainError(OdeError):
     """Non-finite or otherwise inadmissible input."""
-
-
-class SingularityError(OdeError):
-    """The direct formulation was evaluated at f'' = 0."""
 
 
 class StepBudgetError(OdeError):
@@ -150,15 +147,16 @@ def integrate_system(
 ) -> GridSolution:
     """Integrate y' = rhs(t, y) from t0 to t_end with an embedded 5(4) pair.
 
-    The state is a tuple of floats: `rhs(t, y)` and `project(y)` receive one
-    and may return any length-m sequence.  `rhs` is called once at t0, six
-    times per attempted step (the last two at t + h) and once more after
-    each projection that changes the state.  A step that would pass the next
-    of `stops` (strictly increasing, inside (t0, t_end)) or t_end is clipped
-    so that a node lands exactly on it.  `project`, when given, maps each
-    accepted state back onto an invariant manifold (used to pin the viscous
-    flux at zero once the layer extinguishes, which happens at finite eta
-    for n > 1).
+    The state is the triple (f, f', w), held as three floats with the stages
+    unrolled per component; any other length is refused.  `rhs(t, y)` and
+    `project(y)` receive the state as a tuple of floats and may return any
+    length-3 sequence.  `rhs` is called once at t0, six times per attempted
+    step (the last two at t + h) and once more after each projection that
+    changes the state.  A step that would pass the next of `stops` (strictly
+    increasing, inside (t0, t_end)) or t_end is clipped so that a node lands
+    exactly on it.  `project`, when given, maps each accepted state back onto
+    an invariant manifold (used to pin the viscous flux at zero once the
+    layer extinguishes, which happens at finite eta for n > 1).
     """
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise DomainError(f"integration bounds must be finite, got [{t0}, {t_end}]")
@@ -172,59 +170,82 @@ def integrate_system(
             f"step budget {MAX_STEPS} x h_max {config.h_max} cannot reach t = {t_end}"
         )
     y = tuple(map(float, y0))
+    if len(y) != 3:
+        raise DomainError(f"the state must have 3 components (f, f', w), got {len(y)}")
     if not all(map(math.isfinite, y)):
         raise DomainError("non-finite initial state")
 
-    m = len(y)
     rtol, atol, h_max = config.rel_tol, config.abs_tol, config.h_max
     isfinite = math.isfinite
     t = t0
     k1 = rhs(t, y)
     ts, ys, dys = [t], [y], [k1]
+    y0, y1, y2 = y
+    a0, a1, a2 = k1
     h = H_INIT
     nsteps = 0
     targets = [t_end, *reversed(stops)]  # the next node to land on is targets[-1]
 
-    # Each weighted sum starts from 0.0 and keeps its zero weights, so every
-    # component rounds as a left-to-right sum would: -0.0 becomes +0.0, and
-    # 0 * inf still turns the step into NaN, which rejects it.
+    # Stage k1..k7 is (a, b, c, d, e, f, g) per component.  Each weighted sum
+    # starts from 0.0 and keeps its zero weights, so every component rounds
+    # as a left-to-right sum would: -0.0 becomes +0.0, and 0 * inf still
+    # turns the step into NaN, which rejects it.
     while t < t_end:
         if nsteps >= MAX_STEPS:
             raise StepBudgetError(f"step budget {MAX_STEPS} exhausted at t = {t}")
         target = targets[-1]
         h = min(h, h_max, target - t)
         t_new = target if h == target - t else t + h
-        k2 = rhs(t + _C2 * h, tuple([yi + h * (0.0 + _A21 * a) for yi, a in zip(y, k1)]))
-        k3 = rhs(t + _C3 * h, tuple([
-            yi + h * (0.0 + _A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2)
-        ]))
-        k4 = rhs(t + _C4 * h, tuple([
-            yi + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
-            for yi, a, b, c in zip(y, k1, k2, k3)
-        ]))
-        k5 = rhs(t + _C5 * h, tuple([
-            yi + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-        ]))
-        k6 = rhs(t_new, tuple([
-            yi + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-            for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-        ]))
-        y_new = tuple([
-            yi + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d + _A75 * e + _A76 * f)
-            for yi, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)
-        ])
+        b0, b1, b2 = rhs(t + _C2 * h, (
+            y0 + h * (0.0 + _A21 * a0),
+            y1 + h * (0.0 + _A21 * a1),
+            y2 + h * (0.0 + _A21 * a2),
+        ))
+        c0, c1, c2 = rhs(t + _C3 * h, (
+            y0 + h * (0.0 + _A31 * a0 + _A32 * b0),
+            y1 + h * (0.0 + _A31 * a1 + _A32 * b1),
+            y2 + h * (0.0 + _A31 * a2 + _A32 * b2),
+        ))
+        d0, d1, d2 = rhs(t + _C4 * h, (
+            y0 + h * (0.0 + _A41 * a0 + _A42 * b0 + _A43 * c0),
+            y1 + h * (0.0 + _A41 * a1 + _A42 * b1 + _A43 * c1),
+            y2 + h * (0.0 + _A41 * a2 + _A42 * b2 + _A43 * c2),
+        ))
+        e0, e1, e2 = rhs(t + _C5 * h, (
+            y0 + h * (0.0 + _A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
+            y1 + h * (0.0 + _A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
+            y2 + h * (0.0 + _A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
+        ))
+        f0, f1, f2 = rhs(t_new, (
+            y0 + h * (0.0 + _A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0 + _A65 * e0),
+            y1 + h * (0.0 + _A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
+            y2 + h * (0.0 + _A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
+        ))
+        z0 = y0 + h * (
+            0.0 + _A71 * a0 + _A72 * b0 + _A73 * c0 + _A74 * d0 + _A75 * e0 + _A76 * f0
+        )
+        z1 = y1 + h * (
+            0.0 + _A71 * a1 + _A72 * b1 + _A73 * c1 + _A74 * d1 + _A75 * e1 + _A76 * f1
+        )
+        z2 = y2 + h * (
+            0.0 + _A71 * a2 + _A72 * b2 + _A73 * c2 + _A74 * d2 + _A75 * e2 + _A76 * f2
+        )
+        y_new = (z0, z1, z2)
         k7 = rhs(t_new, y_new)  # first-same-as-last: k1 of the next step
+        g0, g1, g2 = k7
         nsteps += 1
 
-        if all(map(isfinite, y_new)):
-            sq = 0.0
-            for yi, yn, a, b, c, d, e, f, g in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7):
-                q = h * (
-                    0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g
-                ) / (atol + rtol * max(abs(yi), abs(yn)))
-                sq += q * q
-            err = math.sqrt(sq / m)
+        if isfinite(z0) and isfinite(z1) and isfinite(z2):
+            q0 = h * (
+                0.0 + _E1 * a0 + _E2 * b0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * f0 + _E7 * g0
+            ) / (atol + rtol * max(abs(y0), abs(z0)))
+            q1 = h * (
+                0.0 + _E1 * a1 + _E2 * b1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1
+            ) / (atol + rtol * max(abs(y1), abs(z1)))
+            q2 = h * (
+                0.0 + _E1 * a2 + _E2 * b2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2
+            ) / (atol + rtol * max(abs(y2), abs(z2)))
+            err = math.sqrt((0.0 + q0 * q0 + q1 * q1 + q2 * q2) / 3)
         else:
             err = math.inf
 
@@ -238,6 +259,8 @@ def integrate_system(
                 if y_proj != y_new:
                     y = y_proj
                     k1 = rhs(t, y)
+            y0, y1, y2 = y
+            a0, a1, a2 = k1
             ts.append(t)
             ys.append(y)
             dys.append(k1)

@@ -128,6 +128,7 @@ def boundary_sensitivity(
         nodes = np.searchsorted(star.grid.ts, pending)
         for eta, fp in zip(pending, star.grid.ys[nodes, 1].tolist()):
             try:
+                nitm.group_parameters(n, fp)  # the boundary's solve would rescale by these
                 found[eta] = (nitm.wall_curvature(n, config.c0, fp), None)
             except OdeError as exc:
                 found[eta] = (None, str(exc))

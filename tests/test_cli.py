@@ -66,6 +66,17 @@ class TestSolve:
         assert "numerical failure: wall flux" in err
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sub", ["solve", "profile"])
+    @pytest.mark.parametrize("extra", [["--eta-inf", "1e-250"], ["--eta-inf", "1e-200", "--c0", "1e100"]])
+    def test_rescaling_overflow_is_numerical_failure(self, capsys, sub, extra):
+        # The physical flux column would be inf/NaN (a^2 b = 1e500, or a
+        # finite factor times a wall flux of 1e200).
+        code, out, err = _run(capsys, [sub, "--n", "2", *extra])
+        assert code == 1 and out == ""
+        assert "numerical failure" in err and "overflows" in err
+        assert "Warning" not in err and "Traceback" not in err
+
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "solve.json"
         code, _, err = _run(capsys, ["solve", "--n", "1.0", "--output", str(target)])
@@ -109,6 +120,13 @@ class TestTable:
         assert row["eta_inf_physical"] == pytest.approx(17.0128, abs=1e-4)
         assert "eta_inf" not in row
 
+    @pytest.mark.filterwarnings("error")
+    def test_rescaling_overflow_is_a_row_error(self, capsys):
+        code, out, _ = _run(capsys, ["table", "--n", "2", "--eta-inf", "1e-250", "--format", "json"])
+        assert code == 1
+        (row,) = json.loads(out)["rows"]
+        assert "fpp0_nitm" not in row and "rescaling factor overflows" in row["error"]
+
     def test_incomplete_range_is_usage_error(self, capsys):
         code, _, err = _run(capsys, ["table", "--n-from", "0.5"])
         assert code == 2
@@ -151,6 +169,16 @@ class TestSensitivity:
         assert float(lines[1].split(",")[1]) == pytest.approx(0.33205752415, abs=1e-10)
         assert lines[2].startswith("1e+07,,step budget")
         assert "Traceback" not in out + err
+
+    @pytest.mark.filterwarnings("error")
+    def test_rescaling_overflow_is_a_boundary_error(self, capsys):
+        # f''(0) = 1e250 is finite at eta* = 1e-250, but the solve there would
+        # overflow its flux column, so that boundary fails on its own.
+        code, out, _ = _run(capsys, ["sensitivity", "--n", "2", "--eta-inf", "1e-250,10"])
+        assert code == 1
+        lines = out.strip().split("\n")
+        assert lines[1].startswith("1e-250,,a rescaling factor overflows")
+        assert float(lines[2].split(",")[1]) == pytest.approx(0.39979057406, abs=1e-10)
 
     def test_bad_list(self, capsys):
         code, _, err = _run(capsys, ["sensitivity", "--n", "1.0", "--eta-inf", "6,x"])
@@ -293,6 +321,9 @@ class TestExitCodeProperty:
     @example(argv=["solve", "--n", "1e-20"])
     @example(argv=["solve", "--n", "5", "--eta-inf", "1e-210"])
     @example(argv=["sensitivity", "--n", "1", "--eta-inf", "1e-250,10"])
+    @example(argv=["solve", "--n", "2", "--eta-inf", "1e-250"])
+    @example(argv=["profile", "--n", "2", "--eta-inf", "1e-250"])
+    @example(argv=["sensitivity", "--n", "2", "--eta-inf", "1e-250,10"])
     def test_exit_code_contract(self, argv):
         # cli.run must map every input to 0, 1 or 2 and raise nothing.
         out, err = io.StringIO(), io.StringIO()

@@ -121,6 +121,11 @@ class TestLambdaAlgebra:
         with pytest.raises(DivergenceError, match="overflows"):
             group_parameters(5.0, 1e-210)
 
+    def test_rescaling_factor_overflow_is_divergence(self):
+        # a = 1/F'_inf = 1e250 is finite at n = 2, but the flux factor a^2 b is not.
+        with pytest.raises(DivergenceError, match="rescaling factor overflows"):
+            group_parameters(2.0, 1e-250)
+
     def test_wall_curvature_overflow_is_divergence(self):
         with pytest.raises(DivergenceError, match="overflows"):
             wall_curvature(1.0, 1.0, 1e-250)
@@ -212,6 +217,21 @@ class TestRescale:
         assert phys.grid.ts[0] == 0.0
         assert phys.grid.ys[0, 0] == 0.0 and phys.grid.ys[0, 1] == 0.0
         assert phys.curvatures()[0] == pytest.approx(0.125)
+
+    @pytest.mark.filterwarnings("error")
+    def test_column_overflow_is_divergence(self):
+        # Finite factors, but the flux column w = a^2 b W passes the largest float.
+        star = solve_star_ivp(1.0, NitmConfig())
+        with pytest.raises(DivergenceError, match="physical profile overflows"):
+            rescale_profile(star, 1e200, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eta, c0", [(1e-250, 1.0), (1e-200, 1e100)])
+    def test_solve_overflow_is_divergence(self, eta, c0):
+        # F'_inf = c0 eta*: with c0 = 1 the factor a^2 b = 1e500 overflows,
+        # with c0 = 1e100 the factors are finite and the flux column is not.
+        with pytest.raises(DivergenceError, match="overflows"):
+            solve(2.0, NitmConfig(eta_star_inf=eta, c0=c0))
 
 
 # Physical profiles of solve(n) as the per-node exp/log rescaling made them.

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from blasius_powerlaw.ode_core import (
     DivergenceError,
     DomainError,
     IntegratorConfig,
-    SingularityError,
+    OdeError,
     StepBudgetError,
     curvature_from_flux,
     flux_from_curvature,
@@ -22,6 +23,12 @@ from blasius_powerlaw.ode_core import (
 
 
 CFG = IntegratorConfig()
+
+ONES = [1.0, 1.0, 1.0]
+
+
+class SingularityError(OdeError):
+    """The direct formulation was evaluated at f'' = 0."""
 
 
 def direct_system(n):
@@ -141,16 +148,19 @@ class TestRhsDirect:
 
 class TestIntegrator:
     def test_exponential(self):
-        sol = integrate_system(lambda t, y: y, 0.0, [1.0], 1.0, CFG)
-        assert sol.ys[-1][0] == pytest.approx(math.e, abs=1e-10)
+        sol = integrate_system(lambda t, y: y, 0.0, ONES, 1.0, CFG)
+        assert sol.ys[-1].tolist() == pytest.approx([math.e] * 3, abs=1e-10)
         assert sol.ts[-1] == 1.0
 
     def test_constant(self):
-        sol = integrate_system(lambda t, y: (0.0,), 0.0, [7.0], 10.0, CFG)
-        assert sol.ys[-1][0] == 7.0
+        sol = integrate_system(lambda t, y: (0.0, 0.0, 0.0), 0.0, [7.0, -2.0, 0.5], 10.0, CFG)
+        assert sol.ys[-1].tolist() == [7.0, -2.0, 0.5]
 
     def test_endpoint_is_exact(self):
-        sol = integrate_system(lambda t, y: (math.sin(t) * y[0],), 0.0, [1.0], 3.7, CFG)
+        def rhs(t, y):
+            return (math.sin(t) * y[0], math.sin(t) * y[1], math.sin(t) * y[2])
+
+        sol = integrate_system(rhs, 0.0, ONES, 3.7, CFG)
         assert sol.ts[-1] == 3.7
 
     def test_star_ivp_endpoint_n1(self):
@@ -181,46 +191,57 @@ class TestIntegrator:
     def test_step_budget_error(self, monkeypatch):
         monkeypatch.setattr(ode_core, "MAX_STEPS", 3)
         with pytest.raises(StepBudgetError):
-            integrate_system(lambda t, y: y, 0.0, [1.0], 50.0, CFG)
+            integrate_system(lambda t, y: y, 0.0, ONES, 50.0, CFG)
 
     def test_impossible_budget_rejected_before_stepping(self, monkeypatch):
         # 3 steps of at most h_max = 0.5 cannot cover [0, 2].
         calls = []
         monkeypatch.setattr(ode_core, "MAX_STEPS", 3)
         with pytest.raises(StepBudgetError):
-            integrate_system(lambda t, y: calls.append(t) or y, 0.0, [1.0], 2.0, CFG)
+            integrate_system(lambda t, y: calls.append(t) or y, 0.0, ONES, 2.0, CFG)
         assert calls == []
 
     def test_budget_exhausted_while_stepping(self, monkeypatch):
         # Reachable in 3 steps of h_max, but the first steps start from H_INIT.
         monkeypatch.setattr(ode_core, "MAX_STEPS", 3)
         with pytest.raises(StepBudgetError, match="exhausted"):
-            integrate_system(lambda t, y: y, 0.0, [1.0], 1.0, CFG)
+            integrate_system(lambda t, y: y, 0.0, ONES, 1.0, CFG)
 
     def test_divergence_error(self):
         # y' = y^2 blows up at t = 1.  `y[0] * y[0]` overflows to inf where
         # `y[0] ** 2` would raise OverflowError.
         with pytest.raises(DivergenceError):
-            integrate_system(lambda t, y: (y[0] * y[0],), 0.0, [1.0], 5.0, CFG)
+            integrate_system(
+                lambda t, y: (y[0] * y[0], y[1] * y[1], y[2] * y[2]), 0.0, ONES, 5.0, CFG
+            )
 
     def test_nonfinite_initial_state(self):
-        with pytest.raises(DomainError):
-            integrate_system(lambda t, y: y, 0.0, [math.nan], 1.0, CFG)
+        with pytest.raises(DomainError, match="non-finite initial state"):
+            integrate_system(lambda t, y: y, 0.0, [1.0, 1.0, math.nan], 1.0, CFG)
+
+    @pytest.mark.parametrize("y0", [[1.0], [1.0, 1.0], [1.0, 1.0, 1.0, 1.0]], ids=len)
+    def test_state_must_have_three_components(self, y0):
+        calls = []
+        with pytest.raises(DomainError, match="3 components"):
+            integrate_system(lambda t, y: calls.append(t) or y, 0.0, y0, 1.0, CFG)
+        assert calls == []
 
     @pytest.mark.parametrize("t0, t_end", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)])
     def test_nonfinite_bounds(self, t0, t_end):
         calls = []
-        with pytest.raises(DomainError):
-            integrate_system(lambda t, y: calls.append(t) or y, t0, [1.0], t_end, CFG)
+        with pytest.raises(DomainError, match="bounds"):
+            integrate_system(lambda t, y: calls.append(t) or y, t0, ONES, t_end, CFG)
         assert calls == []
 
     def test_state_is_a_tuple_of_floats(self):
         # rhs may return any sequence; the stepper hands it tuples of floats.
         seen = []
-        sol = integrate_system(lambda t, y: seen.append(y) or [1], 0.0, [0], 0.01, CFG)
-        assert seen and all(type(y) is tuple and type(y[0]) is float for y in seen)
+        sol = integrate_system(lambda t, y: seen.append(y) or [1, 2, 3], 0.0, [0, 0, 0], 0.01, CFG)
+        assert seen and all(
+            type(y) is tuple and len(y) == 3 and all(type(v) is float for v in y) for y in seen
+        )
         assert sol.ys.dtype == sol.dys.dtype == np.float64
-        assert sol.ys[-1][0] == pytest.approx(0.01, rel=1e-12)
+        assert sol.ys[-1].tolist() == pytest.approx([0.01, 0.02, 0.03], rel=1e-12)
 
     def test_step_halving_convergence(self):
         tau = 1e-8
@@ -260,16 +281,18 @@ class TestIntegrator:
 
     def test_stops_are_nodes(self):
         stops = (0.1, 1.0 / 3.0, 2.0, 6.0, 9.999)
-        grid = integrate_system(lambda t, y: y, 0.0, [1.0], 10.0, CFG, stops=stops)
+        grid = integrate_system(lambda t, y: y, 0.0, ONES, 10.0, CFG, stops=stops)
         assert set(stops) <= set(grid.ts.tolist())
         assert np.all(np.diff(grid.ts) > 0.0) and grid.ts[-1] == 10.0
-        assert grid.ys[-1][0] == pytest.approx(math.exp(10.0), rel=1e-10)
+        assert grid.ys[-1].tolist() == pytest.approx([math.exp(10.0)] * 3, rel=1e-10)
 
     def test_stop_is_not_overshot(self, monkeypatch):
         # From t = -0.4 the clipped step 3e-17 - t rounds up to 0.4 + 2^-54,
         # so t + h would pass the stop by 2.6e-17; the node is set on it.
         monkeypatch.setattr(ode_core, "H_INIT", 0.5)
-        grid = integrate_system(lambda t, y: (0.0,), -0.4, [1.0], 1.0, CFG, stops=(3e-17,))
+        grid = integrate_system(
+            lambda t, y: (0.0, 0.0, 0.0), -0.4, ONES, 1.0, CFG, stops=(3e-17,)
+        )
         assert grid.ts.tolist() == [-0.4, 3e-17, 0.5, 1.0]
 
     @pytest.mark.parametrize(
@@ -279,8 +302,8 @@ class TestIntegrator:
     )
     def test_bad_stops_rejected_before_stepping(self, stops):
         calls = []
-        with pytest.raises(DomainError):
-            integrate_system(lambda t, y: calls.append(t) or y, 0.0, [1.0], 3.0, CFG, stops=stops)
+        with pytest.raises(DomainError, match="stops"):
+            integrate_system(lambda t, y: calls.append(t) or y, 0.0, ONES, 3.0, CFG, stops=stops)
         assert calls == []
 
 
@@ -339,6 +362,27 @@ class TestKernel:
         assert sum(changed) == projections
         assert len(abscissas) == 1 + 6 * attempted + projections
         assert attempted >= len(grid.ts) - 1
+
+    # SHA-256 of the bytes of ts, ys and dys of the projected star IVP, as the
+    # length-m tuple loop that the unrolled stepper replaced produced them.
+    @pytest.mark.parametrize(
+        "n, stops, digest",
+        [
+            (0.3, (), "8805bf8503ee24d1f76a91d9f0e8e8636964b96c7e339c0579da2ff0e3008881"),
+            (1.0, (), "008af1863754d87e3a930d4e715569e44860d653de4e11203e30a0eee2a4053e"),
+            (1.7, (), "03b2094ed5388830d03427e572e6b9dc820c738d6730b89d758c08652731c3ef"),
+            (1.0, (6.0, 8.0), "c1cd17bec56dd83b9ba30fb7bcb02dfe6592b8c09ef3532bc31e700dec1dde5e"),
+        ],
+        ids=["0.3", "1.0", "1.7", "1.0-stops"],
+    )
+    def test_whole_grid_is_bit_identical(self, n, stops, digest):
+        grid = integrate_system(
+            flux_system(n), 0.0, (0.0, 0.0, 1.0), 10.0, CFG, flux_nonnegative_projector(), stops
+        )
+        sha = hashlib.sha256()
+        for array in (grid.ts, grid.ys, grid.dys):
+            sha.update(array.tobytes())
+        assert sha.hexdigest() == digest
 
 
 class TestIntegratorConfig:

@@ -51,7 +51,7 @@ class TestSweepTable:
         assert row.eta_inf_physical == nitm_solve(1.0).profile.final.eta
 
     def test_overflow_is_a_row_error(self):
-        cfg = NitmConfig(eta_star_inf=1e-250)  # f''(0) = F'_inf^(-3/2) overflows
+        cfg = NitmConfig(eta_star_inf=1e-250)  # a^2 b = F'_inf^(-3/2) overflows
         (row,) = sweep_table(SweepSpec(n_values=(1.0,), nitm_config=cfg))
         assert row.fpp0_nitm is None and "overflows" in row.error
 
@@ -131,7 +131,7 @@ class TestBoundarySensitivity:
         assert value_far is None and "step budget" in error_far
 
     def test_overflowing_boundary_keeps_the_others(self):
-        # At eta* = 1e-250, f''(0) = F'_inf^(-3/2) overflows.
+        # At eta* = 1e-250, a^2 b = f''(0) = F'_inf^(-3/2) overflows.
         (_, value, error), (_, value_far, error_far) = boundary_sensitivity(1.0, [1e-250, 10.0])
         assert value is None and "overflows" in error
         assert value_far == pytest.approx(nitm_solve(1.0).fpp0, rel=1e-11) and error_far is None
