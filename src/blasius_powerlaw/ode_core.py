@@ -245,6 +245,7 @@ def integrate_system(
             q2 = h * (
                 0.0 + _E1 * a2 + _E2 * b2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2
             ) / (atol + rtol * max(abs(y2), abs(z2)))
+            # Not sum(): from Python 3.12 it compensates, which rounds differently.
             err = math.sqrt((0.0 + q0 * q0 + q1 * q1 + q2 * q2) / 3)
         else:
             err = math.inf

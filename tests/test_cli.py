@@ -68,7 +68,9 @@ class TestSolve:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sub", ["solve", "profile"])
-    @pytest.mark.parametrize("extra", [["--eta-inf", "1e-250"], ["--eta-inf", "1e-200", "--c0", "1e100"]])
+    @pytest.mark.parametrize(
+        "extra", [["--eta-inf", "1e-250"], ["--eta-inf", "1e-200", "--c0", "1e100"]]
+    )
     def test_rescaling_overflow_is_numerical_failure(self, capsys, sub, extra):
         # The physical flux column would be inf/NaN (a^2 b = 1e500, or a
         # finite factor times a wall flux of 1e200).
@@ -122,7 +124,8 @@ class TestTable:
 
     @pytest.mark.filterwarnings("error")
     def test_rescaling_overflow_is_a_row_error(self, capsys):
-        code, out, _ = _run(capsys, ["table", "--n", "2", "--eta-inf", "1e-250", "--format", "json"])
+        argv = ["table", "--n", "2", "--eta-inf", "1e-250", "--format", "json"]
+        code, out, _ = _run(capsys, argv)
         assert code == 1
         (row,) = json.loads(out)["rows"]
         assert "fpp0_nitm" not in row and "rescaling factor overflows" in row["error"]
