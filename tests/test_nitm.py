@@ -220,18 +220,19 @@ class TestRescale:
 
     @pytest.mark.filterwarnings("error")
     def test_column_overflow_is_divergence(self):
-        # Finite factors, but the flux column w = a^2 b W passes the largest float.
-        star = solve_star_ivp(1.0, NitmConfig())
+        # F'_inf = c0 eta* = 1e-100 gives finite factors (a, a b, a^2 b) =
+        # (1e100, 1e100, 1e200), but the wall flux W = c0^2 = 1e200 times
+        # a^2 b passes the largest float.
+        star = solve_star_ivp(2.0, NitmConfig(eta_star_inf=1e-200, c0=1e100))
+        a, b = group_parameters(2.0, star.final.fp)
         with pytest.raises(DivergenceError, match="physical profile overflows"):
-            rescale_profile(star, 1e200, 1.0)
+            rescale_profile(star, a, b)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("eta, c0", [(1e-250, 1.0), (1e-200, 1e100)])
-    def test_solve_overflow_is_divergence(self, eta, c0):
-        # F'_inf = c0 eta*: with c0 = 1 the factor a^2 b = 1e500 overflows,
-        # with c0 = 1e100 the factors are finite and the flux column is not.
-        with pytest.raises(DivergenceError, match="overflows"):
-            solve(2.0, NitmConfig(eta_star_inf=eta, c0=c0))
+    def test_solve_overflow_is_divergence(self):
+        # F'_inf = eta* = 1e-250: a^2 b = 1e500 overflows before the rescaling.
+        with pytest.raises(DivergenceError, match="rescaling factor overflows"):
+            solve(2.0, NitmConfig(eta_star_inf=1e-250))
 
 
 # Physical profiles of solve(n) as the per-node exp/log rescaling made them.
