@@ -1,19 +1,19 @@
 """Iterative shooting solution of the power-law boundary-layer BVP.
 
-Root-finds on the unknown wall curvature, each trial one wall IVP
+Root-finds on the unknown wall curvature g, each trial one wall IVP
 (`ode_core.integrate`), so that the integrated slope reaches one at the
-truncated boundary: a secant in log-log coordinates (log of the curvature
-against log of the far-field slope), guarded by a sign-change bracket with
-bisection as fallback.  The converged trial's profile is the result, so the
-root is not integrated again.  The coordinates only choose the next trial;
-convergence is the residual test against ROOT_TOL, and shooting needs no
-scaling invariance, so it works at every n > 0 including n = 1/2 and n = 2,
-and serves as the independent check on the non-iterative route.
+truncated boundary: guarded Newton steps on (log g, log f'(eta_inf)) whose
+slope each trial reads off its own last node through the scaling group.
+The converged trial's profile is the result, so the root is not integrated
+again.  The group only chooses the next trial; convergence is the residual
+test against ROOT_TOL, so shooting is independent of the non-iterative route
+that it checks, and works at every n > 0 including n = 1/2 and n = 2.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .ode_core import (
@@ -32,14 +32,18 @@ class BracketError(OdeError):
 
 
 class ConvergenceError(OdeError):
-    """Iteration budget exhausted before the residual tolerance was met."""
+    """Trial budget, or the floats in the bracket, exhausted before the
+    residual tolerance was met."""
 
 
-#: Initial bracket on the trial wall curvature, the tolerance on
-#: |f'(eta_inf) - 1| and the budget of secant/bisection iterations.
-BRACKET_LO, BRACKET_HI = 0.05, 1.5
+#: First trial wall curvature, the tolerance on |f'(eta_inf) - 1| and the
+#: budget of trials after the first.
+G_START = 0.5
 ROOT_TOL = 1e-12
 MAX_ITERS = 100
+
+# Largest log g whose exp is finite.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -76,72 +80,65 @@ def _log_slope(residual: float) -> float | None:
 
     f'' >= 0 keeps f'(eta_inf) >= 0, but a tiny trial curvature can leave it
     exactly 0 in floating point (the flux underflows, or f' ends below the
-    rounding of 1 + residual); such a trial has no log and forces bisection.
+    rounding of 1 + residual); such a trial has no log and no Newton step.
     """
     return math.log1p(residual) if residual > -1.0 else None
 
 
-def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingResult:
-    """Bracket-guarded secant in log-log coordinates on the shooting residual.
+def _group_slope(n: float, profile: SolutionProfile) -> float:
+    """d log f'(eta_inf) / d log g at the trial whose profile this is.
 
-    The initial bracket is expanded (up to 4 doublings each way) if the
-    residual does not change sign across it.  Each step is a secant on
-    (log g, log f'(eta_inf)) for the trial curvature g, which is nearly
-    linear because on an unbounded domain f'(inf) is a power of g; a
-    candidate outside the bracket, or a trial whose f'(eta_inf) is 0 and so
-    has no log, falls back to bisection.  The result
-    carries the profile of the trial whose residual was accepted, so the
-    root is never integrated twice.
+    With F a solution, f = a F(b eta) for a = e^((2n-1)t), b = e^((2-n)t)
+    (so a^(n-2) b^(2n-1) = 1) is one too, of wall curvature g e^(3t) and slope
+    e^((n+1)t) F'(b eta_inf) at the boundary; at t = 0 that gives
+    (n + 1)/3 + (2 - n)/3 * eta_inf f''(eta_inf) / f'(eta_inf), read from the
+    last node.  Exact at n = 2; at n = 1 the second term is below 1e-30.
+    """
+    end = profile.final
+    return (n + 1.0 + (2.0 - n) * end.eta * float(profile.grid.dys[-1, 1]) / end.fp) / 3.0
+
+
+def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingResult:
+    """Guarded Newton iteration on (log g, log f'(eta_inf)) from the trial G_START.
+
+    Each step uses the `_group_slope` of the trial just integrated.  The
+    residual increases with g, so each trial tightens the bracket (lo, hi) on
+    its side of the root.  Where the step leaves the bracket or exp's range,
+    the slope is not positive, f'(eta_inf) is 0 (no log), or the last Newton
+    step did not halve |log f'(eta_inf)|, the next trial bisects in log space
+    once both sides are known and before that doubles or halves g (at most 4
+    times, else BracketError).  The accepted trial's profile is returned, so
+    the root is never integrated twice.
     """
     config = config or ShootingConfig()
-    lo, hi = BRACKET_LO, BRACKET_HI
-    f_lo, p_lo = shoot_residual(n, lo, config)
-    f_hi, p_hi = shoot_residual(n, hi, config)
+    g, lo, hi, expansions, v_newton = G_START, -math.inf, math.inf, 0, math.inf
+    for iteration in range(MAX_ITERS + 1):
+        residual, profile = shoot_residual(n, g, config)
+        if abs(residual) <= ROOT_TOL:
+            return ShootingResult(g, residual, iteration, profile)
 
-    # The residual increases with the trial curvature, so push the offending end.
-    expansions = 0
-    while f_lo * f_hi > 0.0 and expansions < 4:
-        if f_hi < 0.0:
-            hi *= 2.0
-            f_hi, p_hi = shoot_residual(n, hi, config)
+        u, v = math.log(g), _log_slope(residual)
+        lo, hi = (u, hi) if residual < 0.0 else (lo, u)
+        # No Newton step where f'(eta_inf) is 0, or after a Newton step that
+        # did not halve |v| (its slope is off); a NaN step fails the guard.
+        newton = v is not None and abs(v) <= 0.5 * abs(v_newton)
+        slope = _group_slope(n, profile) if newton else math.nan
+        step, v_newton = (u - v / slope if slope > 0.0 else math.nan), math.inf
+        # Compared in log space, so exp cannot overflow.
+        if max(lo, -_LOG_MAX) < step < min(hi, _LOG_MAX):
+            g, v_newton = math.exp(step), v
+        elif math.isfinite(lo) and math.isfinite(hi):
+            g, g_prev = math.exp(0.5 * (lo + hi)), g
+            if g == g_prev:  # no float lies strictly inside the bracket
+                break
+        elif expansions < 4:
+            g = 2.0 * g if residual < 0.0 else 0.5 * g
+            expansions += 1
         else:
-            lo /= 2.0
-            f_lo, p_lo = shoot_residual(n, lo, config)
-        expansions += 1
-    if f_lo * f_hi > 0.0:
-        raise BracketError(
-            f"no sign change in [{lo}, {hi}] after {expansions} expansions (n = {n})"
-        )
-
-    if abs(f_lo) <= ROOT_TOL:
-        return ShootingResult(lo, f_lo, 0, p_lo)
-    if abs(f_hi) <= ROOT_TOL:
-        return ShootingResult(hi, f_hi, 0, p_hi)
-
-    u_prev, v_prev = math.log(lo), _log_slope(f_lo)
-    u_curr, v_curr = math.log(hi), _log_slope(f_hi)
-    for iteration in range(1, MAX_ITERS + 1):
-        # Secant proposal, guarded by the bracket; bisection as fallback.
-        x_next = None
-        if v_curr is not None and v_prev is not None and v_curr != v_prev:
-            cand = u_curr - v_curr * (u_curr - u_prev) / (v_curr - v_prev)
-            # Compared in log space, so exp cannot overflow.
-            if math.log(lo) < cand < math.log(hi):
-                x_next = math.exp(cand)
-        if x_next is None:
-            x_next = 0.5 * (lo + hi)
-        f_next, profile = shoot_residual(n, x_next, config)
-
-        if abs(f_next) <= ROOT_TOL:
-            return ShootingResult(x_next, f_next, iteration, profile)
-
-        if f_lo * f_next < 0.0:
-            hi, f_hi = x_next, f_next
-        else:
-            lo, f_lo = x_next, f_next
-        u_prev, v_prev = u_curr, v_curr
-        u_curr, v_curr = math.log(x_next), _log_slope(f_next)
+            raise BracketError(
+                f"no sign change after {expansions} expansions from g = {G_START} (n = {n})"
+            )
 
     raise ConvergenceError(
-        f"no convergence to |residual| <= {ROOT_TOL} in {MAX_ITERS} iterations"
+        f"no convergence to |residual| <= {ROOT_TOL} in {iteration} iterations"
     )

@@ -154,6 +154,17 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["agree"] is False
 
+    @pytest.mark.parametrize(
+        "argv", [["--n", "1", "--eta-inf", "0.01"], ["--n", "3000"], ["--n", "20000"]]
+    )
+    def test_roots_outside_the_old_bracket(self, capsys, argv):
+        # Shooting roots near 1000 (physical boundary 1e-3) and trials whose
+        # flux 1.5^n overflowed made these a BracketError and a
+        # DivergenceError before shooting started from one trial.
+        code, out, _ = _run(capsys, ["verify", *argv])
+        assert code == 0
+        assert json.loads(out)["discrepancy"] <= 1e-12
+
 
 class TestSensitivity:
     def test_default_grid(self, capsys):
@@ -266,8 +277,9 @@ def _number(lo, hi):
 # tolerances are slow, not wrong: at n > 1 the flux then stalls just above
 # the projector's cutoff and a trial takes ~100x more steps.
 _VALID = {
-    # A few extreme exponents: f'(eta_inf) underflows to 0 at the lower
-    # shooting bracket for n >~ 50, and the upper bracket's flux overflows at 3000.
+    # A few extreme exponents: the shooting start trial ends with
+    # f'(eta_inf) <= 0 (no Newton step) for n >~ 50, and at 3000 the flux
+    # g^n overflows for g above ~1.27, which small boundaries need.
     "--n": st.one_of(_number(0.1, 2.5), st.sampled_from(["50", "300", "3000"])),
     "--n-from": _number(0.1, 2.5),
     "--n-to": _number(0.1, 2.5),
@@ -320,6 +332,7 @@ class TestExitCodeProperty:
     @given(argv=_argv())
     @example(argv=["table", "--method", "shooting", "--n", "300"])
     @example(argv=["verify", "--n", "3000"])
+    @example(argv=["verify", "--n", "1", "--eta-inf", "1e-6"])
     @example(argv=["table", "--n-from", "0.1", "--n-to", "2", "--n-step", "1e-300"])
     @example(argv=["solve", "--n", "1e-20"])
     @example(argv=["solve", "--n", "5", "--eta-inf", "1e-210"])

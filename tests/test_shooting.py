@@ -42,8 +42,8 @@ class TestSolveShooting:
         assert result.iterations <= 30
 
     def test_slope_rounds_to_zero_at_lower_bracket(self):
-        # The case the log-log secant must survive: the flux of the lower
-        # trial falls below the cutoff, so f'(eta_inf) is exactly 0.
+        # The case the log-log Newton step must survive: the wall flux
+        # 0.05^300 underflows, so f'(eta_inf) is exactly 0 and has no log.
         assert shoot_residual(300.0, 0.05)[0] == -1.0
 
     @pytest.mark.parametrize(
@@ -58,12 +58,28 @@ class TestSolveShooting:
 
     def test_flux_overflow_is_numerical_failure(self):
         # 1.5^3000 overflows a float: an OdeError, not an OverflowError.
+        # The solve never tries that trial, so it converges.
         with pytest.raises(ode_core.DivergenceError):
-            solve_shooting(3000.0)
+            shoot_residual(3000.0, 1.5)
+        result = solve_shooting(3000.0)
+        assert abs(result.residual) <= 1e-12
+        assert result.fpp0 == pytest.approx(0.9967402903396, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "eta_inf, fpp0", [(1e-3, 1000.0000208333341), (1e-6, 1000000.0000000208)]
+    )
+    def test_root_far_above_the_start_trial(self, eta_inf, fpp0):
+        # f'(eta_inf) ~ g eta_inf near the wall, so the root is ~1/eta_inf:
+        # far outside the old fixed bracket [0.05, 24], reached in two steps.
+        result = solve_shooting(1.0, ShootingConfig(eta_inf=eta_inf))
+        assert abs(result.residual) <= 1e-12
+        assert result.fpp0 == pytest.approx(fpp0, rel=1e-12)
+        assert result.iterations <= 3
 
     def test_works_at_excluded_exponents(self):
-        # Shooting does not rely on the scaling group, so the excluded
-        # exponents of the one-IVP method are plain cases here.
+        # Shooting takes only its trial steps from the scaling group (at
+        # n = 2 the step is exact), so the excluded exponents of the
+        # one-IVP method are plain cases here.
         assert solve_shooting(0.5).fpp0 == pytest.approx(0.3345019195489974, abs=1e-9)
         assert solve_shooting(2.0).fpp0 == pytest.approx(0.39979057405357127, abs=1e-9)
 
@@ -73,39 +89,79 @@ class TestSolveShooting:
         assert prof.grid.ys[0, 0] == 0.0 and prof.grid.ys[0, 1] == 0.0
         assert abs(prof.final.fp - 1.0) <= 1e-10
 
-    @pytest.mark.parametrize("n", [0.4, 1.0, 1.6])
+    @pytest.mark.parametrize("n", [0.15, 0.4, 1.0, 1.6, 1.7, 2.5])
     def test_agrees_with_one_ivp_method_at_matched_boundary(self, n):
         nitm = solve_nitm(n)
         eta_match = nitm.profile.final.eta
         shoot = solve_shooting(n, ShootingConfig(eta_inf=eta_match))
         assert abs(nitm.fpp0 - shoot.fpp0) <= 1e-10
+        # For n > 1 the flux cutoff fires in the star frame for one route and
+        # in the physical frame for the other, which costs up to ~1.2e-10.
+        if n < 1.0:
+            assert abs(nitm.fpp0 - shoot.fpp0) <= 1e-12 * nitm.fpp0
 
     def test_bracket_expansion(self, monkeypatch):
-        # A bracket that excludes the root on both sides still converges
-        # after expansion.
-        monkeypatch.setattr(shooting, "BRACKET_LO", 0.9)
-        assert solve_shooting(1.0).fpp0 == pytest.approx(0.332057337, abs=1e-8)
+        # A start trial whose wall flux g^300 is below the projector's cutoff
+        # ends with f'(eta_inf) <= 0, which has no log and so no Newton step:
+        # g doubles (0.2, 0.4, 0.8) until it has one.
+        monkeypatch.setattr(shooting, "G_START", 0.2)
+        result = solve_shooting(300.0)
+        assert abs(result.residual) <= 1e-12
+        assert result.fpp0 == pytest.approx(0.9753975760118911, rel=1e-11)
 
     def test_bracket_error(self, monkeypatch):
-        # Limiting expansion by an absurd bracket far above the root with no
-        # room to recover: shrink the allowance by moving lo and hi together.
-        monkeypatch.setattr(shooting, "BRACKET_LO", 20.0)
-        monkeypatch.setattr(shooting, "BRACKET_HI", 21.0)
-        with pytest.raises(BracketError):
-            solve_shooting(1.0)
+        # Four doublings from g = 1e-3 leave the wall flux g^300 underflowed.
+        monkeypatch.setattr(shooting, "G_START", 1e-3)
+        with pytest.raises(BracketError, match="after 4 expansions"):
+            solve_shooting(300.0)
 
     def test_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(shooting, "MAX_ITERS", 2)
-        with pytest.raises(ConvergenceError, match="in 2 iterations"):
+        # n = 1 converges in 2 iterations.
+        monkeypatch.setattr(shooting, "MAX_ITERS", 1)
+        with pytest.raises(ConvergenceError, match="in 1 iterations"):
             solve_shooting(1.0)
+
+    def test_no_float_left_in_bracket_stops_early(self, monkeypatch):
+        # At n = 20000 and eta_inf = 10 neighbouring floats g bracket the root
+        # with residuals of +-2e-11: the solve stops instead of repeating a
+        # trial until the budget is spent.
+        trials = []
+        residual = shooting.shoot_residual
+
+        def recording(n, guess, config=None):
+            trials.append(guess)
+            return residual(n, guess, config)
+
+        monkeypatch.setattr(shooting, "shoot_residual", recording)
+        with pytest.raises(ConvergenceError):
+            solve_shooting(20000.0)
+        assert len(trials) <= len(set(trials)) + 1
+
+    @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
+    @pytest.mark.parametrize("factor", [10.0, 0.1, -1.0])
+    def test_wrong_slope_still_converges(self, monkeypatch, n, factor):
+        # The group only picks the trials: a slope ten times too steep or
+        # too flat, or of the wrong sign, finds the same root.
+        expected = solve_shooting(n)
+        group_slope = shooting._group_slope
+        monkeypatch.setattr(
+            shooting, "_group_slope", lambda n, profile: factor * group_slope(n, profile)
+        )
+        result = solve_shooting(n)
+        assert abs(result.residual) <= 1e-12
+        assert result.fpp0 == pytest.approx(expected.fpp0, rel=1e-11)
 
 
 class TestConvergedTrialContract:
-    # cfg: shooting module constants to override.
-    @pytest.mark.parametrize("cfg, expansions", [({}, 0), ({"BRACKET_LO": 0.9}, 2)])
+    # cfg: shooting module attributes to override.  With no usable slope the
+    # start trial 1.0 lies above the root 0.332 and g halves twice.
+    @pytest.mark.parametrize(
+        "cfg, expansions",
+        [({}, 0), ({"G_START": 1.0, "_group_slope": lambda n, profile: -1.0}, 2)],
+    )
     def test_no_reintegration(self, monkeypatch, cfg, expansions):
-        # Every integration is a counted trial: two bracket ends, one per
-        # expansion and one per iteration, and none after convergence.
+        # Every integration is a counted trial: the start trial and one per
+        # iteration (an expansion is one), and none after convergence.
         for name, value in cfg.items():
             monkeypatch.setattr(shooting, name, value)
         calls = []
@@ -117,7 +173,8 @@ class TestConvergedTrialContract:
 
         monkeypatch.setattr(ode_core, "integrate_system", counting)
         result = solve_shooting(1.0)
-        assert len(calls) == 2 + expansions + result.iterations
+        assert len(calls) == 1 + result.iterations
+        assert result.iterations >= expansions
 
     @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
     def test_residual_is_that_of_returned_profile(self, n):
@@ -128,11 +185,12 @@ class TestConvergedTrialContract:
     @pytest.mark.parametrize("n", [0.1, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("eta_inf", [6.0, 10.0, 40.0])
     def test_few_iterations(self, n, eta_inf):
-        # log f'(eta_inf) is nearly linear in log g, so the first secant
-        # step from the bracket ends lands near the root.
+        # The group's slope makes the first Newton step from G_START land
+        # near the root; the parent's secant between fixed bracket ends
+        # needed up to 5 iterations after its two end trials.
         result = solve_shooting(n, ShootingConfig(eta_inf=eta_inf))
         assert abs(result.residual) <= 1e-12
-        assert result.iterations <= 5
+        assert result.iterations <= 4
 
 
 class TestShootingConfig:
