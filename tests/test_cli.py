@@ -157,10 +157,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv", [["--n", "1", "--eta-inf", "0.01"], ["--n", "3000"], ["--n", "20000"]]
     )
-    def test_roots_outside_the_old_bracket(self, capsys, argv):
-        # Shooting roots near 1000 (physical boundary 1e-3) and trials whose
-        # flux 1.5^n overflowed made these a BracketError and a
-        # DivergenceError before shooting started from one trial.
+    def test_roots_far_from_the_start_trial(self, capsys, argv):
+        # A shooting root near 1000 (physical boundary 1e-3), and exponents
+        # whose trial flux g^n overflows for g above exp(709/n).
         code, out, _ = _run(capsys, ["verify", *argv])
         assert code == 0
         assert json.loads(out)["discrepancy"] <= 1e-12

@@ -69,8 +69,8 @@ class TestSolveShooting:
         "eta_inf, fpp0", [(1e-3, 1000.0000208333341), (1e-6, 1000000.0000000208)]
     )
     def test_root_far_above_the_start_trial(self, eta_inf, fpp0):
-        # f'(eta_inf) ~ g eta_inf near the wall, so the root is ~1/eta_inf:
-        # far outside the old fixed bracket [0.05, 24], reached in two steps.
+        # f'(eta_inf) ~ g eta_inf near the wall, so the root is ~1/eta_inf,
+        # far from G_START; the Newton step's slope is ~1 there.
         result = solve_shooting(1.0, ShootingConfig(eta_inf=eta_inf))
         assert abs(result.residual) <= 1e-12
         assert result.fpp0 == pytest.approx(fpp0, rel=1e-12)
@@ -186,8 +186,7 @@ class TestConvergedTrialContract:
     @pytest.mark.parametrize("eta_inf", [6.0, 10.0, 40.0])
     def test_few_iterations(self, n, eta_inf):
         # The group's slope makes the first Newton step from G_START land
-        # near the root; the parent's secant between fixed bracket ends
-        # needed up to 5 iterations after its two end trials.
+        # near the root: 1-3 iterations here.
         result = solve_shooting(n, ShootingConfig(eta_inf=eta_inf))
         assert abs(result.residual) <= 1e-12
         assert result.iterations <= 4
