@@ -128,16 +128,12 @@ def boundary_sensitivity(
         nodes = np.searchsorted(star.grid.ts, pending)
         for eta, fp in zip(pending, star.grid.ys[nodes, 1].tolist()):
             try:
-                nitm.group_parameters(n, fp)  # the boundary's solve would rescale by these
-                found[eta] = (nitm.wall_curvature(n, config.c0, fp), None)
+                # Refuses the group factors that this boundary's solve would.
+                found[eta] = (config.c0 * nitm.group_parameters(n, fp)[2], None)
             except OdeError as exc:
                 found[eta] = (None, str(exc))
         break
     return [(eta, *found[eta]) for eta in eta_inf_values]
-
-
-def _format_number(x: float) -> str:
-    return repr(float(x))
 
 
 def export_profile(result: NitmResult, columns: tuple[str, ...] | None = None) -> str:
@@ -148,7 +144,6 @@ def export_profile(result: NitmResult, columns: tuple[str, ...] | None = None) -
             raise SelectionError(f"unknown column {c!r}; choose from {PROFILE_COLUMNS}")
     phys = result.profile
     star = result.star_profile
-    n = result.n
     data = {
         "eta": phys.grid.ts,
         "f": phys.grid.ys[:, 0],
@@ -159,11 +154,9 @@ def export_profile(result: NitmResult, columns: tuple[str, ...] | None = None) -
         "fp_star": star.grid.ys[:, 1],
         "fpp_star": star.curvatures(),
     }
-    buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for i in range(len(phys.grid.ts)):
-        buf.write(",".join(_format_number(data[c][i]) for c in columns) + "\n")
-    return buf.getvalue()
+    rows = np.column_stack([data[c] for c in columns]).tolist()
+    lines = [",".join(columns), *(",".join(map(repr, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _row_dict(row: SweepRow) -> dict:

@@ -75,16 +75,6 @@ def shoot_residual(
     return profile.final.fp - 1.0, profile
 
 
-def _log_slope(residual: float) -> float | None:
-    """log f'(eta_inf) = log1p(residual), or None where f'(eta_inf) is 0.
-
-    f'' >= 0 keeps f'(eta_inf) >= 0, but a tiny trial curvature can leave it
-    exactly 0 in floating point (the flux underflows, or f' ends below the
-    rounding of 1 + residual); such a trial has no log and no Newton step.
-    """
-    return math.log1p(residual) if residual > -1.0 else None
-
-
 def _group_slope(n: float, profile: SolutionProfile) -> float:
     """d log f'(eta_inf) / d log g at the trial whose profile this is.
 
@@ -117,11 +107,13 @@ def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingRe
         if abs(residual) <= ROOT_TOL:
             return ShootingResult(g, residual, iteration, profile)
 
-        u, v = math.log(g), _log_slope(residual)
+        fp = profile.final.fp
+        u, v = math.log(g), math.log(fp) if fp > 0.0 else math.nan
         lo, hi = (u, hi) if residual < 0.0 else (lo, u)
-        # No Newton step where f'(eta_inf) is 0, or after a Newton step that
-        # did not halve |v| (its slope is off); a NaN step fails the guard.
-        newton = v is not None and abs(v) <= 0.5 * abs(v_newton)
+        # No Newton step where f'(eta_inf) is 0 (a tiny trial curvature can
+        # underflow the flux) and v is NaN, or after a Newton step that did
+        # not halve |v| (its slope is off); a NaN step fails the guard.
+        newton = abs(v) <= 0.5 * abs(v_newton)
         slope = _group_slope(n, profile) if newton else math.nan
         step, v_newton = (u - v / slope if slope > 0.0 else math.nan), math.inf
         # Compared in log space, so exp cannot overflow.

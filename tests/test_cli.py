@@ -164,6 +164,16 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["discrepancy"] <= 1e-12
 
+    def test_tiny_boundary_reaches_both_routes(self, capsys):
+        # Both routes solve at physical boundary ~1e-150, where fpp0 ~ 1e150
+        # and they agree to 1.22e-14 relative; the absolute discrepancy
+        # still fails the default --tol.
+        code, out, err = _run(capsys, ["verify", "--n", "1", "--eta-inf", "1e-100"])
+        assert code == 1
+        assert "numerical failure" not in err
+        doc = json.loads(out)
+        assert doc["fpp0_shooting"] == pytest.approx(doc["fpp0_nitm"], rel=2e-14)
+
 
 class TestSensitivity:
     def test_default_grid(self, capsys):

@@ -22,7 +22,6 @@ from blasius_powerlaw.nitm import (
     solve_excluded,
     solve_nitm,
     solve_star_ivp,
-    wall_curvature,
 )
 from blasius_powerlaw.shooting import ShootingConfig, shoot_residual, solve_shooting
 
@@ -75,6 +74,7 @@ class TestScalingExponent:
     def test_two_degenerate(self):
         result = solve(2.0)
         assert result.delta == 0.0
+        assert math.copysign(1.0, result.delta) == 1.0  # +0.0, not -0.0
         # b = 1: the group is a pure scaling of f, so lambda = 1/a = F'_inf.
         assert result.lam == pytest.approx(result.fp_star_inf, rel=1e-15)
 
@@ -97,20 +97,20 @@ class TestLambdaAlgebra:
     the classical group parameter is lambda = 1/a."""
 
     def test_identity(self):
-        assert group_parameters(1.3, 1.0) == (1.0, 1.0)
+        assert group_parameters(1.3, 1.0) == (1.0, 1.0, 1.0)
 
     def test_square_root_case(self):
-        assert group_parameters(1.0, 4.0) == (0.5, 0.5)
+        assert group_parameters(1.0, 4.0) == (0.5, 0.5, 0.125)
 
     def test_blasius_consistency(self):
-        a, b = group_parameters(1.0, 2.08541)
+        a, b, _ = group_parameters(1.0, 2.08541)
         assert 1.0 / a == pytest.approx(1.44410, abs=1e-5)
         assert a * b * b == pytest.approx(0.332057, abs=1e-5)
 
     def test_former_exclusions(self):
         # A pure stretch of eta at n = 1/2, a pure scaling of f at n = 2.
-        assert group_parameters(0.5, 1.7) == (1.0, 1.7**-1.0)
-        assert group_parameters(2.0, 2.5) == (2.5**-1.0, 1.0)
+        assert group_parameters(0.5, 1.7) == (1.0, 1.7**-1.0, 1.7**-2.0)
+        assert group_parameters(2.0, 2.5) == (2.5**-1.0, 1.0, 2.5**-1.0)
 
     def test_nonpositive_slope_rejected(self):
         with pytest.raises(DomainError):
@@ -127,15 +127,17 @@ class TestLambdaAlgebra:
             group_parameters(2.0, 1e-250)
 
     def test_wall_curvature_overflow_is_divergence(self):
-        with pytest.raises(DivergenceError, match="overflows"):
-            wall_curvature(1.0, 1.0, 1e-250)
+        # a b^2 rounds to a finite float here, but k = F'_inf^(-3/(n+1))
+        # passes the largest one.
+        with pytest.raises(DivergenceError, match=r"f''\(0\) overflows"):
+            group_parameters(0.1, 9.403097977753022e-114)
 
     @given(n=exponents, fp=slopes)
     def test_lambda_inverts_far_field(self, n, fp):
         # lambda^(1 - delta) = F'_inf, the classical form; delta is None at
         # n = 1/2 and 1 - delta blows up beside it.
         assume(abs(n - 0.5) > 0.05)
-        a, _ = group_parameters(n, fp)
+        a, _, _ = group_parameters(n, fp)
         delta = (n - 2.0) / (2.0 * n - 1.0)
         assert (1.0 / a) ** (1.0 - delta) == pytest.approx(fp, rel=1e-13)
 
@@ -146,15 +148,16 @@ class TestLambdaAlgebra:
     @example(n=0.5, fp=1.736189353689428)
     @example(n=2.0, fp=2.5013095978186546)
     def test_rescaled_far_field_slope_is_one(self, n, fp):
-        a, b = group_parameters(n, fp)
+        a, b, _ = group_parameters(n, fp)
         assert a * b * fp == pytest.approx(1.0, rel=8 * ULP, abs=0.0)
 
     @given(n=exponents, fp=slopes)
     @example(n=0.5, fp=1.736189353689428)
     @example(n=2.0, fp=2.5013095978186546)
     def test_wall_curvature_factor(self, n, fp):
-        a, b = group_parameters(n, fp)
-        assert a * b * b == pytest.approx(fp ** (-3.0 / (n + 1.0)), rel=32 * ULP, abs=0.0)
+        a, b, k = group_parameters(n, fp)
+        assert k == fp ** (-3.0 / (n + 1.0))
+        assert a * b * b == pytest.approx(k, rel=32 * ULP, abs=0.0)
 
 
 class TestStarIvp:
@@ -224,7 +227,7 @@ class TestRescale:
         # (1e100, 1e100, 1e200), but the wall flux W = c0^2 = 1e200 times
         # a^2 b passes the largest float.
         star = solve_star_ivp(2.0, NitmConfig(eta_star_inf=1e-200, c0=1e100))
-        a, b = group_parameters(2.0, star.final.fp)
+        a, b, _ = group_parameters(2.0, star.final.fp)
         with pytest.raises(DivergenceError, match="physical profile overflows"):
             rescale_profile(star, a, b)
 

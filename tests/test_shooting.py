@@ -66,11 +66,19 @@ class TestSolveShooting:
         assert result.fpp0 == pytest.approx(0.9967402903396, rel=1e-11)
 
     @pytest.mark.parametrize(
-        "eta_inf, fpp0", [(1e-3, 1000.0000208333341), (1e-6, 1000000.0000000208)]
+        "eta_inf, fpp0",
+        [
+            (1e-3, 1000.0000208333341),
+            (1e-6, 1000000.0000000208),
+            (1e-150, 9.999999999999882e149),
+            (1e-300, 1.00000000000009e300),
+        ],
     )
     def test_root_far_above_the_start_trial(self, eta_inf, fpp0):
         # f'(eta_inf) ~ g eta_inf near the wall, so the root is ~1/eta_inf,
-        # far from G_START; the Newton step's slope is ~1 there.
+        # far from G_START; the Newton step's slope is ~1 there.  Below
+        # eta_inf ~ 1e-16 the start trial's f' is lost in 1 + residual, so
+        # the step needs the log of f' itself.
         result = solve_shooting(1.0, ShootingConfig(eta_inf=eta_inf))
         assert abs(result.residual) <= 1e-12
         assert result.fpp0 == pytest.approx(fpp0, rel=1e-12)
