@@ -46,7 +46,6 @@ from .report import (
     boundary_sensitivity,
     emit_json,
     export_profile,
-    parse_json,
     sweep_table,
 )
 

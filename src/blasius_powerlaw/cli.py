@@ -9,6 +9,7 @@ flags, out-of-range numbers, an empty --eta-inf or --columns list, an unknown
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -61,6 +62,7 @@ def _add_common(p: argparse.ArgumentParser, eta_inf: bool = True) -> None:
     p.add_argument("--output", default=None, help="output file (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blasius-powerlaw",
@@ -83,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="compare the two methods at one exponent")
     p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--tol", type=_positive, default=1e-6, help="allowed |nitm - shooting|")
+    p.add_argument("--tol", type=_positive, default=1e-6, help="allowed |nitm - shooting| / |shooting|")
     _add_common(p)
 
     p = sub.add_parser("sensitivity", help="wall curvature vs truncated boundary")
@@ -169,7 +171,7 @@ def _cmd_verify(args) -> int:
         args.n,
         ShootingConfig(eta_inf=eta_match, integrator=_integrator(args)),
     )
-    discrepancy = abs(result.fpp0 - shoot.fpp0)
+    discrepancy = report.relative_discrepancy(result.fpp0, shoot.fpp0)
     doc = {
         "n": args.n,
         "fpp0_nitm": result.fpp0,

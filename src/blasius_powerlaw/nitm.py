@@ -81,13 +81,14 @@ def solve_star_ivp(n: float, config: NitmConfig, stops: Sequence[float] = ()) ->
     return integrate(rhs, n, config.c0, config.eta_star_inf, config.integrator, project, stops)
 
 
-def group_parameters(n: float, fp_star_inf: float) -> tuple[float, float, float]:
+def group_parameters(n: float, fp_star_inf: float, c0: float) -> tuple[float, float, float]:
     """Group element (a, b) of f = a F(b eta) that maps F'_inf to one, and
-    the factor k = F'_inf^(-3/(n+1)) that takes the star curvature c0 to
-    f''(0) = c0 k.
+    the wall curvature f''(0) = c0 F'_inf^(-3/(n+1)) of the star solve
+    started from F''(0) = c0.
 
     Raises DivergenceError unless the column factors of `rescale_profile`
-    (a, a b, a^2 b, and each times b) and k are finite.
+    (a, a b, a^2 b, and each times b), f''(0) and its wall flux f''(0)^n
+    are finite.
     """
     require_positive("far-field slope", fp_star_inf)
     try:
@@ -98,10 +99,13 @@ def group_parameters(n: float, fp_star_inf: float) -> tuple[float, float, float]
     if not all(math.isfinite(x) and math.isfinite(x * b) for x in (a, a * b, a * a * b)):
         raise DivergenceError(f"a rescaling factor overflows at F'_inf = {fp_star_inf}, n = {n}")
     try:
-        k = fp_star_inf ** (-3.0 / (n + 1.0))
+        fpp0 = c0 * fp_star_inf ** (-3.0 / (n + 1.0))
     except OverflowError:
-        raise DivergenceError(f"f''(0) overflows at F'_inf = {fp_star_inf}, n = {n}") from None
-    return a, b, k
+        fpp0 = math.inf
+    if not math.isfinite(fpp0):
+        raise DivergenceError(f"f''(0) overflows at F'_inf = {fp_star_inf}, c0 = {c0}, n = {n}")
+    flux_from_curvature(fpp0, n)  # DivergenceError once the wall flux overflows
+    return a, b, fpp0
 
 
 def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfile:
@@ -128,12 +132,12 @@ def solve(n: float, config: NitmConfig | None = None) -> NitmResult:
     config = config or NitmConfig()
     star = solve_star_ivp(n, config)
     fp_star_inf = star.final.fp
-    a, b, k = group_parameters(n, fp_star_inf)
+    a, b, fpp0 = group_parameters(n, fp_star_inf, config.c0)
     return NitmResult(
         n=n,
         delta=None if n == 0.5 else (n - 2.0) / (2.0 * n - 1.0),
         lam=1.0 / a,
-        fpp0=config.c0 * k,
+        fpp0=fpp0,
         fp_star_inf=fp_star_inf,
         profile=rescale_profile(star, a, b),
         star_profile=star,

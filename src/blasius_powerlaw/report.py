@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -57,6 +57,12 @@ class SweepRow:
     error: str | None = None
 
 
+def relative_discrepancy(fpp0_nitm: float, fpp0_shooting: float) -> float:
+    """|nitm - shooting| / |shooting|: f''(0) scales like 1/eta_inf, so an
+    absolute difference says nothing at a tiny or huge boundary."""
+    return abs(fpp0_nitm - fpp0_shooting) / abs(fpp0_shooting)
+
+
 def sweep_table(spec: SweepSpec) -> list[SweepRow]:
     """One row per exponent, ordered by n; per-row failures are recorded."""
     rows = []
@@ -84,7 +90,7 @@ def sweep_table(spec: SweepSpec) -> list[SweepRow]:
             except OdeError as exc:
                 errors.append(f"shooting: {exc}")
         if fpp0_nitm is not None and fpp0_shooting is not None:
-            discrepancy = abs(fpp0_nitm - fpp0_shooting)
+            discrepancy = relative_discrepancy(fpp0_nitm, fpp0_shooting)
         rows.append(
             SweepRow(
                 n=n,
@@ -128,8 +134,8 @@ def boundary_sensitivity(
         nodes = np.searchsorted(star.grid.ts, pending)
         for eta, fp in zip(pending, star.grid.ys[nodes, 1].tolist()):
             try:
-                # Refuses the group factors that this boundary's solve would.
-                found[eta] = (config.c0 * nitm.group_parameters(n, fp)[2], None)
+                # Refuses what this boundary's solve would.
+                found[eta] = (nitm.group_parameters(n, fp, config.c0)[2], None)
             except OdeError as exc:
                 found[eta] = (None, str(exc))
         break
@@ -168,25 +174,6 @@ def emit_json(rows: list[SweepRow], config: dict | None = None) -> str:
     """Full-precision JSON document with "config" and "rows" members."""
     doc = {"config": config or {}, "rows": [_row_dict(r) for r in rows]}
     return json.dumps(doc, indent=2)
-
-
-def parse_json(document: str) -> list[SweepRow]:
-    """Inverse of emit_json for the rows array.
-
-    A row without `n` or with a field SweepRow lacks raises DomainError; rows
-    written before the single `eta_inf` became `eta_star_inf` and
-    `eta_inf_physical` are such rows.
-    """
-    known = {f.name for f in fields(SweepRow)}
-    rows = []
-    for entry in json.loads(document)["rows"]:
-        unknown = sorted(set(entry) - known)
-        if unknown or "n" not in entry:
-            raise DomainError(
-                f"table row has unknown fields {unknown} or no 'n'; expected fields {sorted(known)}"
-            )
-        rows.append(SweepRow(**entry))
-    return rows
 
 
 def render_table(rows: list[SweepRow]) -> str:

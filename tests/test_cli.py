@@ -165,14 +165,14 @@ class TestVerify:
         assert json.loads(out)["discrepancy"] <= 1e-12
 
     def test_tiny_boundary_reaches_both_routes(self, capsys):
-        # Both routes solve at physical boundary ~1e-150, where fpp0 ~ 1e150
-        # and they agree to 1.22e-14 relative; the absolute discrepancy
-        # still fails the default --tol.
+        # Both routes solve at physical boundary ~1e-150, where fpp0 ~ 1e150;
+        # the discrepancy is relative, so their 1.2e-14 agreement passes.
         code, out, err = _run(capsys, ["verify", "--n", "1", "--eta-inf", "1e-100"])
-        assert code == 1
+        assert code == 0
         assert "numerical failure" not in err
         doc = json.loads(out)
-        assert doc["fpp0_shooting"] == pytest.approx(doc["fpp0_nitm"], rel=2e-14)
+        assert doc["agree"] is True
+        assert doc["discrepancy"] < 2e-14
 
 
 class TestSensitivity:
@@ -202,6 +202,37 @@ class TestSensitivity:
         lines = out.strip().split("\n")
         assert lines[1].startswith("1e-250,,a rescaling factor overflows")
         assert float(lines[2].split(",")[1]) == pytest.approx(0.39979057406, abs=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # F'_inf^(-3/2) = 1e150 is finite; c0 times it is not.
+            (["--n", "1", "--eta-inf", "1e-250", "--c0", "1e100"], "f''(0) overflows"),
+            # f''(0) = 1e200 is finite; its wall flux f''(0)^2 is not.
+            (["--n", "2", "--eta-inf", "1e-200", "--c0", "1e100"], "viscous flux"),
+        ],
+    )
+    def test_overflowing_answer_is_a_boundary_error(self, capsys, argv, error):
+        code, out, _ = _run(capsys, ["sensitivity", *argv])
+        assert code == 1
+        (row,) = out.strip().split("\n")[1:]
+        assert row.split(",")[1] == "" and error in row
+
+    @pytest.mark.parametrize("c0", ["1", "1e50", "1e100", "1e200"])
+    @pytest.mark.parametrize("eta", ["1e-250", "1e-200", "10"])
+    @pytest.mark.parametrize("n", ["0.3", "1", "2"])
+    def test_refuses_what_solve_refuses(self, capsys, n, eta, c0):
+        # One boundary: sensitivity prints solve's fpp0 or fails where it fails.
+        common = ["--n", n, "--eta-inf", eta, "--c0", c0]
+        solve_code, solve_out, _ = _run(capsys, ["solve", *common])
+        code, out, _ = _run(capsys, ["sensitivity", *common])
+        assert code == solve_code
+        cell = out.strip().split("\n")[1].split(",")[1]
+        if code == 0:
+            assert float(cell) == json.loads(solve_out)["fpp0"]
+        else:
+            assert cell == ""
 
     def test_bad_list(self, capsys):
         code, _, err = _run(capsys, ["sensitivity", "--n", "1.0", "--eta-inf", "6,x"])

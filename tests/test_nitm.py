@@ -97,47 +97,50 @@ class TestLambdaAlgebra:
     the classical group parameter is lambda = 1/a."""
 
     def test_identity(self):
-        assert group_parameters(1.3, 1.0) == (1.0, 1.0, 1.0)
+        assert group_parameters(1.3, 1.0, 1.0) == (1.0, 1.0, 1.0)
 
     def test_square_root_case(self):
-        assert group_parameters(1.0, 4.0) == (0.5, 0.5, 0.125)
+        assert group_parameters(1.0, 4.0, 1.0) == (0.5, 0.5, 0.125)
 
     def test_blasius_consistency(self):
-        a, b, _ = group_parameters(1.0, 2.08541)
+        a, b, _ = group_parameters(1.0, 2.08541, 1.0)
         assert 1.0 / a == pytest.approx(1.44410, abs=1e-5)
         assert a * b * b == pytest.approx(0.332057, abs=1e-5)
 
     def test_former_exclusions(self):
         # A pure stretch of eta at n = 1/2, a pure scaling of f at n = 2.
-        assert group_parameters(0.5, 1.7) == (1.0, 1.7**-1.0, 1.7**-2.0)
-        assert group_parameters(2.0, 2.5) == (2.5**-1.0, 1.0, 2.5**-1.0)
+        assert group_parameters(0.5, 1.7, 1.0) == (1.0, 1.7**-1.0, 1.7**-2.0)
+        assert group_parameters(2.0, 2.5, 1.0) == (2.5**-1.0, 1.0, 2.5**-1.0)
 
     def test_nonpositive_slope_rejected(self):
         with pytest.raises(DomainError):
-            group_parameters(1.0, 0.0)
+            group_parameters(1.0, 0.0, 1.0)
 
     def test_overflow_is_divergence(self):
         # a = F'_inf^(-3/2) at n = 5 passes the largest float.
         with pytest.raises(DivergenceError, match="overflows"):
-            group_parameters(5.0, 1e-210)
+            group_parameters(5.0, 1e-210, 1.0)
 
     def test_rescaling_factor_overflow_is_divergence(self):
         # a = 1/F'_inf = 1e250 is finite at n = 2, but the flux factor a^2 b is not.
         with pytest.raises(DivergenceError, match="rescaling factor overflows"):
-            group_parameters(2.0, 1e-250)
+            group_parameters(2.0, 1e-250, 1.0)
 
     def test_wall_curvature_overflow_is_divergence(self):
-        # a b^2 rounds to a finite float here, but k = F'_inf^(-3/(n+1))
+        # a b^2 rounds to a finite float here, but F'_inf^(-3/(n+1))
         # passes the largest one.
         with pytest.raises(DivergenceError, match=r"f''\(0\) overflows"):
-            group_parameters(0.1, 9.403097977753022e-114)
+            group_parameters(0.1, 9.403097977753022e-114, 1.0)
+        # F'_inf^(-3/2) = 1e150 is finite, but c0 times it is not.
+        with pytest.raises(DivergenceError, match=r"f''\(0\) overflows"):
+            group_parameters(1.0, 1e-100, 1e200)
 
     @given(n=exponents, fp=slopes)
     def test_lambda_inverts_far_field(self, n, fp):
         # lambda^(1 - delta) = F'_inf, the classical form; delta is None at
         # n = 1/2 and 1 - delta blows up beside it.
         assume(abs(n - 0.5) > 0.05)
-        a, _, _ = group_parameters(n, fp)
+        a, _, _ = group_parameters(n, fp, 1.0)
         delta = (n - 2.0) / (2.0 * n - 1.0)
         assert (1.0 / a) ** (1.0 - delta) == pytest.approx(fp, rel=1e-13)
 
@@ -148,16 +151,26 @@ class TestLambdaAlgebra:
     @example(n=0.5, fp=1.736189353689428)
     @example(n=2.0, fp=2.5013095978186546)
     def test_rescaled_far_field_slope_is_one(self, n, fp):
-        a, b, _ = group_parameters(n, fp)
+        a, b, _ = group_parameters(n, fp, 1.0)
         assert a * b * fp == pytest.approx(1.0, rel=8 * ULP, abs=0.0)
 
     @given(n=exponents, fp=slopes)
     @example(n=0.5, fp=1.736189353689428)
     @example(n=2.0, fp=2.5013095978186546)
     def test_wall_curvature_factor(self, n, fp):
-        a, b, k = group_parameters(n, fp)
-        assert k == fp ** (-3.0 / (n + 1.0))
-        assert a * b * b == pytest.approx(k, rel=32 * ULP, abs=0.0)
+        a, b, fpp0 = group_parameters(n, fp, 1.0)
+        assert fpp0 == fp ** (-3.0 / (n + 1.0))
+        assert a * b * b == pytest.approx(fpp0, rel=32 * ULP, abs=0.0)
+
+    def test_star_curvature_scales_the_wall_curvature(self):
+        # The same rounding as solve's c0 * F'_inf^(-3/(n+1)), bit for bit.
+        n, fp, c0 = 0.7, 1.7376380052489178, 3.0
+        assert group_parameters(n, fp, c0)[2] == c0 * fp ** (-3.0 / (n + 1.0))
+
+    def test_overflowing_wall_flux_is_divergence(self):
+        # f''(0) = 1e200 is finite at n = 2, but its wall flux 1e400 is not.
+        with pytest.raises(DivergenceError, match="viscous flux"):
+            group_parameters(2.0, 1e-100, 1e100)
 
 
 class TestStarIvp:
@@ -225,9 +238,11 @@ class TestRescale:
     def test_column_overflow_is_divergence(self):
         # F'_inf = c0 eta* = 1e-100 gives finite factors (a, a b, a^2 b) =
         # (1e100, 1e100, 1e200), but the wall flux W = c0^2 = 1e200 times
-        # a^2 b passes the largest float.
+        # a^2 b passes the largest float.  group_parameters refuses this
+        # boundary by that flux when given c0; without it, rescale_profile's
+        # own guard is the one that fires.
         star = solve_star_ivp(2.0, NitmConfig(eta_star_inf=1e-200, c0=1e100))
-        a, b, _ = group_parameters(2.0, star.final.fp)
+        a, b, _ = group_parameters(2.0, star.final.fp, 1.0)
         with pytest.raises(DivergenceError, match="physical profile overflows"):
             rescale_profile(star, a, b)
 
