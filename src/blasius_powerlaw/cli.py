@@ -122,6 +122,8 @@ def _grid(args) -> tuple[float, ...]:
                 raise UsageError(f"--n-step must be finite and > 0 and advance the range past {v}")
             v += args.n_step
     if not values:
+        if args.n_from is not None:
+            raise UsageError(f"the range --n-from {args.n_from} --n-to {args.n_to} is empty")
         raise UsageError("give --n or an --n-from/--n-to/--n-step range")
     return tuple(values)
 

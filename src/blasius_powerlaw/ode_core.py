@@ -38,27 +38,18 @@ class DivergenceError(OdeError):
     """The state became non-finite during integration."""
 
 
-# Flux values below this are treated as exactly zero so that the
-# exp(log(|w|)/n) evaluation of |w|^(1/n) never sees log(0).
-_FLUX_UNDERFLOW = 1e-300
-
-
 def curvature_from_flux(w: float, n: float) -> float:
     """Recover f'' = sign(w) |w|^(1/n) from the viscous flux w."""
-    if abs(w) < _FLUX_UNDERFLOW:
-        return 0.0
     try:
-        return math.copysign(math.exp(math.log(abs(w)) / n), w)
+        return math.copysign(abs(w) ** (1.0 / n), w)
     except OverflowError:
         raise DivergenceError(f"curvature |w|^(1/n) overflows at w = {w}, n = {n}") from None
 
 
 def flux_from_curvature(fpp: float, n: float) -> float:
     """Encode f'' as the viscous flux w = |f''|^(n-1) f'' = sign(f'')|f''|^n."""
-    if abs(fpp) < _FLUX_UNDERFLOW:
-        return 0.0
     try:
-        return math.copysign(math.exp(n * math.log(abs(fpp))), fpp)
+        return math.copysign(abs(fpp) ** n, fpp)
     except OverflowError:
         raise DivergenceError(f"viscous flux |f''|^n overflows at f'' = {fpp}, n = {n}") from None
 

@@ -7,7 +7,6 @@ decimals for eyeballing; JSON keeps full precision.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field, asdict, replace
 
@@ -178,8 +177,7 @@ def emit_json(rows: list[SweepRow], config: dict | None = None) -> str:
 
 def render_table(rows: list[SweepRow]) -> str:
     """Six-decimal CSV rendering of a sweep."""
-    buf = io.StringIO()
-    buf.write("n,fpp0_nitm,fpp0_shooting,discrepancy,method,eta_star_inf,eta_inf_physical,error\n")
+    lines = ["n,fpp0_nitm,fpp0_shooting,discrepancy,method,eta_star_inf,eta_inf_physical,error"]
     for r in rows:
         cells = [
             f"{r.n:g}",
@@ -191,5 +189,5 @@ def render_table(rows: list[SweepRow]) -> str:
             "" if r.eta_inf_physical is None else f"{r.eta_inf_physical:g}",
             r.error or "",
         ]
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

@@ -139,6 +139,12 @@ class TestTable:
         code, _, _ = _run(capsys, ["table"])
         assert code == 2
 
+    def test_empty_range_is_usage_error(self, capsys):
+        argv = ["table", "--n-from", "2", "--n-to", "1", "--n-step", "0.1"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "range --n-from 2.0 --n-to 1.0 is empty" in err
+
 
 class TestVerify:
     def test_agreement_at_matched_boundary(self, capsys):
