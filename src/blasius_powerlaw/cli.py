@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit status: 0 on success, 1 on numerical failure, 2 on usage errors (bad
-flags, out-of-range numbers, an empty --eta-inf or --columns list, an unknown
---columns name, an unwritable --output).  Data goes to --output
+flags, out-of-range numbers, an empty --eta-inf or --columns list or --n-from
+range, an unknown --columns name, an unwritable --output).  Data goes to --output
 (default stdout); diagnostics go to stderr.
 """
 
@@ -115,6 +115,8 @@ def _grid(args) -> tuple[float, ...]:
         # since a step under half an ulp of v leaves it where it is.
         if (args.n_to - args.n_from) / args.n_step >= MAX_TABLE_ROWS:
             raise UsageError(f"--n-step must be finite and > 0 and give < {MAX_TABLE_ROWS} rows")
+        if args.n_from > args.n_to + 1e-12:
+            raise UsageError(f"the range --n-from {args.n_from} --n-to {args.n_to} is empty")
         v = args.n_from
         while v <= args.n_to + 1e-12:
             values.append(round(v, 12))
@@ -122,8 +124,6 @@ def _grid(args) -> tuple[float, ...]:
                 raise UsageError(f"--n-step must be finite and > 0 and advance the range past {v}")
             v += args.n_step
     if not values:
-        if args.n_from is not None:
-            raise UsageError(f"the range --n-from {args.n_from} --n-to {args.n_to} is empty")
         raise UsageError("give --n or an --n-from/--n-to/--n-step range")
     return tuple(values)
 
@@ -167,11 +167,14 @@ def _cmd_table(args) -> int:
 def _cmd_verify(args) -> int:
     result = nitm_solve(args.n, _nitm_config(args))
     # The one-IVP method satisfies f'=1 at the rescaled endpoint, so the
-    # shooting run must impose its far-field condition at the same spot.
+    # shooting run must impose its far-field condition at the same spot.  Its
+    # first trial is the one-IVP answer: accepted when that satisfies the
+    # physical BVP to shooting's own tolerance (discrepancy 0.0).
     eta_match = result.profile.final.eta
     shoot = solve_shooting(
         args.n,
         ShootingConfig(eta_inf=eta_match, integrator=_integrator(args)),
+        start=result.fpp0,
     )
     discrepancy = report.relative_discrepancy(result.fpp0, shoot.fpp0)
     doc = {
@@ -180,6 +183,7 @@ def _cmd_verify(args) -> int:
         "fpp0_shooting": shoot.fpp0,
         "eta_inf_matched": eta_match,
         "discrepancy": discrepancy,
+        "residual_at_nitm": shoot.start_residual,
         "tol": args.tol,
         "agree": discrepancy <= args.tol,
     }

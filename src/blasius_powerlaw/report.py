@@ -85,7 +85,8 @@ def sweep_table(spec: SweepSpec) -> list[SweepRow]:
                 eta_physical = spec.nitm_config.eta_star_inf
             shooting_config = ShootingConfig(eta_physical, spec.nitm_config.integrator)
             try:
-                fpp0_shooting = solve_shooting(n, shooting_config).fpp0
+                # From the one-IVP answer, or G_START where there is none.
+                fpp0_shooting = solve_shooting(n, shooting_config, start=fpp0_nitm).fpp0
             except OdeError as exc:
                 errors.append(f"shooting: {exc}")
         if fpp0_nitm is not None and fpp0_shooting is not None:

@@ -5,9 +5,12 @@ Root-finds on the unknown wall curvature g, each trial one wall IVP
 truncated boundary: guarded Newton steps on (log g, log f'(eta_inf)) whose
 slope each trial reads off its own last node through the scaling group.
 The converged trial's profile is the result, so the root is not integrated
-again.  The group only chooses the next trial; convergence is the residual
-test against ROOT_TOL, so shooting is independent of the non-iterative route
-that it checks, and works at every n > 0 including n = 1/2 and n = 2.
+again.  The first trial is G_START unless the caller passes a `start`, such
+as the non-iterative route's f''(0) when shooting checks it.  The start and
+the group only choose trials; convergence is the residual test against
+ROOT_TOL on shooting's own integration, so an accepted start means that
+value satisfies the physical BVP, and shooting works at every n > 0
+including n = 1/2 and n = 2.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ class ConvergenceError(OdeError):
     residual tolerance was met."""
 
 
-#: First trial wall curvature, the tolerance on |f'(eta_inf) - 1| and the
-#: budget of trials after the first.
+#: Default first trial wall curvature, the tolerance on |f'(eta_inf) - 1|
+#: and the budget of trials after the first.
 G_START = 0.5
 ROOT_TOL = 1e-12
 MAX_ITERS = 100
@@ -61,6 +64,7 @@ class ShootingResult:
     residual: float
     iterations: int
     profile: SolutionProfile
+    start_residual: float  # of the first trial, `start`
 
 
 def shoot_residual(
@@ -88,8 +92,11 @@ def _group_slope(n: float, profile: SolutionProfile) -> float:
     return (n + 1.0 + (2.0 - n) * end.eta * float(profile.grid.dys[-1, 1]) / end.fp) / 3.0
 
 
-def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingResult:
-    """Guarded Newton iteration on (log g, log f'(eta_inf)) from the trial G_START.
+def solve_shooting(
+    n: float, config: ShootingConfig | None = None, start: float | None = None
+) -> ShootingResult:
+    """Guarded Newton iteration on (log g, log f'(eta_inf)) from the trial
+    `start` (G_START when None).
 
     Each step uses the `_group_slope` of the trial just integrated.  The
     residual increases with g, so each trial tightens the bracket (lo, hi) on
@@ -98,18 +105,26 @@ def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingRe
     step did not halve |log f'(eta_inf)|, the next trial bisects in log space
     once both sides are known and before that doubles or halves g (at most 4
     times, else BracketError).  The accepted trial's profile is returned, so
-    the root is never integrated twice.
+    the root is never integrated twice.  A start within ROOT_TOL is returned
+    as it is (0 iterations); `start_residual` records how far it was off.
+    ConvergenceError names the bracket ends when no float lies between them.
     """
     config = config or ShootingConfig()
-    g, lo, hi, expansions, v_newton = G_START, -math.inf, math.inf, 0, math.inf
+    start = G_START if start is None else start
+    require_positive("start", start)
+    g, lo, hi, expansions, v_newton = start, -math.inf, math.inf, 0, math.inf
+    ends = {}  # residual < 0 -> (g, residual) of the latest trial on that side
     for iteration in range(MAX_ITERS + 1):
         residual, profile = shoot_residual(n, g, config)
+        if iteration == 0:
+            start_residual = residual
         if abs(residual) <= ROOT_TOL:
-            return ShootingResult(g, residual, iteration, profile)
+            return ShootingResult(g, residual, iteration, profile, start_residual)
 
         fp = profile.final.fp
         u, v = math.log(g), math.log(fp) if fp > 0.0 else math.nan
         lo, hi = (u, hi) if residual < 0.0 else (lo, u)
+        ends[residual < 0.0] = (g, residual)
         # No Newton step where f'(eta_inf) is 0 (a tiny trial curvature can
         # underflow the flux) and v is NaN, or after a Newton step that did
         # not halve |v| (its slope is off); a NaN step fails the guard.
@@ -121,14 +136,19 @@ def solve_shooting(n: float, config: ShootingConfig | None = None) -> ShootingRe
             g, v_newton = math.exp(step), v
         elif math.isfinite(lo) and math.isfinite(hi):
             g, g_prev = math.exp(0.5 * (lo + hi)), g
-            if g == g_prev:  # no float lies strictly inside the bracket
-                break
+            if g == g_prev:
+                (g_lo, r_lo), (g_hi, r_hi) = ends[True], ends[False]
+                raise ConvergenceError(
+                    f"no float lies between g = {g_lo!r} (residual {r_lo:.3g}) and "
+                    f"g = {g_hi!r} (residual {r_hi:.3g}), so |residual| <= {ROOT_TOL} "
+                    f"cannot be met (n = {n})"
+                )
         elif expansions < 4:
             g = 2.0 * g if residual < 0.0 else 0.5 * g
             expansions += 1
         else:
             raise BracketError(
-                f"no sign change after {expansions} expansions from g = {G_START} (n = {n})"
+                f"no sign change after {expansions} expansions from g = {start} (n = {n})"
             )
 
     raise ConvergenceError(

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import time
@@ -6,7 +7,9 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from blasius_powerlaw import cli
 from blasius_powerlaw.cli import run
+from blasius_powerlaw.shooting import ROOT_TOL, ShootingConfig, solve_shooting
 
 
 def _run(capsys, argv):
@@ -145,6 +148,13 @@ class TestTable:
         assert code == 2 and out == ""
         assert "range --n-from 2.0 --n-to 1.0 is empty" in err
 
+    def test_empty_range_with_explicit_n_is_usage_error(self, capsys):
+        # The explicit --n row does not hide the empty range.
+        argv = ["table", "--n", "1", "--n-from", "2", "--n-to", "1", "--n-step", "0.1"]
+        code, out, err = _run(capsys, [*argv, "--method", "nitm"])
+        assert code == 2 and out == ""
+        assert "range --n-from 2.0 --n-to 1.0 is empty" in err
+
 
 class TestVerify:
     def test_agreement_at_matched_boundary(self, capsys):
@@ -155,17 +165,31 @@ class TestVerify:
         assert doc["discrepancy"] <= 1e-12
         assert doc["eta_inf_matched"] != 10.0  # rescaled physical endpoint
 
-    def test_tolerance_failure_exit_code(self, capsys):
-        code, out, _ = _run(capsys, ["verify", "--n", "0.7", "--tol", "1e-16"])
+    def test_tolerance_failure_exit_code(self, capsys, monkeypatch):
+        # Shooting starts from the one-IVP answer and accepts it at n = 0.7
+        # (discrepancy exactly 0.0), so a one-IVP answer 1e-9 off stands in
+        # for a disagreement: shooting must reject it and find its own root.
+        result = cli.nitm_solve(0.7)
+        off = dataclasses.replace(result, fpp0=result.fpp0 * (1.0 + 1e-9))
+        monkeypatch.setattr(cli, "nitm_solve", lambda n, config: off)
+        code, out, _ = _run(capsys, ["verify", "--n", "0.7", "--tol", "1e-10"])
         assert code == 1
-        assert json.loads(out)["agree"] is False
+        doc = json.loads(out)
+        assert doc["agree"] is False
+        assert doc["discrepancy"] == pytest.approx(1e-9, rel=1e-3)
+        root = solve_shooting(0.7, ShootingConfig(eta_inf=result.profile.final.eta)).fpp0
+        assert doc["fpp0_shooting"] == pytest.approx(root, rel=1e-12)
+        # The first trial was the perturbed answer, not G_START (residual ~0.3).
+        assert ROOT_TOL < abs(doc["residual_at_nitm"]) < 1e-8
 
     @pytest.mark.parametrize(
         "argv", [["--n", "1", "--eta-inf", "0.01"], ["--n", "3000"], ["--n", "20000"]]
     )
     def test_roots_far_from_the_start_trial(self, capsys, argv):
         # A shooting root near 1000 (physical boundary 1e-3), and exponents
-        # whose trial flux g^n overflows for g above exp(709/n).
+        # whose trial flux g^n overflows for g above exp(709/n).  verify
+        # starts shooting at the one-IVP answer; the walk there from G_START
+        # is TestStart::test_unseeded_reaches_far_roots in test_shooting.py.
         code, out, _ = _run(capsys, ["verify", *argv])
         assert code == 0
         assert json.loads(out)["discrepancy"] <= 1e-12

@@ -74,16 +74,22 @@ class TestSweepTable:
     @pytest.mark.parametrize("method", ["both", "shooting", "both-nitm-failed"])
     def test_shooting_runs_on_the_nitm_config(self, method, monkeypatch):
         # Shooting takes nitm_config's integrator, and the row's one-IVP
-        # physical endpoint as its boundary, or eta_star_inf without one.
+        # physical endpoint as its boundary, or eta_star_inf without one; it
+        # starts from the row's one-IVP answer, or from G_START (None).
         cfg = NitmConfig(eta_star_inf=8.0, integrator=IntegratorConfig(rel_tol=1e-11))
         eta = nitm_solve(0.7, cfg).profile.final.eta if method == "both" else 8.0
         if method == "both-nitm-failed":
             monkeypatch.setattr(ode_core, "MAX_STEPS", 3)  # too few for the one-IVP solve
             method = "both"
         seen, shoot = [], report.solve_shooting
-        monkeypatch.setattr(report, "solve_shooting", lambda n, c: seen.append(c) or shoot(n, c))
+
+        def recording(n, c, start=None):
+            seen.append((c, start))
+            return shoot(n, c, start=start)
+
+        monkeypatch.setattr(report, "solve_shooting", recording)
         (row,) = sweep_table(SweepSpec(n_values=(0.7,), method=method, nitm_config=cfg))
-        assert seen == [ShootingConfig(eta_inf=eta, integrator=cfg.integrator)]
+        assert seen == [(ShootingConfig(eta_inf=eta, integrator=cfg.integrator), row.fpp0_nitm)]
         assert row.eta_inf_physical == eta
 
 

@@ -2,8 +2,10 @@ import pytest
 
 from blasius_powerlaw import ode_core, shooting
 from blasius_powerlaw.ode_core import DomainError
-from blasius_powerlaw.nitm import solve_nitm
+from blasius_powerlaw.nitm import NitmConfig, solve_nitm
 from blasius_powerlaw.shooting import (
+    G_START,
+    ROOT_TOL,
     BracketError,
     ConvergenceError,
     ShootingConfig,
@@ -141,7 +143,12 @@ class TestSolveShooting:
             return residual(n, guess, config)
 
         monkeypatch.setattr(shooting, "shoot_residual", recording)
-        with pytest.raises(ConvergenceError):
+        # The error names the cause: the bracket ends and their residuals.
+        with pytest.raises(
+            ConvergenceError,
+            match=r"no float lies between g = 0\.99941543644579\d* \(residual -6\.\d+e-12\) "
+            r"and g = 0\.99941543644579\d* \(residual 3\.\d+e-11\)",
+        ):
             solve_shooting(20000.0)
         assert len(trials) <= len(set(trials)) + 1
 
@@ -158,6 +165,50 @@ class TestSolveShooting:
         result = solve_shooting(n)
         assert abs(result.residual) <= 1e-12
         assert result.fpp0 == pytest.approx(expected.fpp0, rel=1e-11)
+
+
+class TestStart:
+    @pytest.mark.parametrize("start", [0.0, -0.5, float("nan"), float("inf")])
+    def test_start_must_be_finite_and_positive(self, start):
+        with pytest.raises(DomainError, match="start must be finite and > 0"):
+            solve_shooting(1.0, start=start)
+
+    def test_default_start_is_g_start(self):
+        result = solve_shooting(0.7)
+        assert result.start_residual == shoot_residual(0.7, G_START)[0]
+
+    def test_root_is_accepted_as_is(self):
+        # At n = 0.7 the one-IVP answer satisfies shooting's own residual test
+        # at the matched boundary, so it is returned without a Newton step.
+        nitm = solve_nitm(0.7)
+        result = solve_shooting(0.7, ShootingConfig(eta_inf=nitm.profile.final.eta), start=nitm.fpp0)
+        assert result.iterations == 0
+        assert result.fpp0 == nitm.fpp0
+        assert result.start_residual == result.residual
+        assert abs(result.residual) <= ROOT_TOL
+
+    @pytest.mark.parametrize("n", [0.3, 0.7, 1.0, 1.7])
+    def test_perturbed_start_is_corrected(self, n):
+        # A one-IVP answer 1e-9 off is caught by the residual test and
+        # corrected by one Newton step onto the unseeded root.
+        nitm = solve_nitm(n)
+        config = ShootingConfig(eta_inf=nitm.profile.final.eta)
+        root = solve_shooting(n, config).fpp0
+        result = solve_shooting(n, config, start=nitm.fpp0 * (1.0 + 1e-9))
+        assert abs(result.start_residual) > ROOT_TOL
+        assert result.iterations == 1
+        assert result.fpp0 == pytest.approx(root, rel=1e-12)
+
+    @pytest.mark.parametrize("n, eta_star_inf", [(1.0, 0.01), (3000.0, 10.0), (20000.0, 10.0)])
+    def test_unseeded_reaches_far_roots(self, n, eta_star_inf):
+        # The matched boundaries of `verify --n 1 --eta-inf 0.01` (root near
+        # 1000), `--n 3000` and `--n 20000` (trial flux g^n overflows above
+        # g = exp(709/n)), reached from G_START; verify starts at the root.
+        nitm = solve_nitm(n, NitmConfig(eta_star_inf=eta_star_inf))
+        result = solve_shooting(n, ShootingConfig(eta_inf=nitm.profile.final.eta))
+        assert abs(result.residual) <= ROOT_TOL
+        assert result.iterations >= 1
+        assert result.fpp0 == pytest.approx(nitm.fpp0, rel=1e-12)
 
 
 class TestConvergedTrialContract:
