@@ -38,12 +38,16 @@ class DivergenceError(OdeError):
     """The state became non-finite during integration."""
 
 
+def _curvature_overflow(w: float, n: float) -> DivergenceError:
+    return DivergenceError(f"curvature |w|^(1/n) overflows at w = {w}, n = {n}")
+
+
 def curvature_from_flux(w: float, n: float) -> float:
     """Recover f'' = sign(w) |w|^(1/n) from the viscous flux w."""
     try:
         return math.copysign(abs(w) ** (1.0 / n), w)
     except OverflowError:
-        raise DivergenceError(f"curvature |w|^(1/n) overflows at w = {w}, n = {n}") from None
+        raise _curvature_overflow(w, n) from None
 
 
 def flux_from_curvature(fpp: float, n: float) -> float:
@@ -92,12 +96,21 @@ Rhs = Callable[[float, State], Sequence[float]]
 
 
 def flux_system(n: float) -> Rhs:
-    """Vector field over y = (f, f', w) for the generic integrator."""
+    """Vector field over y = (f, f', w) for the generic integrator.
+
+    It decodes f'' as `curvature_from_flux` does, bit for bit and with the
+    same overflow error, but with 1/n computed once instead of per call.
+    """
     require_positive("power-law exponent", n)
-    inv_np1 = 1.0 / (n + 1.0)
+    inv_n, inv_np1 = 1.0 / n, 1.0 / (n + 1.0)
+    copysign = math.copysign
 
     def rhs(eta: float, y: State) -> State:
-        fpp = curvature_from_flux(y[2], n)
+        w = y[2]
+        try:
+            fpp = copysign(abs(w) ** inv_n, w)
+        except OverflowError:
+            raise _curvature_overflow(w, n) from None
         return (y[1], fpp, -y[0] * fpp * inv_np1)
 
     return rhs
@@ -105,17 +118,16 @@ def flux_system(n: float) -> Rhs:
 
 # Dormand-Prince 5(4) coefficients: nodes C, stage weights A (row 7 holds
 # the fifth-order weights, so stage 7 is evaluated at the propagated
-# solution) and the fifth-minus-fourth-order error weights E.
+# solution) and the fifth-minus-fourth-order error weights E.  Stage 2's
+# weights in rows 7 and E are zero and are left out.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
 _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
 _A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
 _A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_A71, _A72, _A73, _A74, _A75, _A76 = 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
-)
+_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 
 
 @dataclass
@@ -177,67 +189,73 @@ def integrate_system(
     nsteps = 0
     targets = [t_end, *reversed(stops)]  # the next node to land on is targets[-1]
 
-    # Stage k1..k7 is (a, b, c, d, e, f, g) per component.  Each weighted sum
-    # starts from 0.0 and keeps its zero weights, so every component rounds
-    # as a left-to-right sum would: -0.0 becomes +0.0, and 0 * inf still
-    # turns the step into NaN, which rejects it.
+    # Stage k1..k7 is (a, b, c, d, e, f, g) per component.  The weighted sums
+    # start from their first term and skip stage 2's zero weights in z and in
+    # the error.  Against sums seeded with 0.0 that keep every weight, a sum
+    # can differ only in the sign of a zero, and y + h * (-0.0) equals
+    # y + h * 0.0 unless y is -0.0.  A state component is -0.0 only where the
+    # initial state has one, and `integrate` starts from +0.0, so no stored
+    # bit changes.  A non-finite stage 2 still reaches z through the nonzero
+    # weights _A32.._A62 (the power-law field keeps a non-finite state
+    # non-finite), so the step is rejected.
     while t < t_end:
         if nsteps >= MAX_STEPS:
             raise StepBudgetError(f"step budget {MAX_STEPS} exhausted at t = {t}")
         target = targets[-1]
-        h = min(h, h_max, target - t)
-        t_new = target if h == target - t else t + h
+        rest = target - t
+        if h > h_max:
+            h = h_max
+        if h > rest:
+            h = rest
+        t_new = target if h == rest else t + h
         b0, b1, b2 = rhs(t + _C2 * h, (
-            y0 + h * (0.0 + _A21 * a0),
-            y1 + h * (0.0 + _A21 * a1),
-            y2 + h * (0.0 + _A21 * a2),
+            y0 + h * (_A21 * a0),
+            y1 + h * (_A21 * a1),
+            y2 + h * (_A21 * a2),
         ))
         c0, c1, c2 = rhs(t + _C3 * h, (
-            y0 + h * (0.0 + _A31 * a0 + _A32 * b0),
-            y1 + h * (0.0 + _A31 * a1 + _A32 * b1),
-            y2 + h * (0.0 + _A31 * a2 + _A32 * b2),
+            y0 + h * (_A31 * a0 + _A32 * b0),
+            y1 + h * (_A31 * a1 + _A32 * b1),
+            y2 + h * (_A31 * a2 + _A32 * b2),
         ))
         d0, d1, d2 = rhs(t + _C4 * h, (
-            y0 + h * (0.0 + _A41 * a0 + _A42 * b0 + _A43 * c0),
-            y1 + h * (0.0 + _A41 * a1 + _A42 * b1 + _A43 * c1),
-            y2 + h * (0.0 + _A41 * a2 + _A42 * b2 + _A43 * c2),
+            y0 + h * (_A41 * a0 + _A42 * b0 + _A43 * c0),
+            y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1),
+            y2 + h * (_A41 * a2 + _A42 * b2 + _A43 * c2),
         ))
         e0, e1, e2 = rhs(t + _C5 * h, (
-            y0 + h * (0.0 + _A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
-            y1 + h * (0.0 + _A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
-            y2 + h * (0.0 + _A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
+            y0 + h * (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
+            y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
+            y2 + h * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
         ))
         f0, f1, f2 = rhs(t_new, (
-            y0 + h * (0.0 + _A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0 + _A65 * e0),
-            y1 + h * (0.0 + _A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
-            y2 + h * (0.0 + _A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
+            y0 + h * (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0 + _A65 * e0),
+            y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
+            y2 + h * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
         ))
-        z0 = y0 + h * (
-            0.0 + _A71 * a0 + _A72 * b0 + _A73 * c0 + _A74 * d0 + _A75 * e0 + _A76 * f0
-        )
-        z1 = y1 + h * (
-            0.0 + _A71 * a1 + _A72 * b1 + _A73 * c1 + _A74 * d1 + _A75 * e1 + _A76 * f1
-        )
-        z2 = y2 + h * (
-            0.0 + _A71 * a2 + _A72 * b2 + _A73 * c2 + _A74 * d2 + _A75 * e2 + _A76 * f2
-        )
+        z0 = y0 + h * (_A71 * a0 + _A73 * c0 + _A74 * d0 + _A75 * e0 + _A76 * f0)
+        z1 = y1 + h * (_A71 * a1 + _A73 * c1 + _A74 * d1 + _A75 * e1 + _A76 * f1)
+        z2 = y2 + h * (_A71 * a2 + _A73 * c2 + _A74 * d2 + _A75 * e2 + _A76 * f2)
         y_new = (z0, z1, z2)
         k7 = rhs(t_new, y_new)  # first-same-as-last: k1 of the next step
         g0, g1, g2 = k7
         nsteps += 1
 
         if isfinite(z0) and isfinite(z1) and isfinite(z2):
-            q0 = h * (
-                0.0 + _E1 * a0 + _E2 * b0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * f0 + _E7 * g0
-            ) / (atol + rtol * max(abs(y0), abs(z0)))
-            q1 = h * (
-                0.0 + _E1 * a1 + _E2 * b1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1
-            ) / (atol + rtol * max(abs(y1), abs(z1)))
-            q2 = h * (
-                0.0 + _E1 * a2 + _E2 * b2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2
-            ) / (atol + rtol * max(abs(y2), abs(z2)))
+            # Each error weight is max(|y|, |z|), written out with max's tie rule.
+            s0, s1, s2 = abs(y0), abs(y1), abs(y2)
+            u0, u1, u2 = abs(z0), abs(z1), abs(z2)
+            q0 = h * (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * f0 + _E7 * g0) / (
+                atol + rtol * (u0 if u0 > s0 else s0)
+            )
+            q1 = h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1) / (
+                atol + rtol * (u1 if u1 > s1 else s1)
+            )
+            q2 = h * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2) / (
+                atol + rtol * (u2 if u2 > s2 else s2)
+            )
             # Not sum(): from Python 3.12 it compensates, which rounds differently.
-            err = math.sqrt((0.0 + q0 * q0 + q1 * q1 + q2 * q2) / 3)
+            err = math.sqrt((q0 * q0 + q1 * q1 + q2 * q2) / 3)
         else:
             err = math.inf
 
@@ -256,8 +274,9 @@ def integrate_system(
             ts.append(t)
             ys.append(y)
             dys.append(k1)
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h = h * factor
+            # err <= 1 makes the factor at least 0.9: only the 5x cap applies.
+            factor = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+            h = h * (factor if factor < 5.0 else 5.0)
         else:
             if not isfinite(err) and h <= H_MIN * (1.0 + 1e-12):
                 raise DivergenceError(f"state became non-finite at t = {t}")

@@ -136,6 +136,36 @@ class TestRhsFlux:
         with pytest.raises(DomainError):
             integrate(flux_system(1.0), 1.0, math.nan, 1.0, CFG)
 
+    # The field decodes f'' itself; it must match the public decoder bit for
+    # bit, and overflow with the same error.
+    @given(
+        w=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),
+            st.floats(min_value=0.0, max_value=1e300),
+        ),
+        negative=st.booleans(),
+        n=st.floats(min_value=0.05, max_value=5.0),
+    )
+    def test_field_decodes_as_curvature_from_flux(self, w, negative, n):
+        w = -w if negative else w
+
+        def outcome(decode):
+            try:
+                return decode().hex()
+            except DivergenceError as exc:
+                return str(exc)
+
+        field = outcome(lambda: flux_system(n)(0.0, (1.5, 0.5, w))[1])
+        assert field == outcome(lambda: curvature_from_flux(w, n))
+
+    def test_field_overflow_matches_the_decoder(self):
+        with pytest.raises(DivergenceError, match="overflows") as from_field:
+            flux_system(0.05)(0.0, (0.0, 0.0, 1e300))
+        with pytest.raises(DivergenceError) as from_decoder:
+            curvature_from_flux(1e300, 0.05)
+        assert str(from_field.value) == str(from_decoder.value)
+
 
 class TestRhsDirect:
     """The expanded form: d/deta (f, f', f'') with f''' written out."""
@@ -405,6 +435,50 @@ class TestKernel:
         for array in (grid.ts, grid.ys, grid.dys):
             sha.update(array.tobytes())
         assert sha.hexdigest() == digest
+
+    # The same digest (x86-64, glibc libm), with the run's RHS calls and
+    # state-changing projections, over more of the stepper: star IVPs at both
+    # ends of the exponent range; a shooting-frame trial from f''(0) = 0.3 to
+    # eta = 7 with stops at 2 and 5 (9 rejected steps, one projection and
+    # 9 steps with a zero error estimate); and a loose-tolerance run
+    # (14 rejected steps, and 4 steps with a nonzero error that grow by the
+    # 5x cap).
+    @pytest.mark.parametrize(
+        "n, fpp0, eta_end, stops, tol, digest, calls, projections",
+        [
+            (0.1, 1.0, 10.0, (), 1e-12,
+             "2eb9754f5202881cc83b7d066eafc6cf1427a182a5cec1df76f53984b8102b6a", 1411, 0),
+            (2.5, 1.0, 10.0, (), 1e-12,
+             "2a011aa431712fc62703b48b6add7f87d7130d1e9d0e0bedbda9b523421af4a2", 1676, 1),
+            (1.5, 0.3, 7.0, (2.0, 5.0), 1e-12,
+             "ee8933994821122a4199a42f8f0014a794ac410ffa6ddba16c1973f15dbca5cd", 1436, 1),
+            (1.7, 1.0, 10.0, (), 1e-6,
+             "4621284479323a13c22a281e949b4e2d69d9ec41540da4d4c02d81088f6dd17d", 8137, 0),
+        ],
+        ids=["0.1", "2.5", "1.5-trial-stops", "1.7-loose"],
+    )
+    def test_more_grids_are_bit_identical(
+        self, n, fpp0, eta_end, stops, tol, digest, calls, projections
+    ):
+        rhs, project = flux_system(n), flux_nonnegative_projector()
+        counts = {"calls": 0, "projections": 0}
+
+        def counted_rhs(t, y):
+            counts["calls"] += 1
+            return rhs(t, y)
+
+        def counted_project(y):
+            out = project(y)
+            counts["projections"] += out != y
+            return out
+
+        config = IntegratorConfig(rel_tol=tol, abs_tol=tol)
+        grid = integrate(counted_rhs, n, fpp0, eta_end, config, counted_project, stops).grid
+        sha = hashlib.sha256()
+        for array in (grid.ts, grid.ys, grid.dys):
+            sha.update(array.tobytes())
+        assert sha.hexdigest() == digest
+        assert counts == {"calls": calls, "projections": projections}
 
 
 class TestIntegratorConfig:
