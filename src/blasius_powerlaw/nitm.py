@@ -113,18 +113,18 @@ def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfil
 
     The group scales every column by a constant: eta = eta*/b, f = a F,
     f' = a b F', f'' = a b^2 F'', and the flux w = (a b^2)^n W = a^2 b W,
-    which needs a^(n-2) b^(2n-1) = 1 (true of `group_parameters`).  The node
-    derivatives (f', f'', w') scale by b times the same factors.  The
-    factors must be finite, as `group_parameters` checks; a column they
-    overflow (a large wall flux c0^n, say) raises DivergenceError.
+    which needs a^(n-2) b^(2n-1) = 1 (true of `group_parameters`), so f''
+    is the decode of the scaled flux.  The factors must be finite, as
+    `group_parameters` checks; a column they overflow (a large wall flux
+    c0^n, say) raises DivergenceError.
     """
     s = np.array([a, a * b, a * a * b])
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            ts, ys, dys = star.grid.ts / b, star.grid.ys * s, star.grid.dys * (b * s)
+            ts, ys = star.grid.ts / b, star.grid.ys * s
     except FloatingPointError:
         raise DivergenceError(f"physical profile overflows at a = {a}, b = {b}") from None
-    return SolutionProfile(GridSolution(ts, ys, dys), star.n)
+    return SolutionProfile(GridSolution(ts, ys), star.n)
 
 
 def solve(n: float, config: NitmConfig | None = None) -> NitmResult:

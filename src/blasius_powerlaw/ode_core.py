@@ -132,11 +132,10 @@ _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 3392
 
 @dataclass
 class GridSolution:
-    """Stored output of one integration: nodes, states and state derivatives."""
+    """Stored output of one integration: the nodes and the states there."""
 
     ts: np.ndarray
     ys: np.ndarray
-    dys: np.ndarray
 
 
 def integrate_system(
@@ -182,7 +181,7 @@ def integrate_system(
     isfinite = math.isfinite
     t = t0
     k1 = rhs(t, y)
-    ts, ys, dys = [t], [y], [k1]
+    ts, ys = [t], [y]
     y0, y1, y2 = y
     a0, a1, a2 = k1
     h = H_INIT
@@ -273,7 +272,6 @@ def integrate_system(
             a0, a1, a2 = k1
             ts.append(t)
             ys.append(y)
-            dys.append(k1)
             # err <= 1 makes the factor at least 0.9: only the 5x cap applies.
             factor = 5.0 if err == 0.0 else 0.9 * err ** -0.2
             h = h * (factor if factor < 5.0 else 5.0)
@@ -284,7 +282,7 @@ def integrate_system(
             if h < H_MIN:
                 raise StepUnderflowError(f"step underflow below H_MIN at t = {t}")
 
-    return GridSolution(np.array(ts), np.array(ys, dtype=float), np.array(dys, dtype=float))
+    return GridSolution(np.array(ts), np.array(ys, dtype=float))
 
 
 @dataclass
@@ -301,9 +299,9 @@ class SolutionProfile:
         return IvpState(eta=t, f=float(y[0]), fp=float(y[1]), w=float(y[2]))
 
     def curvatures(self) -> np.ndarray:
-        """f'' at every stored node: the second component of the stored
-        derivative (f', f'', w'), which the integrator evaluated there."""
-        return self.grid.dys[:, 1].copy()
+        """f'' at every stored node, decoded from the stored flux by
+        `curvature_from_flux` (Python's power: NumPy's can differ by an ulp)."""
+        return np.array([curvature_from_flux(w, self.n) for w in self.grid.ys[:, 2].tolist()])
 
 
 #: Default extinction cutoff for flux_nonnegative_projector.  For n > 1 the

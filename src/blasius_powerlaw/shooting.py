@@ -23,6 +23,7 @@ from .ode_core import (
     IntegratorConfig,
     OdeError,
     SolutionProfile,
+    curvature_from_flux,
     flux_nonnegative_projector,
     flux_system,
     integrate,
@@ -89,7 +90,7 @@ def _group_slope(n: float, profile: SolutionProfile) -> float:
     last node.  Exact at n = 2; at n = 1 the second term is below 1e-30.
     """
     end = profile.final
-    return (n + 1.0 + (2.0 - n) * end.eta * float(profile.grid.dys[-1, 1]) / end.fp) / 3.0
+    return (n + 1.0 + (2.0 - n) * end.eta * curvature_from_flux(end.w, n) / end.fp) / 3.0
 
 
 def solve_shooting(

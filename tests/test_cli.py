@@ -125,6 +125,39 @@ class TestTable:
         assert row["eta_inf_physical"] == pytest.approx(17.0128, abs=1e-4)
         assert "eta_inf" not in row
 
+    # The paper grid n = 0.1, 0.2, ..., 2.0 at full precision: float.hex of
+    # each row's fpp0_nitm and fpp0_shooting (x86-64, glibc libm).
+    PAPER_GRID_HEX = [
+        (0.1, "0x1.a7281f4c61bfcp-1", "0x1.a7281f4c61bfcp-1"),
+        (0.2, "0x1.f61c30c3ea6dep-2", "0x1.f61c30c3ea6dep-2"),
+        (0.3, "0x1.90e96626c9921p-2", "0x1.90e96626c9921p-2"),
+        (0.4, "0x1.66ce1aa2fcbcbp-2", "0x1.66ce1aa2fcbcbp-2"),
+        (0.5, "0x1.53b53fb8ed1dap-2", "0x1.53b53fb8ed1dap-2"),
+        (0.6, "0x1.4bb86ffd6a2fdp-2", "0x1.4bb86ffd6a2fdp-2"),
+        (0.7, "0x1.49c339358b6b0p-2", "0x1.49c339358b6b0p-2"),
+        (0.8, "0x1.4b4f0e3887143p-2", "0x1.4b4f0e3887143p-2"),
+        (0.9, "0x1.4efd96e8c8fb1p-2", "0x1.4efd96e8c8fb1p-2"),
+        (1.0, "0x1.5406d69dcc1b4p-2", "0x1.5406d69de0e02p-2"),
+        (1.1, "0x1.59f0e6ded796ap-2", "0x1.59f0e6dedff01p-2"),
+        (1.2, "0x1.606cd0d0ec8b7p-2", "0x1.606cd0d10ef38p-2"),
+        (1.3, "0x1.6745a0e2f36ecp-2", "0x1.6745a0e30b2c2p-2"),
+        (1.4, "0x1.6e56ee6e9b49bp-2", "0x1.6e56ee6eb8729p-2"),
+        (1.5, "0x1.7587312e73780p-2", "0x1.7587312e78c00p-2"),
+        (1.6, "0x1.7cc43b739e0ebp-2", "0x1.7cc43b7445091p-2"),
+        (1.7, "0x1.8400f72c30bc0p-2", "0x1.8400f72cf0899p-2"),
+        (1.8, "0x1.8b33e7a7fa6e2p-2", "0x1.8b33e7a7ffc53p-2"),
+        (1.9, "0x1.925626fe8db0ep-2", "0x1.925626fe981c7p-2"),
+        (2.0, "0x1.9962b34340bf9p-2", "0x1.9962b3433c92dp-2"),
+    ]
+
+    def test_paper_grid_is_bit_identical(self, capsys):
+        argv = ["table", "--n-from", "0.1", "--n-to", "2.0", "--n-step", "0.1"]
+        code, out, _ = _run(capsys, [*argv, "--method", "both", "--format", "json"])
+        assert code == 0
+        got = [(r["n"], r["fpp0_nitm"].hex(), r["fpp0_shooting"].hex())
+               for r in json.loads(out)["rows"]]
+        assert got == self.PAPER_GRID_HEX
+
     @pytest.mark.filterwarnings("error")
     def test_rescaling_overflow_is_a_row_error(self, capsys):
         argv = ["table", "--n", "2", "--eta-inf", "1e-250", "--format", "json"]

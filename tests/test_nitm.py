@@ -205,12 +205,15 @@ class TestStarIvp:
         with pytest.raises(DivergenceError, match="overflows"):
             solve(3000.0, NitmConfig(c0=10.0))
 
-    @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
-    def test_curvatures_are_the_decoded_flux(self, n):
-        # curvatures() reads f'' from the stored derivatives; it must equal
-        # the per-node decode of the stored flux bit for bit, projected
-        # nodes (w = 0, n > 1) included.
-        prof = solve_star_ivp(n, NitmConfig())
+    @pytest.mark.parametrize(
+        "n, frame",
+        [(n, frame) for frame in ("star", "physical") for n in (0.3, 1.0, 1.7)],
+        ids=["0.3", "1.0", "1.7", "0.3-physical", "1.0-physical", "1.7-physical"],
+    )
+    def test_curvatures_are_the_decoded_flux(self, n, frame):
+        # curvatures() equals the per-node decode of the stored flux bit for
+        # bit, projected nodes (w = 0, n > 1) included, in both frames.
+        prof = solve_star_ivp(n, NitmConfig()) if frame == "star" else solve(n).profile
         w = prof.grid.ys[:, 2]
         decoded = np.array([curvature_from_flux(float(x), n) for x in w])
         assert prof.curvatures().tobytes() == decoded.tobytes()
@@ -224,7 +227,7 @@ class TestRescale:
         phys = rescale_profile(star, 1.0, 1.0)
         assert np.array_equal(phys.grid.ts, star.grid.ts)
         assert np.array_equal(phys.grid.ys, star.grid.ys)
-        assert np.array_equal(phys.grid.dys, star.grid.dys)
+        assert phys.curvatures().tobytes() == star.curvatures().tobytes()
         assert phys.n == star.n == 1.0
 
     def test_origin_row(self):
@@ -319,7 +322,8 @@ class TestPhysicalProfile:
         fpp = result.profile.curvatures()
         m = len(grid.ts)
         for i, pins in zip((0, 1, m // 4, m // 2, 3 * m // 4, m - 1), PHYSICAL_PINS[n][2]):
-            got = (grid.ys[i, 2], grid.dys[i, 2], fpp[i])
+            # w' from the field, -f f''/(n+1), on the stored state.
+            got = (grid.ys[i, 2], -grid.ys[i, 0] * fpp[i] / (n + 1.0), fpp[i])
             for value, pin in zip(got, pins):
                 assert value == pytest.approx(float.fromhex(pin), rel=1e-14, abs=0.0)
 
