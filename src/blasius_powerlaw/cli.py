@@ -200,13 +200,9 @@ def _cmd_sensitivity(args) -> int:
         raise UsageError("--eta-inf must list at least one boundary")
     cfg = NitmConfig(c0=args.c0, integrator=_integrator(args))
     records = report.boundary_sensitivity(args.n, etas, cfg)
-    lines = ["eta_inf,fpp0,error"]
-    failed = False
-    for eta, fpp0, err in records:
-        failed = failed or err is not None
-        lines.append(f"{eta:g},{'' if fpp0 is None else repr(fpp0)},{err or ''}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 1 if failed else 0
+    cells = [[f"{eta:g}", "" if fpp0 is None else repr(fpp0), err or ""] for eta, fpp0, err in records]
+    _emit(report.csv_text(["eta_inf", "fpp0", "error"], cells), args.output)
+    return 1 if any(err is not None for _, _, err in records) else 0
 
 
 def _cmd_profile(args) -> int:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
-
-import numpy as np
+from itertools import chain
+from typing import TYPE_CHECKING, Sequence
 
 from .ode_core import (
     FLUX_CUTOFF,
@@ -33,6 +32,9 @@ from .ode_core import (
     integrate,
     require_positive,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 #: Exponents whose tabulated reference rows are second-order approximations.
@@ -115,16 +117,16 @@ def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfil
     f' = a b F', f'' = a b^2 F'', and the flux w = (a b^2)^n W = a^2 b W,
     which needs a^(n-2) b^(2n-1) = 1 (true of `group_parameters`), so f''
     is the decode of the scaled flux.  The factors must be finite, as
-    `group_parameters` checks; a column they overflow (a large wall flux
-    c0^n, say) raises DivergenceError.
+    `group_parameters` checks; a value they overflow (a large wall flux
+    c0^n, say), or a b of zero, raises DivergenceError.
     """
-    s = np.array([a, a * b, a * a * b])
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            ts, ys = star.grid.ts / b, star.grid.ys * s
-    except FloatingPointError:
-        raise DivergenceError(f"physical profile overflows at a = {a}, b = {b}") from None
-    return SolutionProfile(GridSolution(ts, ys), star.n)
+    if b != 0.0:
+        ab, aab = a * b, a * a * b
+        nodes = [t / b for t in star.grid.nodes]
+        states = [(a * f, ab * fp, aab * w) for f, fp, w in star.grid.states]
+        if all(map(math.isfinite, chain(nodes, *states))):
+            return SolutionProfile(GridSolution(nodes, states), star.n)
+    raise DivergenceError(f"physical profile overflows at a = {a}, b = {b}")
 
 
 def solve(n: float, config: NitmConfig | None = None) -> NitmResult:
@@ -166,6 +168,8 @@ def solve_excluded(n: float, config: NitmConfig | None = None) -> NitmResult:
     if n == 0.5:
         fpp0 = 0.5 * (values[0] + values[1])
     else:
+        import numpy as np
+
         fpp0 = float(np.polyval(np.polyfit(nodes, values, 2), n))
     return replace(solve(n, config), fpp0=fpp0, method_tag="extrapolated")
 
@@ -177,11 +181,13 @@ def profile_ode_residuals(profile: SolutionProfile) -> np.ndarray:
     difference of the stored flux, so the result is limited by the grid
     spacing, not just the integration tolerance.
     """
+    import numpy as np
+
     n = profile.n
     t = profile.grid.ts
     w = profile.grid.ys[:, 2]
     f = profile.grid.ys[:, 0]
-    fpp = profile.curvatures()
+    fpp = np.array(profile.curvatures())
     h1 = t[1:-1] - t[:-2]
     h2 = t[2:] - t[1:-1]
     dw = (

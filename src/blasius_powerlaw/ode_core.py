@@ -11,11 +11,13 @@ written for that 3-component state: each stage is unrolled per component.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OdeError(Exception):
@@ -132,10 +134,24 @@ _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 3392
 
 @dataclass
 class GridSolution:
-    """Stored output of one integration: the nodes and the states there."""
+    """Stored output of one integration: the nodes and the (f, f', w) states
+    there, as Python floats.  `ts` and `ys` hold the same values as NumPy
+    arrays, built (and NumPy imported) on first read; the CLI reads neither."""
 
-    ts: np.ndarray
-    ys: np.ndarray
+    nodes: list[float]
+    states: list[State]
+
+    @functools.cached_property
+    def ts(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.nodes, dtype=float)
+
+    @functools.cached_property
+    def ys(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.states, dtype=float)
 
 
 def integrate_system(
@@ -181,7 +197,7 @@ def integrate_system(
     isfinite = math.isfinite
     t = t0
     k1 = rhs(t, y)
-    ts, ys = [t], [y]
+    nodes, states = [t], [y]
     y0, y1, y2 = y
     a0, a1, a2 = k1
     h = H_INIT
@@ -270,8 +286,8 @@ def integrate_system(
                     k1 = rhs(t, y)
             y0, y1, y2 = y
             a0, a1, a2 = k1
-            ts.append(t)
-            ys.append(y)
+            nodes.append(t)
+            states.append(y)
             # err <= 1 makes the factor at least 0.9: only the 5x cap applies.
             factor = 5.0 if err == 0.0 else 0.9 * err ** -0.2
             h = h * (factor if factor < 5.0 else 5.0)
@@ -282,7 +298,7 @@ def integrate_system(
             if h < H_MIN:
                 raise StepUnderflowError(f"step underflow below H_MIN at t = {t}")
 
-    return GridSolution(np.array(ts), np.array(ys, dtype=float))
+    return GridSolution(nodes, states)
 
 
 @dataclass
@@ -294,14 +310,12 @@ class SolutionProfile:
 
     @property
     def final(self) -> IvpState:
-        t = float(self.grid.ts[-1])
-        y = self.grid.ys[-1]
-        return IvpState(eta=t, f=float(y[0]), fp=float(y[1]), w=float(y[2]))
+        return IvpState(self.grid.nodes[-1], *self.grid.states[-1])
 
-    def curvatures(self) -> np.ndarray:
+    def curvatures(self) -> list[float]:
         """f'' at every stored node, decoded from the stored flux by
         `curvature_from_flux` (Python's power: NumPy's can differ by an ulp)."""
-        return np.array([curvature_from_flux(w, self.n) for w in self.grid.ys[:, 2].tolist()])
+        return [curvature_from_flux(w, self.n) for _, _, w in self.grid.states]
 
 
 #: Default extinction cutoff for flux_nonnegative_projector.  For n > 1 the

@@ -7,12 +7,13 @@ decimals for eyeballing; JSON keeps full precision.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field, asdict, replace
 
-import numpy as np
-
-from .ode_core import DomainError, OdeError, require_positive
+from .ode_core import DomainError, OdeError, SolutionProfile, require_positive
 from . import nitm
 from .nitm import NitmConfig, NitmResult, solve as nitm_solve
 from .shooting import ShootingConfig, solve_shooting
@@ -131,8 +132,9 @@ def boundary_sensitivity(
             found[last] = (None, str(exc))
             pending = stops
             continue
-        nodes = np.searchsorted(star.grid.ts, pending)
-        for eta, fp in zip(pending, star.grid.ys[nodes, 1].tolist()):
+        nodes, states = star.grid.nodes, star.grid.states
+        for eta in pending:
+            fp = states[bisect_left(nodes, eta)][1]
             try:
                 # Refuses what this boundary's solve would.
                 found[eta] = (nitm.group_parameters(n, fp, config.c0)[2], None)
@@ -148,21 +150,23 @@ def export_profile(result: NitmResult, columns: tuple[str, ...] | None = None) -
     for c in columns:
         if c not in PROFILE_COLUMNS:
             raise SelectionError(f"unknown column {c!r}; choose from {PROFILE_COLUMNS}")
-    phys = result.profile
-    star = result.star_profile
-    data = {
-        "eta": phys.grid.ts,
-        "f": phys.grid.ys[:, 0],
-        "fp": phys.grid.ys[:, 1],
-        "fpp": phys.curvatures(),
-        "eta_star": star.grid.ts,
-        "f_star": star.grid.ys[:, 0],
-        "fp_star": star.grid.ys[:, 1],
-        "fpp_star": star.curvatures(),
-    }
-    rows = np.column_stack([data[c] for c in columns]).tolist()
+    data = dict(zip(PROFILE_COLUMNS, (*_columns(result.profile), *_columns(result.star_profile))))
+    rows = zip(*(data[c] for c in columns))
     lines = [",".join(columns), *(",".join(map(repr, row)) for row in rows)]
     return "\n".join(lines) + "\n"
+
+
+def _columns(profile: SolutionProfile) -> tuple:
+    """eta, f, f' and f'' of every stored node, one sequence each."""
+    f, fp, _ = zip(*profile.grid.states)
+    return profile.grid.nodes, f, fp, profile.curvatures()
+
+
+def csv_text(header: list[str], rows) -> str:
+    """CSV with LF endings; a cell holding a comma or a quote is quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
 
 
 def _row_dict(row: SweepRow) -> dict:
@@ -178,9 +182,9 @@ def emit_json(rows: list[SweepRow], config: dict | None = None) -> str:
 
 def render_table(rows: list[SweepRow]) -> str:
     """Six-decimal CSV rendering of a sweep."""
-    lines = ["n,fpp0_nitm,fpp0_shooting,discrepancy,method,eta_star_inf,eta_inf_physical,error"]
-    for r in rows:
-        cells = [
+    header = "n,fpp0_nitm,fpp0_shooting,discrepancy,method,eta_star_inf,eta_inf_physical,error"
+    cells = [
+        [
             f"{r.n:g}",
             "" if r.fpp0_nitm is None else f"{r.fpp0_nitm:.6f}",
             "" if r.fpp0_shooting is None else f"{r.fpp0_shooting:.6f}",
@@ -190,5 +194,6 @@ def render_table(rows: list[SweepRow]) -> str:
             "" if r.eta_inf_physical is None else f"{r.eta_inf_physical:g}",
             r.error or "",
         ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        for r in rows
+    ]
+    return csv_text(header.split(","), cells)

@@ -1,14 +1,22 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from array import array
+from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from blasius_powerlaw import cli
 from blasius_powerlaw.cli import run
+from blasius_powerlaw.nitm import solve
 from blasius_powerlaw.shooting import ROOT_TOL, ShootingConfig, solve_shooting
 
 
@@ -262,9 +270,10 @@ class TestSensitivity:
         # overflow its flux column, so that boundary fails on its own.
         code, out, _ = _run(capsys, ["sensitivity", "--n", "2", "--eta-inf", "1e-250,10"])
         assert code == 1
-        lines = out.strip().split("\n")
-        assert lines[1].startswith("1e-250,,a rescaling factor overflows")
-        assert float(lines[2].split(",")[1]) == pytest.approx(0.39979057406, abs=1e-10)
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1][:2] == ["1e-250", ""]
+        assert rows[1][2].startswith("a rescaling factor overflows")
+        assert float(rows[2][1]) == pytest.approx(0.39979057406, abs=1e-10)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -307,6 +316,71 @@ class TestSensitivity:
         code, out, err = _run(capsys, ["sensitivity", "--n", "1.0", "--eta-inf", etas])
         assert code == 2 and out == ""
         assert "usage error" in err
+
+
+class TestCsvErrorCells:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sensitivity", "--n", "0.1", "--eta-inf", "1e-300,10"],
+            ["table", "--n", "0.1", "--n", "1", "--eta-inf", "1e-300"],
+        ],
+        ids=["sensitivity", "table"],
+    )
+    def test_every_row_has_the_header_columns(self, capsys, argv):
+        # The error message "... at F'_inf = ..., n = 0.1" holds a comma, so
+        # its cell is quoted; rows without an error are not.
+        code, out, _ = _run(capsys, argv)
+        assert code == 1
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert ", n = 0.1" in rows[0][-1]
+
+
+#: Run in a fresh interpreter: import the package, then `cli.run` one command
+#: per stdin line, printing its exit code and whether NumPy is loaded.
+_NO_NUMPY_SCRIPT = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import blasius_powerlaw
+from blasius_powerlaw import cli
+print("import", "numpy" in sys.modules)
+for line in sys.stdin:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(line.split())
+    print(code, "numpy" in sys.modules)
+"""
+
+
+class TestImports:
+    COMMANDS = [
+        ("solve --n 1", 0),
+        ("profile --n 1.7", 0),
+        ("sensitivity --n 0.3", 0),
+        ("verify --n 1.7", 0),
+        ("table --n-from 0.1 --n-to 2.0 --n-step 0.1 --method both --format json", 0),
+        ("table --n-from 0.5 --n-to 1.5 --n-step 0.5", 0),
+        ("sensitivity --n 1 --eta-inf ,", 2),
+        ("solve --n 0.1 --c0 1e200", 1),
+    ]
+
+    def test_cli_never_imports_numpy(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", _NO_NUMPY_SCRIPT, src],
+            input="\n".join(argv for argv, _ in self.COMMANDS),
+            capture_output=True, text=True, check=True,
+        )
+        expected = ["import False", *(f"{code} False" for _, code in self.COMMANDS)]
+        assert proc.stdout.splitlines() == expected
+
+    def test_grid_arrays_are_built_once_from_the_lists(self):
+        grid = solve(1.7).profile.grid
+        ts, ys = grid.ts, grid.ys
+        assert ts.dtype == ys.dtype == np.float64 and ys.shape == (len(grid.nodes), 3)
+        assert ts.tobytes() == array("d", grid.nodes).tobytes()
+        assert ys.tobytes() == array("d", chain.from_iterable(grid.states)).tobytes()
+        assert grid.ts is ts and grid.ys is ys
 
 
 class TestProfile:

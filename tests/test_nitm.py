@@ -216,7 +216,7 @@ class TestStarIvp:
         prof = solve_star_ivp(n, NitmConfig()) if frame == "star" else solve(n).profile
         w = prof.grid.ys[:, 2]
         decoded = np.array([curvature_from_flux(float(x), n) for x in w])
-        assert prof.curvatures().tobytes() == decoded.tobytes()
+        assert np.array(prof.curvatures()).tobytes() == decoded.tobytes()
         if n > 1.0:
             assert np.any(w == 0.0)
 
@@ -227,7 +227,7 @@ class TestRescale:
         phys = rescale_profile(star, 1.0, 1.0)
         assert np.array_equal(phys.grid.ts, star.grid.ts)
         assert np.array_equal(phys.grid.ys, star.grid.ys)
-        assert phys.curvatures().tobytes() == star.curvatures().tobytes()
+        assert np.array(phys.curvatures()).tobytes() == np.array(star.curvatures()).tobytes()
         assert phys.n == star.n == 1.0
 
     def test_origin_row(self):
@@ -248,6 +248,13 @@ class TestRescale:
         a, b, _ = group_parameters(2.0, star.final.fp, 1.0)
         with pytest.raises(DivergenceError, match="physical profile overflows"):
             rescale_profile(star, a, b)
+
+    def test_zero_b_is_divergence(self):
+        # eta = eta*/b has no value; the columns are Python floats, so the
+        # division would raise ZeroDivisionError if it were attempted.
+        star = solve_star_ivp(1.0, NitmConfig())
+        with pytest.raises(DivergenceError, match="physical profile overflows"):
+            rescale_profile(star, 1.0, 0.0)
 
     @pytest.mark.filterwarnings("error")
     def test_solve_overflow_is_divergence(self):
