@@ -15,9 +15,9 @@ eta, at n = 2 a pure scaling of f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from itertools import chain
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .ode_core import (
     FLUX_CUTOFF,
@@ -44,19 +44,18 @@ EXCLUDED_EXPONENTS = (0.5, 2.0)
 EXCLUDED_STEP = 0.1
 
 
-@dataclass(frozen=True)
-class NitmConfig:
-    eta_star_inf: float = 10.0
-    c0: float = 1.0
-    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
+class NitmConfig(
+    namedtuple("NitmConfig", "eta_star_inf c0 integrator", defaults=(10.0, 1.0, IntegratorConfig()))
+):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         require_positive("eta_star_inf", self.eta_star_inf)
         require_positive("c0", self.c0)
 
 
-@dataclass(frozen=True)
-class NitmResult:
+class NitmResult(NamedTuple):
     n: float
     delta: float | None  # (2 - n)/(1 - 2n), unused by the solve; None at n = 1/2, +0.0 at n = 2
     lam: float  # 1/a, the classical group parameter lambda
@@ -171,7 +170,7 @@ def solve_excluded(n: float, config: NitmConfig | None = None) -> NitmResult:
         import numpy as np
 
         fpp0 = float(np.polyval(np.polyfit(nodes, values, 2), n))
-    return replace(solve(n, config), fpp0=fpp0, method_tag="extrapolated")
+    return solve(n, config)._replace(fpp0=fpp0, method_tag="extrapolated")
 
 
 def profile_ode_residuals(profile: SolutionProfile) -> np.ndarray:

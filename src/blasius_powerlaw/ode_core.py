@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from collections import namedtuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,8 +66,7 @@ def require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and > 0, got {value}")
 
 
-@dataclass(frozen=True)
-class IvpState:
+class IvpState(NamedTuple):
     """One grid point of the first-order system (eta, f, f', w)."""
 
     eta: float
@@ -80,13 +79,13 @@ class IvpState:
 H_INIT, H_MIN, MAX_STEPS = 1e-3, 1e-12, 1_000_000
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-12
-    h_max: float = 0.5
+class IntegratorConfig(
+    namedtuple("IntegratorConfig", "rel_tol abs_tol h_max", defaults=(1e-12, 1e-12, 0.5))
+):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         require_positive("rel_tol", self.rel_tol)
         require_positive("abs_tol", self.abs_tol)
         if not H_INIT <= self.h_max < math.inf:
@@ -132,14 +131,11 @@ _A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11
 _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 
 
-@dataclass
-class GridSolution:
-    """Stored output of one integration: the nodes and the (f, f', w) states
-    there, as Python floats.  `ts` and `ys` hold the same values as NumPy
-    arrays, built (and NumPy imported) on first read; the CLI reads neither."""
-
-    nodes: list[float]
-    states: list[State]
+class GridSolution(namedtuple("GridSolution", "nodes states")):
+    """Stored output of one integration: the `nodes` and the (f, f', w)
+    `states` there, as lists of Python floats.  `ts` and `ys` hold the same
+    values as NumPy arrays, built (and NumPy imported) on first read and kept
+    in the instance `__dict__` (no `__slots__` here); the CLI reads neither."""
 
     @functools.cached_property
     def ts(self) -> np.ndarray:
@@ -301,8 +297,7 @@ def integrate_system(
     return GridSolution(nodes, states)
 
 
-@dataclass
-class SolutionProfile:
+class SolutionProfile(NamedTuple):
     """Ordered solution grid of the (f, f', w) system at exponent n."""
 
     grid: GridSolution

@@ -11,7 +11,8 @@ import csv
 import io
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field, asdict, replace
+from collections import namedtuple
+from typing import NamedTuple
 
 from .ode_core import DomainError, OdeError, SolutionProfile, require_positive
 from . import nitm
@@ -26,17 +27,17 @@ class SelectionError(DomainError):
     """Unknown profile column requested."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(
+    namedtuple("SweepSpec", "n_values method nitm_config", defaults=("nitm", NitmConfig()))
+):
     """`nitm_config` also sets shooting's integrator, and its physical boundary
     where a row has no one-IVP endpoint to match (method "shooting", or a
     failed one-IVP solve): eta_inf = `nitm_config.eta_star_inf`."""
 
-    n_values: tuple[float, ...]
-    method: str = "nitm"  # nitm | shooting | both
-    nitm_config: NitmConfig = field(default_factory=NitmConfig)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if len(self.n_values) == 0:
             raise DomainError("n_values must be non-empty")
         for n in self.n_values:
@@ -45,8 +46,7 @@ class SweepSpec:
             raise DomainError(f"unknown method {self.method!r}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n: float
     fpp0_nitm: float | None = None
     fpp0_shooting: float | None = None
@@ -127,7 +127,7 @@ def boundary_sensitivity(
     while pending:
         *stops, last = pending
         try:
-            star = nitm.solve_star_ivp(n, replace(config, eta_star_inf=last), stops)
+            star = nitm.solve_star_ivp(n, config._replace(eta_star_inf=last), stops)
         except OdeError as exc:
             found[last] = (None, str(exc))
             pending = stops
@@ -170,8 +170,7 @@ def csv_text(header: list[str], rows) -> str:
 
 
 def _row_dict(row: SweepRow) -> dict:
-    d = asdict(row)
-    return {k: v for k, v in d.items() if v is not None}
+    return {k: v for k, v in row._asdict().items() if v is not None}
 
 
 def emit_json(rows: list[SweepRow], config: dict | None = None) -> str:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 from .ode_core import (
     IntegratorConfig,
@@ -50,17 +51,17 @@ MAX_ITERS = 100
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class ShootingConfig:
-    eta_inf: float = 10.0
-    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
+class ShootingConfig(
+    namedtuple("ShootingConfig", "eta_inf integrator", defaults=(10.0, IntegratorConfig()))
+):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         require_positive("eta_inf", self.eta_inf)
 
 
-@dataclass(frozen=True)
-class ShootingResult:
+class ShootingResult(NamedTuple):
     fpp0: float
     residual: float
     iterations: int

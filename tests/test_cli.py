@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -211,7 +210,7 @@ class TestVerify:
         # (discrepancy exactly 0.0), so a one-IVP answer 1e-9 off stands in
         # for a disagreement: shooting must reject it and find its own root.
         result = cli.nitm_solve(0.7)
-        off = dataclasses.replace(result, fpp0=result.fpp0 * (1.0 + 1e-9))
+        off = result._replace(fpp0=result.fpp0 * (1.0 + 1e-9))
         monkeypatch.setattr(cli, "nitm_solve", lambda n, config: off)
         code, out, _ = _run(capsys, ["verify", "--n", "0.7", "--tol", "1e-10"])
         assert code == 1
@@ -351,6 +350,22 @@ for line in sys.stdin:
     print(code, "numpy" in sys.modules)
 """
 
+#: Run in a fresh interpreter: note the modules loaded at start-up (by `site`,
+#: say), import the package, `cli.run` one command per stdin line printing its
+#: exit code, then print the modules loaded since start-up.
+_NEW_MODULES_SCRIPT = """
+import sys
+before = set(sys.modules)
+import contextlib, io
+sys.path.insert(0, sys.argv[1])
+import blasius_powerlaw
+from blasius_powerlaw import cli
+for line in sys.stdin:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        print(cli.run(line.split()), file=sys.__stdout__)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
 
 class TestImports:
     COMMANDS = [
@@ -373,6 +388,21 @@ class TestImports:
         )
         expected = ["import False", *(f"{code} False" for _, code in self.COMMANDS)]
         assert proc.stdout.splitlines() == expected
+
+    def test_cli_never_imports_dataclasses(self):
+        # dataclasses and the inspect it pulls in would more than double the
+        # package's import time, so the records are named tuples.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", _NEW_MODULES_SCRIPT, src],
+            input="\n".join(argv for argv, _ in self.COMMANDS),
+            capture_output=True, text=True, check=True,
+        )
+        *codes, loaded = proc.stdout.splitlines()
+        assert codes == [str(code) for _, code in self.COMMANDS]
+        loaded = set(loaded.split())
+        assert "blasius_powerlaw.cli" in loaded
+        assert {"dataclasses", "inspect"}.isdisjoint(loaded)
 
     def test_grid_arrays_are_built_once_from_the_lists(self):
         grid = solve(1.7).profile.grid

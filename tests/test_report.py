@@ -4,7 +4,7 @@ import math
 import pytest
 
 from blasius_powerlaw import ode_core, report
-from blasius_powerlaw.ode_core import DomainError, IntegratorConfig
+from blasius_powerlaw.ode_core import DomainError, IntegratorConfig, IvpState
 from blasius_powerlaw.nitm import NitmConfig, solve as nitm_solve
 from blasius_powerlaw.report import (
     PROFILE_COLUMNS,
@@ -17,7 +17,7 @@ from blasius_powerlaw.report import (
     render_table,
     sweep_table,
 )
-from blasius_powerlaw.shooting import ShootingConfig
+from blasius_powerlaw.shooting import ShootingConfig, solve_shooting
 
 
 class TestSweepSpec:
@@ -201,3 +201,79 @@ class TestRenderTable:
     def test_error_row_rendered(self):
         text = render_table([SweepRow(n=0.5, error="boom")])
         assert "boom" in text
+
+
+class TestRecords:
+    """Results compare by value, records are read-only, and configs check
+    their fields however they are built."""
+
+    def test_equal_solves_compare_equal(self):
+        assert nitm_solve(0.7) == nitm_solve(0.7)
+        assert nitm_solve(0.7).profile == nitm_solve(0.7).profile
+        assert nitm_solve(0.7) != nitm_solve(0.8)
+        assert solve_shooting(0.7) == solve_shooting(0.7)
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (lambda: IvpState(0.0, 0.0, 0.0, 1.0), "w"),
+            (IntegratorConfig, "h_max"),
+            (NitmConfig, "c0"),
+            (lambda: nitm_solve(0.7), "fpp0"),
+            (ShootingConfig, "eta_inf"),
+            (lambda: solve_shooting(0.7), "fpp0"),
+            (lambda: SweepSpec((1.0,)), "method"),
+            (lambda: SweepRow(1.0), "error"),
+        ],
+        ids=["IvpState", "IntegratorConfig", "NitmConfig", "NitmResult", "ShootingConfig",
+             "ShootingResult", "SweepSpec", "SweepRow"],
+    )
+    def test_fields_are_read_only(self, record, field):
+        obj = record()
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 1.0)
+
+    @pytest.mark.parametrize(
+        "cls, args, kwargs",
+        [
+            (IntegratorConfig, (0.0,), {"rel_tol": 0.0}),
+            (IntegratorConfig, (1e-9, -1.0), {"abs_tol": -1.0}),
+            (IntegratorConfig, (1e-9, 1e-9, 5e-4), {"h_max": 5e-4}),
+            (NitmConfig, (0.0,), {"eta_star_inf": 0.0}),
+            (NitmConfig, (10.0, math.nan), {"c0": math.nan}),
+            (ShootingConfig, (-1.0,), {"eta_inf": -1.0}),
+            (SweepSpec, ((),), {"n_values": ()}),
+            (SweepSpec, ((1.0,), "bogus"), {"n_values": (1.0,), "method": "bogus"}),
+        ],
+    )
+    def test_bad_value_rejected_by_keyword_and_position(self, cls, args, kwargs):
+        with pytest.raises(DomainError):
+            cls(*args)
+        with pytest.raises(DomainError):
+            cls(**kwargs)
+
+    def test_repr(self):
+        assert repr(NitmConfig(c0=2.0)) == (
+            "NitmConfig(eta_star_inf=10.0, c0=2.0, integrator="
+            "IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, h_max=0.5))"
+        )
+
+    @pytest.mark.parametrize(
+        "config, change",
+        [
+            (IntegratorConfig(), {"h_max": 0.0}),
+            (NitmConfig(), {"c0": -1.0}),
+            (ShootingConfig(), {"eta_inf": math.inf}),
+            (SweepSpec((1.0,)), {"method": "bogus"}),
+        ],
+        ids=["IntegratorConfig", "NitmConfig", "ShootingConfig", "SweepSpec"],
+    )
+    def test_replace_validates(self, config, change):
+        with pytest.raises(DomainError):
+            config._replace(**change)
+
+    def test_replace_and_asdict(self):
+        config = NitmConfig()._replace(c0=2.0)
+        assert type(config) is NitmConfig and config == NitmConfig(c0=2.0)
+        row = SweepRow(1.0, fpp0_nitm=0.5)
+        assert row._asdict() == {**dict.fromkeys(SweepRow._fields), "n": 1.0, "fpp0_nitm": 0.5}
