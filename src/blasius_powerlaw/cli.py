@@ -111,18 +111,23 @@ def _grid(args) -> tuple[float, ...]:
     if args.n_from is not None or args.n_to is not None or args.n_step is not None:
         if None in (args.n_from, args.n_to, args.n_step):
             raise UsageError("--n-from, --n-to and --n-step must be given together")
-        # Counted before any row is built; the loop still checks that v moves,
-        # since a step under half an ulp of v leaves it where it is.
+        # Counted before any row is built.
         if (args.n_to - args.n_from) / args.n_step >= MAX_TABLE_ROWS:
             raise UsageError(f"--n-step must be finite and > 0 and give < {MAX_TABLE_ROWS} rows")
-        if args.n_from > args.n_to + 1e-12:
+        # Rows end within a relative slack of --n-to and keep 12 digits, which
+        # drops the steps' rounding at any scale; a row must still move, which a
+        # step under half an ulp of v, or under the 12th digit, does not.
+        slack = 1e-12 * args.n_to
+        if args.n_from - args.n_to > slack:
             raise UsageError(f"the range --n-from {args.n_from} --n-to {args.n_to} is empty")
-        v = args.n_from
-        while v <= args.n_to + 1e-12:
-            values.append(round(v, 12))
-            if v + args.n_step == v:
+        v, rows = args.n_from, []
+        while v - args.n_to <= slack:
+            row = float(f"{v:.12g}")
+            if rows and rows[-1] == row:
                 raise UsageError(f"--n-step must be finite and > 0 and advance the range past {v}")
+            rows.append(row)
             v += args.n_step
+        values += rows
     if not values:
         raise UsageError("give --n or an --n-from/--n-to/--n-step range")
     return tuple(values)

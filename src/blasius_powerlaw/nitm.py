@@ -37,11 +37,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-#: Exponents whose tabulated reference rows are second-order approximations.
-EXCLUDED_EXPONENTS = (0.5, 2.0)
-
-#: Exponent step of those approximations.
+#: Exponent step of the second-order approximations at EXCLUDED_EXPONENTS.
 EXCLUDED_STEP = 0.1
+
+#: (k, weight) of the solve at n + k EXCLUDED_STEP for each excluded n: the
+#: central average at 1/2, and at 2 the quadratic through k = -3, -2, -1 at k = 0.
+_EXCLUDED_WEIGHTS = {0.5: ((-1, 0.5), (1, 0.5)), 2.0: ((-3, 1.0), (-2, -3.0), (-1, 3.0))}
+EXCLUDED_EXPONENTS = tuple(_EXCLUDED_WEIGHTS)
 
 
 class NitmConfig(
@@ -153,23 +155,15 @@ def solve_excluded(n: float, config: NitmConfig | None = None) -> NitmResult:
     """Second-order approximation from neighbouring exponents, n = 1/2 or 2.
 
     Reproduces the tabulated reference rows at these exponents; `solve`
-    computes them directly.  n = 1/2 takes the central average of the
-    n -+ EXCLUDED_STEP solves (error O(step^2)); n = 2 is approached from
-    below only, via a quadratic through n - step, n - 2 step, n - 3 step.
-    Only fpp0 is approximated: the rest of the result is `solve(n)`'s.
+    computes them directly.  fpp0 is the `_EXCLUDED_WEIGHTS` sum of the
+    neighbouring solves (error O(step^2); n = 2 is approached from below
+    only), and the rest of the result is `solve(n)`'s.
     """
     config = config or NitmConfig()
     if n not in EXCLUDED_EXPONENTS:
         raise DomainError(f"n = {n} is not one of {EXCLUDED_EXPONENTS}")
-    eps = EXCLUDED_STEP
-    nodes = [n - eps, n + eps] if n == 0.5 else [n - 3 * eps, n - 2 * eps, n - eps]
-    values = [solve(x, config).fpp0 for x in nodes]
-    if n == 0.5:
-        fpp0 = 0.5 * (values[0] + values[1])
-    else:
-        import numpy as np
-
-        fpp0 = float(np.polyval(np.polyfit(nodes, values, 2), n))
+    # Not sum(): from Python 3.12 it compensates, which rounds differently.
+    fpp0 = math.fsum(w * solve(n + k * EXCLUDED_STEP, config).fpp0 for k, w in _EXCLUDED_WEIGHTS[n])
     return solve(n, config)._replace(fpp0=fpp0, method_tag="extrapolated")
 
 
@@ -178,7 +172,7 @@ def profile_ode_residuals(profile: SolutionProfile) -> np.ndarray:
 
     dw/deta is estimated by a centered (three-point, nonuniform) finite
     difference of the stored flux, so the result is limited by the grid
-    spacing, not just the integration tolerance.
+    spacing, not just the integration tolerance.  Needs the `arrays` extra.
     """
     import numpy as np
 

@@ -134,7 +134,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 3392
 class GridSolution(namedtuple("GridSolution", "nodes states")):
     """Stored output of one integration: the `nodes` and the (f, f', w)
     `states` there, as lists of Python floats.  `ts` and `ys` hold the same
-    values as NumPy arrays, built (and NumPy imported) on first read and kept
+    values as NumPy arrays (the `arrays` extra), built on first read and kept
     in the instance `__dict__` (no `__slots__` here); the CLI reads neither."""
 
     @functools.cached_property

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from blasius_powerlaw import cli
 from blasius_powerlaw.cli import run
-from blasius_powerlaw.nitm import solve
+from blasius_powerlaw.nitm import solve, solve_excluded
 from blasius_powerlaw.shooting import ROOT_TOL, ShootingConfig, solve_shooting
 
 
@@ -188,6 +188,36 @@ class TestTable:
         assert code == 2 and out == ""
         assert "range --n-from 2.0 --n-to 1.0 is empty" in err
 
+    def test_tiny_range_ends_at_its_last_row(self):
+        # A slack absolute in n would keep this range going until v passed
+        # it, one row per 1e-300; the timeout turns such a hang into a failure.
+        argv = ["table", "--n-from", "1e-300", "--n-to", "1e-299", "--n-step", "1e-300"]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]);"
+            " from blasius_powerlaw import cli; sys.exit(cli.run(sys.argv[2:]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", script, src, *argv, "--method", "nitm"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1  # n = 1e-300 overflows the curvature decode
+        header, *rows = csv.reader(io.StringIO(proc.stdout))
+        assert [float(row[0]) for row in rows] == [float(f"{k}e-300") for k in range(1, 11)]
+
+    def test_tiny_exponent_row_is_not_rounded_away(self, capsys):
+        argv = ["table", "--n-from", "1e-13", "--n-to", "1e-13", "--n-step", "1"]
+        code, out, _ = _run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        assert [row["n"] for row in json.loads(out)["rows"]] == [1e-13]
+
+    def test_long_range_rows_are_the_decimal_grid(self):
+        # Each row is its decimal exponent, with the steps' rounding dropped
+        # above 10 too (not 21.694799999999), and the endpoint 24.6 is kept.
+        argv = ["table", "--n-from", "15.8", "--n-to", "24.6", "--n-step", "0.01"]
+        grid = cli._grid(cli.build_parser().parse_args(argv))
+        assert grid == tuple((1580 + k) / 100 for k in range(881))
+
     def test_empty_range_with_explicit_n_is_usage_error(self, capsys):
         # The explicit --n row does not hide the empty range.
         argv = ["table", "--n", "1", "--n-from", "2", "--n-to", "1", "--n-step", "0.1"]
@@ -336,18 +366,22 @@ class TestCsvErrorCells:
         assert ", n = 0.1" in rows[0][-1]
 
 
-#: Run in a fresh interpreter: import the package, then `cli.run` one command
-#: per stdin line, printing its exit code and whether NumPy is loaded.
+#: Run in a fresh interpreter with NumPy blocked (any import of it raises
+#: ImportError): `cli.run` one command per stdin line, printing its exit code,
+#: then print the excluded-exponent answers and whether `grid.ts` needs NumPy.
 _NO_NUMPY_SCRIPT = """
 import contextlib, io, sys
+sys.modules["numpy"] = None
 sys.path.insert(0, sys.argv[1])
-import blasius_powerlaw
-from blasius_powerlaw import cli
-print("import", "numpy" in sys.modules)
+from blasius_powerlaw import cli, nitm
 for line in sys.stdin:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.run(line.split())
-    print(code, "numpy" in sys.modules)
+        print(cli.run(line.split()), file=sys.__stdout__)
+print(nitm.solve_excluded(0.5).fpp0.hex(), nitm.solve_excluded(2.0).fpp0.hex())
+try:
+    nitm.solve(1.0).profile.grid.ts
+except ImportError:
+    print("ts needs numpy")
 """
 
 #: Run in a fresh interpreter: note the modules loaded at start-up (by `site`,
@@ -380,14 +414,18 @@ class TestImports:
     ]
 
     def test_cli_never_imports_numpy(self):
+        # NumPy is only the `arrays` extra: every command and both excluded
+        # exponents run without it, to the same answers; `grid.ts` needs it.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
             [sys.executable, "-I", "-c", _NO_NUMPY_SCRIPT, src],
             input="\n".join(argv for argv, _ in self.COMMANDS),
             capture_output=True, text=True, check=True,
         )
-        expected = ["import False", *(f"{code} False" for _, code in self.COMMANDS)]
-        assert proc.stdout.splitlines() == expected
+        *codes, excluded, ts = proc.stdout.splitlines()
+        assert codes == [str(code) for _, code in self.COMMANDS]
+        assert excluded.split() == [solve_excluded(n).fpp0.hex() for n in (0.5, 2.0)]
+        assert ts == "ts needs numpy"
 
     def test_cli_never_imports_dataclasses(self):
         # dataclasses and the inspect it pulls in would more than double the
@@ -458,6 +496,8 @@ class TestParser:
             ["table", "--n-from", "0.1", "--n-to", "2", "--n-step", "1e-300"],
             ["table", "--n-from", "0.1", "--n-to", "2", "--n-step", "1e-9"],
             ["table", "--n-from", "1e17", "--n-to", "1e17", "--n-step", "1"],
+            # Rows keep 12 digits, so this step would repeat every other row.
+            ["table", "--n-from", "1", "--n-to", "1.00000001", "--n-step", "5e-12"],
             ["verify", "--n", "1.0", "--tol", "nan"],
             ["verify", "--n", "1.0", "--tol", "inf"],
             ["verify", "--n", "1.0", "--tol", "-1"],

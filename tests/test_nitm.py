@@ -415,12 +415,17 @@ class TestSolveExcluded:
         assert result.method_tag == "extrapolated"
         # Central average of the n = 0.4 and n = 0.6 solves.
         expected = 0.5 * (solve_nitm(0.4).fpp0 + solve_nitm(0.6).fpp0)
-        assert result.fpp0 == pytest.approx(expected, abs=1e-12)
+        assert result.fpp0 == expected
         assert result.fpp0 == pytest.approx(0.337170680, abs=1e-8)
 
     def test_two(self):
         result = solve_excluded(2.0)
         assert result.method_tag == "extrapolated"
+        # The quadratic through n = 1.7, 1.8, 1.9, evaluated at 2.
+        y = [solve_nitm(x).fpp0 for x in (1.7, 1.8, 1.9)]
+        assert result.fpp0 == math.fsum([y[0], -3.0 * y[1], 3.0 * y[2]])
+        # np.polyfit through the same nodes gave 0.3998096762176184.
+        assert result.fpp0 == pytest.approx(0.3998096762176184, rel=1e-15, abs=0.0)
         assert result.fpp0 == pytest.approx(0.399809676, abs=1e-8)
 
     def test_not_excluded_rejected(self):
