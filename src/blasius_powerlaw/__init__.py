@@ -42,7 +42,6 @@ from .shooting import (
 )
 from .report import (
     SweepRow,
-    SweepSpec,
     boundary_sensitivity,
     emit_json,
     export_profile,

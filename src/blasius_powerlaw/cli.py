@@ -3,7 +3,8 @@
 Exit status: 0 on success, 1 on numerical failure, 2 on usage errors (bad
 flags, out-of-range numbers, an empty --eta-inf or --columns list or --n-from
 range, an unknown --columns name, an unwritable --output).  Data goes to --output
-(default stdout); diagnostics go to stderr.
+(default stdout); diagnostics go to stderr.  Each subcommand's handler returns
+its text and exit status, and `run` writes the text.
 """
 
 from __future__ import annotations
@@ -68,13 +69,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="blasius-powerlaw",
         description="Power-law boundary-layer solver: one-IVP scaling method with a shooting cross-check.",
     )
+    # `dest` is the name argparse's errors give the subcommand.
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("solve", help="solve one exponent by the non-iterative method")
+    p.set_defaults(handler=_cmd_solve)
     p.add_argument("--n", type=_positive, required=True)
     _add_common(p)
 
     p = sub.add_parser("table", help="sweep a range of exponents")
+    p.set_defaults(handler=_cmd_table)
     p.add_argument("--n", type=_positive, action="append", default=None, help="explicit exponent (repeatable)")
     p.add_argument("--n-from", type=_positive, default=None)
     p.add_argument("--n-to", type=_positive, default=None)
@@ -84,11 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("verify", help="compare the two methods at one exponent")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--tol", type=_positive, default=1e-6, help="allowed |nitm - shooting| / |shooting|")
     _add_common(p)
 
     p = sub.add_parser("sensitivity", help="wall curvature vs truncated boundary")
+    p.set_defaults(handler=_cmd_sensitivity)
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument(
         "--eta-inf",
@@ -99,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, eta_inf=False)
 
     p = sub.add_parser("profile", help="export solution profile CSV")
+    p.set_defaults(handler=_cmd_profile)
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--columns", default=",".join(report.PROFILE_COLUMNS))
     _add_common(p)
@@ -137,7 +144,7 @@ class UsageError(Exception):
     pass
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[str, int]:
     result = nitm_solve(args.n, _nitm_config(args))
     doc = {
         "n": result.n,
@@ -149,27 +156,20 @@ def _cmd_solve(args) -> int:
         "eta_inf_physical": result.profile.final.eta,
         "method_tag": result.method_tag,
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
-    return 0
+    return json.dumps(doc, indent=2) + "\n", 0
 
 
-def _cmd_table(args) -> int:
-    spec = report.SweepSpec(
-        n_values=_grid(args),
-        method=args.method,
-        nitm_config=_nitm_config(args),
-    )
-    rows = report.sweep_table(spec)
+def _cmd_table(args) -> tuple[str, int]:
+    rows = report.sweep_table(_grid(args), args.method, _nitm_config(args))
     if args.format == "json":
         config = {"method": args.method, "eta_inf": args.eta_inf, "c0": args.c0}
         text = report.emit_json(rows, config) + "\n"
     else:
         text = report.render_table(rows)
-    _emit(text, args.output)
-    return 0 if all(r.error is None for r in rows) else 1
+    return text, 0 if all(r.error is None for r in rows) else 1
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     result = nitm_solve(args.n, _nitm_config(args))
     # The one-IVP method satisfies f'=1 at the rescaled endpoint, so the
     # shooting run must impose its far-field condition at the same spot.  Its
@@ -192,11 +192,10 @@ def _cmd_verify(args) -> int:
         "tol": args.tol,
         "agree": discrepancy <= args.tol,
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
-    return 0 if discrepancy <= args.tol else 1
+    return json.dumps(doc, indent=2) + "\n", 0 if doc["agree"] else 1
 
 
-def _cmd_sensitivity(args) -> int:
+def _cmd_sensitivity(args) -> tuple[str, int]:
     try:
         etas = [_positive(x) for x in args.eta_inf_list.split(",") if x]
     except argparse.ArgumentTypeError as exc:
@@ -205,27 +204,17 @@ def _cmd_sensitivity(args) -> int:
         raise UsageError("--eta-inf must list at least one boundary")
     cfg = NitmConfig(c0=args.c0, integrator=_integrator(args))
     records = report.boundary_sensitivity(args.n, etas, cfg)
-    cells = [[f"{eta:g}", "" if fpp0 is None else repr(fpp0), err or ""] for eta, fpp0, err in records]
-    _emit(report.csv_text(["eta_inf", "fpp0", "error"], cells), args.output)
-    return 1 if any(err is not None for _, _, err in records) else 0
+    cells = [[report.key_cell(eta), "" if fpp0 is None else repr(fpp0), err or ""] for eta, fpp0, err in records]
+    code = 1 if any(err is not None for _, _, err in records) else 0
+    return report.csv_text(["eta_inf", "fpp0", "error"], cells), code
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> tuple[str, int]:
     columns = tuple(c for c in args.columns.split(",") if c)
     if not columns:
         raise UsageError("--columns must name at least one column")
     result = nitm_solve(args.n, _nitm_config(args))
-    _emit(report.export_profile(result, columns), args.output)
-    return 0
-
-
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "table": _cmd_table,
-    "verify": _cmd_verify,
-    "sensitivity": _cmd_sensitivity,
-    "profile": _cmd_profile,
-}
+    return report.export_profile(result, columns), 0
 
 
 def run(argv: list[str]) -> int:
@@ -235,7 +224,9 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.subcommand](args)
+        text, code = args.handler(args)
+        _emit(text, args.output)
+        return code
     except (UsageError, report.SelectionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .ode_core import (
     FLUX_CUTOFF,
@@ -32,9 +32,6 @@ from .ode_core import (
     integrate,
     require_positive,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 #: Exponent step of the second-order approximations at EXCLUDED_EXPONENTS.
@@ -167,25 +164,22 @@ def solve_excluded(n: float, config: NitmConfig | None = None) -> NitmResult:
     return solve(n, config)._replace(fpp0=fpp0, method_tag="extrapolated")
 
 
-def profile_ode_residuals(profile: SolutionProfile) -> np.ndarray:
+def profile_ode_residuals(profile: SolutionProfile) -> list[float]:
     """Governing-equation residual dw/deta + f f''/(n+1) at interior nodes.
 
     dw/deta is estimated by a centered (three-point, nonuniform) finite
     difference of the stored flux, so the result is limited by the grid
-    spacing, not just the integration tolerance.  Needs the `arrays` extra.
+    spacing, not just the integration tolerance.
     """
-    import numpy as np
-
-    n = profile.n
-    t = profile.grid.ts
-    w = profile.grid.ys[:, 2]
-    f = profile.grid.ys[:, 0]
-    fpp = np.array(profile.curvatures())
-    h1 = t[1:-1] - t[:-2]
-    h2 = t[2:] - t[1:-1]
-    dw = (
-        -h2 / (h1 * (h1 + h2)) * w[:-2]
-        + (h2 - h1) / (h1 * h2) * w[1:-1]
-        + h1 / (h2 * (h1 + h2)) * w[2:]
-    )
-    return dw + f[1:-1] * fpp[1:-1] / (n + 1.0)
+    n, t, states = profile.n, profile.grid.nodes, profile.grid.states
+    fpp = profile.curvatures()
+    residuals = []
+    for i in range(1, len(t) - 1):
+        h1, h2 = t[i] - t[i - 1], t[i + 1] - t[i]
+        dw = (
+            -h2 / (h1 * (h1 + h2)) * states[i - 1][2]
+            + (h2 - h1) / (h1 * h2) * states[i][2]
+            + h1 / (h2 * (h1 + h2)) * states[i + 1][2]
+        )
+        residuals.append(dw + states[i][0] * fpp[i] / (n + 1.0))
+    return residuals

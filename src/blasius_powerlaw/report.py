@@ -2,7 +2,8 @@
 
 Sweep rows are plain data: a failed exponent becomes a row carrying an error
 message instead of aborting the whole sweep.  Tables are rendered with six
-decimals for eyeballing; JSON keeps full precision.
+decimals for eyeballing, but a row's key (n, or eta_inf) reads back exactly;
+JSON keeps full precision.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ import csv
 import io
 import json
 from bisect import bisect_left
-from collections import namedtuple
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .ode_core import DomainError, OdeError, SolutionProfile, require_positive
 from . import nitm
@@ -25,25 +25,6 @@ PROFILE_COLUMNS = ("eta", "f", "fp", "fpp", "eta_star", "f_star", "fp_star", "fp
 
 class SelectionError(DomainError):
     """Unknown profile column requested."""
-
-
-class SweepSpec(
-    namedtuple("SweepSpec", "n_values method nitm_config", defaults=("nitm", NitmConfig()))
-):
-    """`nitm_config` also sets shooting's integrator, and its physical boundary
-    where a row has no one-IVP endpoint to match (method "shooting", or a
-    failed one-IVP solve): eta_inf = `nitm_config.eta_star_inf`."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
-
-    def __init__(self, *args, **kwargs) -> None:
-        if len(self.n_values) == 0:
-            raise DomainError("n_values must be non-empty")
-        for n in self.n_values:
-            require_positive("every exponent", n)
-        if self.method not in ("nitm", "shooting", "both"):
-            raise DomainError(f"unknown method {self.method!r}")
 
 
 class SweepRow(NamedTuple):
@@ -63,17 +44,30 @@ def relative_discrepancy(fpp0_nitm: float, fpp0_shooting: float) -> float:
     return abs(fpp0_nitm - fpp0_shooting) / abs(fpp0_shooting)
 
 
-def sweep_table(spec: SweepSpec) -> list[SweepRow]:
-    """One row per exponent, ordered by n; per-row failures are recorded."""
+def sweep_table(
+    n_values: Sequence[float], method: str = "nitm", nitm_config: NitmConfig = NitmConfig()
+) -> list[SweepRow]:
+    """One row per exponent, ordered by n; per-row failures are recorded.
+
+    `nitm_config` also sets shooting's integrator, and its physical boundary
+    where a row has no one-IVP endpoint to match (method "shooting", or a
+    failed one-IVP solve): eta_inf = `nitm_config.eta_star_inf`.
+    """
+    if len(n_values) == 0:
+        raise DomainError("n_values must be non-empty")
+    for n in n_values:
+        require_positive("every exponent", n)
+    if method not in ("nitm", "shooting", "both"):
+        raise DomainError(f"unknown method {method!r}")
     rows = []
-    for n in sorted(spec.n_values):
+    for n in sorted(n_values):
         fpp0_nitm = fpp0_shooting = discrepancy = None
         method_tag = eta_star_inf = eta_physical = None
         errors = []
-        if spec.method in ("nitm", "both"):
-            eta_star_inf = spec.nitm_config.eta_star_inf
+        if method in ("nitm", "both"):
+            eta_star_inf = nitm_config.eta_star_inf
             try:
-                result = nitm_solve(n, spec.nitm_config)
+                result = nitm_solve(n, nitm_config)
                 fpp0_nitm = result.fpp0
                 method_tag = result.method_tag
                 # The one-IVP row satisfies f' = 1 at its rescaled endpoint,
@@ -81,10 +75,10 @@ def sweep_table(spec: SweepSpec) -> list[SweepRow]:
                 eta_physical = result.profile.final.eta
             except OdeError as exc:
                 errors.append(f"nitm: {exc}")
-        if spec.method in ("shooting", "both"):
+        if method in ("shooting", "both"):
             if eta_physical is None:
-                eta_physical = spec.nitm_config.eta_star_inf
-            shooting_config = ShootingConfig(eta_physical, spec.nitm_config.integrator)
+                eta_physical = nitm_config.eta_star_inf
+            shooting_config = ShootingConfig(eta_physical, nitm_config.integrator)
             try:
                 # From the one-IVP answer, or G_START where there is none.
                 fpp0_shooting = solve_shooting(n, shooting_config, start=fpp0_nitm).fpp0
@@ -179,12 +173,19 @@ def emit_json(rows: list[SweepRow], config: dict | None = None) -> str:
     return json.dumps(doc, indent=2)
 
 
+def key_cell(x: float) -> str:
+    """`x` in `:g` form where that reads back as `x`, else `repr(x)`, so that
+    rows with different keys never print the same key."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def render_table(rows: list[SweepRow]) -> str:
     """Six-decimal CSV rendering of a sweep."""
     header = "n,fpp0_nitm,fpp0_shooting,discrepancy,method,eta_star_inf,eta_inf_physical,error"
     cells = [
         [
-            f"{r.n:g}",
+            key_cell(r.n),
             "" if r.fpp0_nitm is None else f"{r.fpp0_nitm:.6f}",
             "" if r.fpp0_shooting is None else f"{r.fpp0_shooting:.6f}",
             "" if r.discrepancy is None else f"{r.discrepancy:.2e}",

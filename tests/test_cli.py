@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from blasius_powerlaw import cli
 from blasius_powerlaw.cli import run
-from blasius_powerlaw.nitm import solve, solve_excluded
+from blasius_powerlaw.nitm import profile_ode_residuals, solve, solve_excluded
 from blasius_powerlaw.shooting import ROOT_TOL, ShootingConfig, solve_shooting
 
 
@@ -218,6 +218,14 @@ class TestTable:
         grid = cli._grid(cli.build_parser().parse_args(argv))
         assert grid == tuple((1580 + k) / 100 for k in range(881))
 
+    def test_range_rows_keep_their_own_n(self, capsys):
+        # Six significant digits would print every row as 1.
+        argv = ["table", "--n-from", "1", "--n-to", "1.0000003", "--n-step", "1e-7"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert [row[0] for row in rows] == ["1", "1.0000001", "1.0000002", "1.0000003"]
+
     def test_empty_range_with_explicit_n_is_usage_error(self, capsys):
         # The explicit --n row does not hide the empty range.
         argv = ["table", "--n", "1", "--n-from", "2", "--n-to", "1", "--n-step", "0.1"]
@@ -275,7 +283,27 @@ class TestVerify:
         assert doc["discrepancy"] < 2e-14
 
 
+@pytest.mark.parametrize("n", ["0.3", "1.0", "1.7"])
+def test_verify_and_table_both_agree(capsys, n):
+    # Each subcommand runs its own matched-boundary cross-check.
+    code, out, _ = _run(capsys, ["verify", "--n", n])
+    assert code == 0
+    verify = json.loads(out)
+    code, out, _ = _run(capsys, ["table", "--n", n, "--method", "both", "--format", "json"])
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    for key in ("fpp0_nitm", "fpp0_shooting", "discrepancy"):
+        assert verify[key] == row[key]
+    assert verify["eta_inf_matched"] == row["eta_inf_physical"]
+
+
 class TestSensitivity:
+    def test_boundary_cells_keep_their_own_value(self, capsys):
+        code, out, _ = _run(capsys, ["sensitivity", "--n", "1", "--eta-inf", "10.0000001,10,1e6"])
+        assert code == 1  # 1e6 is beyond the step budget
+        header, *rows = csv.reader(io.StringIO(out))
+        assert [row[0] for row in rows] == ["10.0000001", "10", "1e+06"]
+
     def test_default_grid(self, capsys):
         code, out, _ = _run(capsys, ["sensitivity", "--n", "1.0"])
         assert code == 0
@@ -368,7 +396,8 @@ class TestCsvErrorCells:
 
 #: Run in a fresh interpreter with NumPy blocked (any import of it raises
 #: ImportError): `cli.run` one command per stdin line, printing its exit code,
-#: then print the excluded-exponent answers and whether `grid.ts` needs NumPy.
+#: then print the excluded-exponent answers, the largest ODE residual at
+#: n = 1.7 and whether `grid.ts` needs NumPy.
 _NO_NUMPY_SCRIPT = """
 import contextlib, io, sys
 sys.modules["numpy"] = None
@@ -378,6 +407,7 @@ for line in sys.stdin:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         print(cli.run(line.split()), file=sys.__stdout__)
 print(nitm.solve_excluded(0.5).fpp0.hex(), nitm.solve_excluded(2.0).fpp0.hex())
+print(max(map(abs, nitm.profile_ode_residuals(nitm.solve(1.7).profile))).hex())
 try:
     nitm.solve(1.0).profile.grid.ts
 except ImportError:
@@ -414,17 +444,19 @@ class TestImports:
     ]
 
     def test_cli_never_imports_numpy(self):
-        # NumPy is only the `arrays` extra: every command and both excluded
-        # exponents run without it, to the same answers; `grid.ts` needs it.
+        # NumPy is only the `arrays` extra: every command, both excluded
+        # exponents and the residual check run without it, to the same
+        # answers; `grid.ts` needs it.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
             [sys.executable, "-I", "-c", _NO_NUMPY_SCRIPT, src],
             input="\n".join(argv for argv, _ in self.COMMANDS),
             capture_output=True, text=True, check=True,
         )
-        *codes, excluded, ts = proc.stdout.splitlines()
+        *codes, excluded, residual, ts = proc.stdout.splitlines()
         assert codes == [str(code) for _, code in self.COMMANDS]
         assert excluded.split() == [solve_excluded(n).fpp0.hex() for n in (0.5, 2.0)]
+        assert residual == max(map(abs, profile_ode_residuals(solve(1.7).profile))).hex()
         assert ts == "ts needs numpy"
 
     def test_cli_never_imports_dataclasses(self):

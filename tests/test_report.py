@@ -10,7 +10,6 @@ from blasius_powerlaw.report import (
     PROFILE_COLUMNS,
     SelectionError,
     SweepRow,
-    SweepSpec,
     boundary_sensitivity,
     emit_json,
     export_profile,
@@ -21,27 +20,30 @@ from blasius_powerlaw.shooting import ShootingConfig, solve_shooting
 
 
 class TestSweepSpec:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SweepSpec(n_values=())
-        with pytest.raises(DomainError):
-            SweepSpec(n_values=(0.5, -1.0))
-        with pytest.raises(DomainError):
-            SweepSpec(n_values=(math.nan, 1.0))
-        with pytest.raises(DomainError):
-            SweepSpec(n_values=(1.0,), method="bogus")
+    """`sweep_table` checks its arguments before any solve."""
+
+    def test_validation(self, monkeypatch):
+        monkeypatch.setattr(report, "nitm_solve", None)  # any solve would raise TypeError
+        with pytest.raises(DomainError, match="non-empty"):
+            sweep_table(())
+        with pytest.raises(DomainError, match="every exponent"):
+            sweep_table((0.5, -1.0))
+        with pytest.raises(DomainError, match="every exponent"):
+            sweep_table((math.nan, 1.0))
+        with pytest.raises(DomainError, match="unknown method 'bogus'"):
+            sweep_table((1.0,), method="bogus")
 
 
 class TestSweepTable:
     def test_rows_sorted_and_tagged(self):
-        rows = sweep_table(SweepSpec(n_values=(1.0, 0.5, 0.3)))
+        rows = sweep_table((1.0, 0.5, 0.3))
         assert [r.n for r in rows] == [0.3, 0.5, 1.0]
         assert rows[0].method_tag == "direct"
         assert rows[1].method_tag == "direct"
         assert rows[2].fpp0_nitm == pytest.approx(0.332057336217, abs=1e-9)
 
     def test_both_methods_fill_discrepancy(self):
-        rows = sweep_table(SweepSpec(n_values=(1.0,), method="both"))
+        rows = sweep_table((1.0,), method="both")
         row = rows[0]
         assert row.fpp0_nitm is not None and row.fpp0_shooting is not None
         # Shooting imposes the far field at the one-IVP row's physical
@@ -53,11 +55,11 @@ class TestSweepTable:
 
     def test_overflow_is_a_row_error(self):
         cfg = NitmConfig(eta_star_inf=1e-250)  # a^2 b = F'_inf^(-3/2) overflows
-        (row,) = sweep_table(SweepSpec(n_values=(1.0,), nitm_config=cfg))
+        (row,) = sweep_table((1.0,), nitm_config=cfg)
         assert row.fpp0_nitm is None and "overflows" in row.error
 
     def test_shooting_only(self):
-        rows = sweep_table(SweepSpec(n_values=(1.0,), method="shooting"))
+        rows = sweep_table((1.0,), method="shooting")
         assert rows[0].fpp0_nitm is None
         assert rows[0].fpp0_shooting == pytest.approx(0.33205734, abs=1e-7)
         assert rows[0].eta_star_inf is None
@@ -67,7 +69,7 @@ class TestSweepTable:
         # A bad truncated boundary cannot be built, so provoke a row-level
         # numerical failure with a step budget too small to finish.
         monkeypatch.setattr(ode_core, "MAX_STEPS", 50)
-        rows = sweep_table(SweepSpec(n_values=(1.0,)))
+        rows = sweep_table((1.0,))
         assert rows[0].error is not None
         assert rows[0].fpp0_nitm is None
 
@@ -88,7 +90,7 @@ class TestSweepTable:
             return shoot(n, c, start=start)
 
         monkeypatch.setattr(report, "solve_shooting", recording)
-        (row,) = sweep_table(SweepSpec(n_values=(0.7,), method=method, nitm_config=cfg))
+        (row,) = sweep_table((0.7,), method, cfg)
         assert seen == [(ShootingConfig(eta_inf=eta, integrator=cfg.integrator), row.fpp0_nitm)]
         assert row.eta_inf_physical == eta
 
@@ -174,7 +176,7 @@ class TestExportProfile:
 
 class TestJsonRoundtrip:
     def test_roundtrip(self):
-        rows = sweep_table(SweepSpec(n_values=(0.7, 1.2), method="both"))
+        rows = sweep_table((0.7, 1.2), method="both")
         doc = emit_json(rows, {"method": "both"})
         back = [SweepRow(**row) for row in json.loads(doc)["rows"]]
         assert len(back) == len(rows)
@@ -192,7 +194,7 @@ class TestJsonRoundtrip:
 
 class TestRenderTable:
     def test_six_decimals(self):
-        rows = sweep_table(SweepSpec(n_values=(1.0,)))
+        rows = sweep_table((1.0,))
         text = render_table(rows)
         lines = text.strip().split("\n")
         assert lines[0].startswith("n,fpp0_nitm")
@@ -222,11 +224,10 @@ class TestRecords:
             (lambda: nitm_solve(0.7), "fpp0"),
             (ShootingConfig, "eta_inf"),
             (lambda: solve_shooting(0.7), "fpp0"),
-            (lambda: SweepSpec((1.0,)), "method"),
             (lambda: SweepRow(1.0), "error"),
         ],
         ids=["IvpState", "IntegratorConfig", "NitmConfig", "NitmResult", "ShootingConfig",
-             "ShootingResult", "SweepSpec", "SweepRow"],
+             "ShootingResult", "SweepRow"],
     )
     def test_fields_are_read_only(self, record, field):
         obj = record()
@@ -242,8 +243,6 @@ class TestRecords:
             (NitmConfig, (0.0,), {"eta_star_inf": 0.0}),
             (NitmConfig, (10.0, math.nan), {"c0": math.nan}),
             (ShootingConfig, (-1.0,), {"eta_inf": -1.0}),
-            (SweepSpec, ((),), {"n_values": ()}),
-            (SweepSpec, ((1.0,), "bogus"), {"n_values": (1.0,), "method": "bogus"}),
         ],
     )
     def test_bad_value_rejected_by_keyword_and_position(self, cls, args, kwargs):
@@ -264,9 +263,8 @@ class TestRecords:
             (IntegratorConfig(), {"h_max": 0.0}),
             (NitmConfig(), {"c0": -1.0}),
             (ShootingConfig(), {"eta_inf": math.inf}),
-            (SweepSpec((1.0,)), {"method": "bogus"}),
         ],
-        ids=["IntegratorConfig", "NitmConfig", "ShootingConfig", "SweepSpec"],
+        ids=["IntegratorConfig", "NitmConfig", "ShootingConfig"],
     )
     def test_replace_validates(self, config, change):
         with pytest.raises(DomainError):
