@@ -55,11 +55,12 @@ def _positive(text: str) -> float:
 
 
 def _add_common(p: argparse.ArgumentParser, eta_inf: bool = True) -> None:
+    defaults = NitmConfig()
     if eta_inf:
-        p.add_argument("--eta-inf", type=_positive, default=10.0, help="truncated boundary")
-    p.add_argument("--c0", type=_positive, default=1.0, help="scaled wall curvature")
-    p.add_argument("--rtol", type=_positive, default=1e-12)
-    p.add_argument("--atol", type=_positive, default=1e-12)
+        p.add_argument("--eta-inf", type=_positive, default=defaults.eta_star_inf, help="truncated boundary")
+    p.add_argument("--c0", type=_positive, default=defaults.c0, help="scaled wall curvature")
+    p.add_argument("--rtol", type=_positive, default=defaults.integrator.rel_tol)
+    p.add_argument("--atol", type=_positive, default=defaults.integrator.abs_tol)
     p.add_argument("--output", default=None, help="output file (default stdout)")
 
 
@@ -210,7 +211,7 @@ def _cmd_sensitivity(args) -> tuple[str, int]:
 
 
 def _cmd_profile(args) -> tuple[str, int]:
-    columns = tuple(c for c in args.columns.split(",") if c)
+    columns = report.select_columns(tuple(c for c in args.columns.split(",") if c))  # before the solve
     if not columns:
         raise UsageError("--columns must name at least one column")
     result = nitm_solve(args.n, _nitm_config(args))

@@ -127,9 +127,8 @@ def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfil
     raise DivergenceError(f"physical profile overflows at a = {a}, b = {b}")
 
 
-def solve(n: float, config: NitmConfig | None = None) -> NitmResult:
+def solve(n: float, config: NitmConfig = NitmConfig()) -> NitmResult:
     """One-IVP solve: star integration, group recovery, rescaling."""
-    config = config or NitmConfig()
     star = solve_star_ivp(n, config)
     fp_star_inf = star.final.fp
     a, b, fpp0 = group_parameters(n, fp_star_inf, config.c0)
@@ -148,7 +147,7 @@ def solve(n: float, config: NitmConfig | None = None) -> NitmResult:
 solve_nitm = solve
 
 
-def solve_excluded(n: float, config: NitmConfig | None = None) -> NitmResult:
+def solve_excluded(n: float, config: NitmConfig = NitmConfig()) -> NitmResult:
     """Second-order approximation from neighbouring exponents, n = 1/2 or 2.
 
     Reproduces the tabulated reference rows at these exponents; `solve`
@@ -156,7 +155,6 @@ def solve_excluded(n: float, config: NitmConfig | None = None) -> NitmResult:
     neighbouring solves (error O(step^2); n = 2 is approached from below
     only), and the rest of the result is `solve(n)`'s.
     """
-    config = config or NitmConfig()
     if n not in EXCLUDED_EXPONENTS:
         raise DomainError(f"n = {n} is not one of {EXCLUDED_EXPONENTS}")
     # Not sum(): from Python 3.12 it compensates, which rounds differently.

@@ -2,8 +2,8 @@
 
 Sweep rows are plain data: a failed exponent becomes a row carrying an error
 message instead of aborting the whole sweep.  Tables are rendered with six
-decimals for eyeballing, but a row's key (n, or eta_inf) reads back exactly;
-JSON keeps full precision.
+decimals for eyeballing, but a row's key (n, or eta_inf) and the boundaries it
+was given read back exactly; JSON keeps full precision.
 """
 
 from __future__ import annotations
@@ -61,50 +61,35 @@ def sweep_table(
         raise DomainError(f"unknown method {method!r}")
     rows = []
     for n in sorted(n_values):
-        fpp0_nitm = fpp0_shooting = discrepancy = None
-        method_tag = eta_star_inf = eta_physical = None
-        errors = []
+        fields, errors = {}, []
         if method in ("nitm", "both"):
-            eta_star_inf = nitm_config.eta_star_inf
+            fields["eta_star_inf"] = nitm_config.eta_star_inf
             try:
                 result = nitm_solve(n, nitm_config)
-                fpp0_nitm = result.fpp0
-                method_tag = result.method_tag
+                fields.update(fpp0_nitm=result.fpp0, method_tag=result.method_tag)
                 # The one-IVP row satisfies f' = 1 at its rescaled endpoint,
                 # so shooting must impose the far field at the same spot.
-                eta_physical = result.profile.final.eta
+                fields["eta_inf_physical"] = result.profile.final.eta
             except OdeError as exc:
                 errors.append(f"nitm: {exc}")
         if method in ("shooting", "both"):
-            if eta_physical is None:
-                eta_physical = nitm_config.eta_star_inf
+            eta_physical = fields.setdefault("eta_inf_physical", nitm_config.eta_star_inf)
             shooting_config = ShootingConfig(eta_physical, nitm_config.integrator)
+            start = fields.get("fpp0_nitm")  # the one-IVP answer; G_START where there is none
             try:
-                # From the one-IVP answer, or G_START where there is none.
-                fpp0_shooting = solve_shooting(n, shooting_config, start=fpp0_nitm).fpp0
+                fields["fpp0_shooting"] = solve_shooting(n, shooting_config, start=start).fpp0
             except OdeError as exc:
                 errors.append(f"shooting: {exc}")
-        if fpp0_nitm is not None and fpp0_shooting is not None:
-            discrepancy = relative_discrepancy(fpp0_nitm, fpp0_shooting)
-        rows.append(
-            SweepRow(
-                n=n,
-                fpp0_nitm=fpp0_nitm,
-                fpp0_shooting=fpp0_shooting,
-                discrepancy=discrepancy,
-                method_tag=method_tag,
-                eta_star_inf=eta_star_inf,
-                eta_inf_physical=eta_physical,
-                error="; ".join(errors) if errors else None,
-            )
-        )
+        if "fpp0_nitm" in fields and "fpp0_shooting" in fields:
+            fields["discrepancy"] = relative_discrepancy(fields["fpp0_nitm"], fields["fpp0_shooting"])
+        rows.append(SweepRow(n, **fields, error="; ".join(errors) or None))
     return rows
 
 
 def boundary_sensitivity(
     n: float,
     eta_inf_values: list[float],
-    config: NitmConfig | None = None,
+    config: NitmConfig = NitmConfig(),
 ) -> list[tuple[float, float | None, str | None]]:
     """Wall curvature as a function of the truncated boundary, in input order.
 
@@ -113,7 +98,6 @@ def boundary_sensitivity(
     boundary fails on its own: if the pass fails, its error is recorded on
     the largest boundary and the pass is retried on the rest.
     """
-    config = config or NitmConfig()
     for eta in eta_inf_values:
         require_positive("every truncated boundary", eta)
     pending = sorted(set(eta_inf_values))
@@ -138,12 +122,17 @@ def boundary_sensitivity(
     return [(eta, *found[eta]) for eta in eta_inf_values]
 
 
-def export_profile(result: NitmResult, columns: tuple[str, ...] | None = None) -> str:
-    """CSV (header row, LF endings) of the physical and star profiles."""
-    columns = columns or PROFILE_COLUMNS
+def select_columns(columns: tuple[str, ...]) -> tuple[str, ...]:
+    """`columns`, once every name is one of PROFILE_COLUMNS (else SelectionError)."""
     for c in columns:
         if c not in PROFILE_COLUMNS:
             raise SelectionError(f"unknown column {c!r}; choose from {PROFILE_COLUMNS}")
+    return columns
+
+
+def export_profile(result: NitmResult, columns: tuple[str, ...] | None = None) -> str:
+    """CSV (header row, LF endings) of the physical and star profiles."""
+    columns = select_columns(columns or PROFILE_COLUMNS)
     data = dict(zip(PROFILE_COLUMNS, (*_columns(result.profile), *_columns(result.star_profile))))
     rows = zip(*(data[c] for c in columns))
     lines = [",".join(columns), *(",".join(map(repr, row)) for row in rows)]
@@ -190,8 +179,10 @@ def render_table(rows: list[SweepRow]) -> str:
             "" if r.fpp0_shooting is None else f"{r.fpp0_shooting:.6f}",
             "" if r.discrepancy is None else f"{r.discrepancy:.2e}",
             r.method_tag or "",
-            "" if r.eta_star_inf is None else f"{r.eta_star_inf:g}",
-            "" if r.eta_inf_physical is None else f"{r.eta_inf_physical:g}",
+            "" if r.eta_star_inf is None else key_cell(r.eta_star_inf),
+            "" if r.eta_inf_physical is None else (
+                key_cell(r.eta_inf_physical) if r.fpp0_nitm is None else f"{r.eta_inf_physical:g}"
+            ),
             r.error or "",
         ]
         for r in rows

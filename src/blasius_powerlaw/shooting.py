@@ -70,10 +70,9 @@ class ShootingResult(NamedTuple):
 
 
 def shoot_residual(
-    n: float, guess: float, config: ShootingConfig | None = None
+    n: float, guess: float, config: ShootingConfig = ShootingConfig()
 ) -> tuple[float, SolutionProfile]:
     """Residual f'(eta_inf) - 1 of the trial wall curvature `guess`, and its profile."""
-    config = config or ShootingConfig()
     require_positive("trial curvature", guess)
     profile = integrate(
         flux_system(n), n, guess, config.eta_inf, config.integrator, flux_nonnegative_projector()
@@ -95,7 +94,7 @@ def _group_slope(n: float, profile: SolutionProfile) -> float:
 
 
 def solve_shooting(
-    n: float, config: ShootingConfig | None = None, start: float | None = None
+    n: float, config: ShootingConfig = ShootingConfig(), start: float | None = None
 ) -> ShootingResult:
     """Guarded Newton iteration on (log g, log f'(eta_inf)) from the trial
     `start` (G_START when None).
@@ -111,7 +110,6 @@ def solve_shooting(
     as it is (0 iterations); `start_residual` records how far it was off.
     ConvergenceError names the bracket ends when no float lies between them.
     """
-    config = config or ShootingConfig()
     start = G_START if start is None else start
     require_positive("start", start)
     g, lo, hi, expansions, v_newton = start, -math.inf, math.inf, 0, math.inf

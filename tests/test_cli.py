@@ -226,6 +226,24 @@ class TestTable:
         header, *rows = csv.reader(io.StringIO(out))
         assert [row[0] for row in rows] == ["1", "1.0000001", "1.0000002", "1.0000003"]
 
+    @pytest.mark.parametrize(
+        "method, boundaries",
+        [
+            ("nitm", ["10.0000001", "14.4409"]),
+            ("shooting", ["", "10.0000001"]),
+            ("both", ["10.0000001", "14.4409"]),
+        ],
+    )
+    def test_input_boundary_cells_keep_their_own_value(self, capsys, method, boundaries):
+        # Six significant digits printed the input boundary as 10; the one-IVP
+        # row's computed physical boundary stays rounded like fpp0.
+        argv = ["table", "--n", "1", "--eta-inf", "10.0000001", "--method", method]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert header[5:7] == ["eta_star_inf", "eta_inf_physical"]
+        assert row[5:7] == boundaries
+
     def test_empty_range_with_explicit_n_is_usage_error(self, capsys):
         # The explicit --n row does not hide the empty range.
         argv = ["table", "--n", "1", "--n-from", "2", "--n-to", "1", "--n-step", "0.1"]
@@ -395,12 +413,15 @@ class TestCsvErrorCells:
 
 
 #: Run in a fresh interpreter with NumPy blocked (any import of it raises
-#: ImportError): `cli.run` one command per stdin line, printing its exit code,
-#: then print the excluded-exponent answers, the largest ODE residual at
-#: n = 1.7 and whether `grid.ts` needs NumPy.
+#: ImportError): note the modules loaded at start-up (by `site`, say), `cli.run`
+#: one command per stdin line, printing its exit code, then print the
+#: excluded-exponent answers, the largest ODE residual at n = 1.7, whether
+#: `grid.ts` needs NumPy, and the modules loaded since start-up.
 _NO_NUMPY_SCRIPT = """
-import contextlib, io, sys
+import sys
 sys.modules["numpy"] = None
+before = set(sys.modules)
+import contextlib, io
 sys.path.insert(0, sys.argv[1])
 from blasius_powerlaw import cli, nitm
 for line in sys.stdin:
@@ -412,21 +433,6 @@ try:
     nitm.solve(1.0).profile.grid.ts
 except ImportError:
     print("ts needs numpy")
-"""
-
-#: Run in a fresh interpreter: note the modules loaded at start-up (by `site`,
-#: say), import the package, `cli.run` one command per stdin line printing its
-#: exit code, then print the modules loaded since start-up.
-_NEW_MODULES_SCRIPT = """
-import sys
-before = set(sys.modules)
-import contextlib, io
-sys.path.insert(0, sys.argv[1])
-import blasius_powerlaw
-from blasius_powerlaw import cli
-for line in sys.stdin:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        print(cli.run(line.split()), file=sys.__stdout__)
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
@@ -443,34 +449,33 @@ class TestImports:
         ("solve --n 0.1 --c0 1e200", 1),
     ]
 
-    def test_cli_never_imports_numpy(self):
-        # NumPy is only the `arrays` extra: every command, both excluded
-        # exponents and the residual check run without it, to the same
-        # answers; `grid.ts` needs it.
+    @pytest.fixture(scope="class")
+    def no_numpy_run(self):
+        # One fresh interpreter serves both checks: its exit codes, excluded
+        # answers, residual, `ts` line and the modules it loaded.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
             [sys.executable, "-I", "-c", _NO_NUMPY_SCRIPT, src],
             input="\n".join(argv for argv, _ in self.COMMANDS),
             capture_output=True, text=True, check=True,
         )
-        *codes, excluded, residual, ts = proc.stdout.splitlines()
+        *codes, excluded, residual, ts, loaded = proc.stdout.splitlines()
         assert codes == [str(code) for _, code in self.COMMANDS]
+        return excluded, residual, ts, set(loaded.split())
+
+    def test_cli_never_imports_numpy(self, no_numpy_run):
+        # NumPy is only the `arrays` extra: every command, both excluded
+        # exponents and the residual check run without it, to the same
+        # answers; `grid.ts` needs it.
+        excluded, residual, ts, _ = no_numpy_run
         assert excluded.split() == [solve_excluded(n).fpp0.hex() for n in (0.5, 2.0)]
         assert residual == max(map(abs, profile_ode_residuals(solve(1.7).profile))).hex()
         assert ts == "ts needs numpy"
 
-    def test_cli_never_imports_dataclasses(self):
+    def test_cli_never_imports_dataclasses(self, no_numpy_run):
         # dataclasses and the inspect it pulls in would more than double the
         # package's import time, so the records are named tuples.
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-I", "-c", _NEW_MODULES_SCRIPT, src],
-            input="\n".join(argv for argv, _ in self.COMMANDS),
-            capture_output=True, text=True, check=True,
-        )
-        *codes, loaded = proc.stdout.splitlines()
-        assert codes == [str(code) for _, code in self.COMMANDS]
-        loaded = set(loaded.split())
+        *_, loaded = no_numpy_run
         assert "blasius_powerlaw.cli" in loaded
         assert {"dataclasses", "inspect"}.isdisjoint(loaded)
 
@@ -503,6 +508,21 @@ class TestProfile:
         code, out, err = _run(capsys, ["profile", "--n", "1.3", "--columns", "zzz"])
         assert code == 2 and out == ""
         assert "usage error: unknown column" in err
+
+    def test_unknown_column_is_refused_before_the_solve(self, capsys, monkeypatch):
+        # The solve at n = 1e-300 overflows (exit 1), but the bad flag is the
+        # error to report, and at any n it costs no solve to find.
+        code, out, err = _run(capsys, ["profile", "--n", "1e-300", "--columns", "foo"])
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: unknown column 'foo'; choose from ('eta', ")
+
+        def solve_first(*args):
+            raise AssertionError("profile solved before checking --columns")
+
+        monkeypatch.setattr(cli, "nitm_solve", solve_first)
+        code, out, err = _run(capsys, ["profile", "--n", "0.3", "--columns", "eta,foo"])
+        assert code == 2 and out == ""
+        assert "usage error: unknown column 'foo'" in err
 
     @pytest.mark.parametrize("columns", [",", "", ",,"])
     def test_empty_column_list_is_usage_error(self, capsys, columns):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -199,6 +201,23 @@ class TestRenderTable:
         lines = text.strip().split("\n")
         assert lines[0].startswith("n,fpp0_nitm")
         assert "0.332057" in lines[1]
+
+    def test_boundary_cells(self):
+        # The boundaries a row was given read back exactly, as does a row's n;
+        # a one-IVP row's computed physical boundary is rounded like its fpp0.
+        rows = [
+            SweepRow(n=1.0, fpp0_nitm=0.3, eta_star_inf=10.0000001, eta_inf_physical=14.44090001),
+            SweepRow(n=2.0, fpp0_shooting=0.3, eta_inf_physical=10.0000001),
+            SweepRow(
+                n=3.0, fpp0_shooting=0.3, eta_star_inf=10.0000001, eta_inf_physical=10.0000001, error="nitm: boom"
+            ),
+        ]
+        _, *cells = csv.reader(io.StringIO(render_table(rows)))
+        assert [row[5:7] for row in cells] == [
+            ["10.0000001", "14.4409"],
+            ["", "10.0000001"],
+            ["10.0000001", "10.0000001"],
+        ]
 
     def test_error_row_rendered(self):
         text = render_table([SweepRow(n=0.5, error="boom")])

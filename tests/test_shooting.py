@@ -138,7 +138,7 @@ class TestSolveShooting:
         trials = []
         residual = shooting.shoot_residual
 
-        def recording(n, guess, config=None):
+        def recording(n, guess, config):
             trials.append(guess)
             return residual(n, guess, config)
 
