@@ -43,7 +43,6 @@ from .shooting import (
 from .report import (
     SweepRow,
     boundary_sensitivity,
-    emit_json,
     export_profile,
     sweep_table,
 )

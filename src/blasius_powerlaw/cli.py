@@ -10,7 +10,9 @@ its text and exit status, and `run` writes the text.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -24,12 +26,9 @@ from . import report
 MAX_TABLE_ROWS = 10_000
 
 
-def _integrator(args) -> IntegratorConfig:
-    return IntegratorConfig(rel_tol=args.rtol, abs_tol=args.atol)
-
-
 def _nitm_config(args) -> NitmConfig:
-    return NitmConfig(eta_star_inf=args.eta_inf, c0=args.c0, integrator=_integrator(args))
+    integrator = IntegratorConfig(rel_tol=args.rtol, abs_tol=args.atol)
+    return NitmConfig(eta_star_inf=args.eta_inf, c0=args.c0, integrator=integrator)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -84,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-from", type=_positive, default=None)
     p.add_argument("--n-to", type=_positive, default=None)
     p.add_argument("--n-step", type=_positive, default=None)
-    p.add_argument("--method", choices=("nitm", "shooting", "both"), default="nitm")
+    p.add_argument("--method", choices=report.SWEEP_METHODS, default=report.SWEEP_METHODS[0])
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
 
@@ -160,18 +159,57 @@ def _cmd_solve(args) -> tuple[str, int]:
     return json.dumps(doc, indent=2) + "\n", 0
 
 
+def _csv_text(header: list[str], rows) -> str:
+    """CSV with LF endings; a cell holding a comma or a quote is quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
+
+
+def _key_cell(x: float) -> str:
+    """`x` in `:g` form where that reads back as `x`, else `repr(x)`, so that
+    rows with different keys never print the same key."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
+def _render_table(rows: list[report.SweepRow]) -> str:
+    """Six-decimal CSV rendering of a sweep, for eyeballing (JSON keeps full precision)."""
+    header = "n,fpp0_nitm,fpp0_shooting,discrepancy,method,eta_star_inf,eta_inf_physical,error"
+    cells = [
+        [
+            _key_cell(r.n),
+            "" if r.fpp0_nitm is None else f"{r.fpp0_nitm:.6f}",
+            "" if r.fpp0_shooting is None else f"{r.fpp0_shooting:.6f}",
+            "" if r.discrepancy is None else f"{r.discrepancy:.2e}",
+            r.method_tag or "",
+            "" if r.eta_star_inf is None else _key_cell(r.eta_star_inf),
+            "" if r.eta_inf_physical is None else (
+                _key_cell(r.eta_inf_physical) if r.fpp0_nitm is None else f"{r.eta_inf_physical:g}"
+            ),
+            r.error or "",
+        ]
+        for r in rows
+    ]
+    return _csv_text(header.split(","), cells)
+
+
 def _cmd_table(args) -> tuple[str, int]:
     rows = report.sweep_table(_grid(args), args.method, _nitm_config(args))
     if args.format == "json":
-        config = {"method": args.method, "eta_inf": args.eta_inf, "c0": args.c0}
-        text = report.emit_json(rows, config) + "\n"
+        doc = {
+            "config": {"method": args.method, "eta_inf": args.eta_inf, "c0": args.c0},
+            "rows": [{k: v for k, v in r._asdict().items() if v is not None} for r in rows],
+        }
+        text = json.dumps(doc, indent=2) + "\n"
     else:
-        text = report.render_table(rows)
+        text = _render_table(rows)
     return text, 0 if all(r.error is None for r in rows) else 1
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    result = nitm_solve(args.n, _nitm_config(args))
+    config = _nitm_config(args)
+    result = nitm_solve(args.n, config)
     # The one-IVP method satisfies f'=1 at the rescaled endpoint, so the
     # shooting run must impose its far-field condition at the same spot.  Its
     # first trial is the one-IVP answer: accepted when that satisfies the
@@ -179,7 +217,7 @@ def _cmd_verify(args) -> tuple[str, int]:
     eta_match = result.profile.final.eta
     shoot = solve_shooting(
         args.n,
-        ShootingConfig(eta_inf=eta_match, integrator=_integrator(args)),
+        ShootingConfig(eta_inf=eta_match, integrator=config.integrator),
         start=result.fpp0,
     )
     discrepancy = report.relative_discrepancy(result.fpp0, shoot.fpp0)
@@ -203,11 +241,12 @@ def _cmd_sensitivity(args) -> tuple[str, int]:
         raise UsageError(f"bad --eta-inf list: {exc}") from exc
     if not etas:
         raise UsageError("--eta-inf must list at least one boundary")
-    cfg = NitmConfig(c0=args.c0, integrator=_integrator(args))
+    # Each pass sets its own boundary, so the config has none.
+    cfg = NitmConfig(c0=args.c0, integrator=IntegratorConfig(rel_tol=args.rtol, abs_tol=args.atol))
     records = report.boundary_sensitivity(args.n, etas, cfg)
-    cells = [[report.key_cell(eta), "" if fpp0 is None else repr(fpp0), err or ""] for eta, fpp0, err in records]
+    cells = [[_key_cell(eta), "" if fpp0 is None else repr(fpp0), err or ""] for eta, fpp0, err in records]
     code = 1 if any(err is not None for _, _, err in records) else 0
-    return report.csv_text(["eta_inf", "fpp0", "error"], cells), code
+    return _csv_text(["eta_inf", "fpp0", "error"], cells), code
 
 
 def _cmd_profile(args) -> tuple[str, int]:

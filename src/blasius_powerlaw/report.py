@@ -1,16 +1,11 @@
 """Parameter sweeps, truncated-boundary studies and profile export.
 
 Sweep rows are plain data: a failed exponent becomes a row carrying an error
-message instead of aborting the whole sweep.  Tables are rendered with six
-decimals for eyeballing, but a row's key (n, or eta_inf) and the boundaries it
-was given read back exactly; JSON keeps full precision.
+message instead of aborting the whole sweep; `cli` writes them out.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
@@ -21,6 +16,8 @@ from .shooting import ShootingConfig, solve_shooting
 
 
 PROFILE_COLUMNS = ("eta", "f", "fp", "fpp", "eta_star", "f_star", "fp_star", "fpp_star")
+#: The routes `sweep_table` runs; the first is its default.
+SWEEP_METHODS = ("nitm", "shooting", "both")
 
 
 class SelectionError(DomainError):
@@ -45,7 +42,7 @@ def relative_discrepancy(fpp0_nitm: float, fpp0_shooting: float) -> float:
 
 
 def sweep_table(
-    n_values: Sequence[float], method: str = "nitm", nitm_config: NitmConfig = NitmConfig()
+    n_values: Sequence[float], method: str = SWEEP_METHODS[0], nitm_config: NitmConfig = NitmConfig()
 ) -> list[SweepRow]:
     """One row per exponent, ordered by n; per-row failures are recorded.
 
@@ -57,7 +54,7 @@ def sweep_table(
         raise DomainError("n_values must be non-empty")
     for n in n_values:
         require_positive("every exponent", n)
-    if method not in ("nitm", "shooting", "both"):
+    if method not in SWEEP_METHODS:
         raise DomainError(f"unknown method {method!r}")
     rows = []
     for n in sorted(n_values):
@@ -143,48 +140,3 @@ def _columns(profile: SolutionProfile) -> tuple:
     """eta, f, f' and f'' of every stored node, one sequence each."""
     f, fp, _ = zip(*profile.grid.states)
     return profile.grid.nodes, f, fp, profile.curvatures()
-
-
-def csv_text(header: list[str], rows) -> str:
-    """CSV with LF endings; a cell holding a comma or a quote is quoted."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([header, *rows])
-    return out.getvalue()
-
-
-def _row_dict(row: SweepRow) -> dict:
-    return {k: v for k, v in row._asdict().items() if v is not None}
-
-
-def emit_json(rows: list[SweepRow], config: dict | None = None) -> str:
-    """Full-precision JSON document with "config" and "rows" members."""
-    doc = {"config": config or {}, "rows": [_row_dict(r) for r in rows]}
-    return json.dumps(doc, indent=2)
-
-
-def key_cell(x: float) -> str:
-    """`x` in `:g` form where that reads back as `x`, else `repr(x)`, so that
-    rows with different keys never print the same key."""
-    text = f"{x:g}"
-    return text if float(text) == x else repr(x)
-
-
-def render_table(rows: list[SweepRow]) -> str:
-    """Six-decimal CSV rendering of a sweep."""
-    header = "n,fpp0_nitm,fpp0_shooting,discrepancy,method,eta_star_inf,eta_inf_physical,error"
-    cells = [
-        [
-            key_cell(r.n),
-            "" if r.fpp0_nitm is None else f"{r.fpp0_nitm:.6f}",
-            "" if r.fpp0_shooting is None else f"{r.fpp0_shooting:.6f}",
-            "" if r.discrepancy is None else f"{r.discrepancy:.2e}",
-            r.method_tag or "",
-            "" if r.eta_star_inf is None else key_cell(r.eta_star_inf),
-            "" if r.eta_inf_physical is None else (
-                key_cell(r.eta_inf_physical) if r.fpp0_nitm is None else f"{r.eta_inf_physical:g}"
-            ),
-            r.error or "",
-        ]
-        for r in rows
-    ]
-    return csv_text(header.split(","), cells)

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from blasius_powerlaw import cli
+from blasius_powerlaw import cli, report
 from blasius_powerlaw.cli import run
 from blasius_powerlaw.nitm import profile_ode_residuals, solve, solve_excluded
+from blasius_powerlaw.report import SweepRow, sweep_table
 from blasius_powerlaw.shooting import ROOT_TOL, ShootingConfig, solve_shooting
 
 
@@ -251,6 +252,67 @@ class TestTable:
         assert code == 2 and out == ""
         assert "range --n-from 2.0 --n-to 1.0 is empty" in err
 
+    def test_method_list_is_sweep_tables(self, capsys, monkeypatch):
+        # --method offers the routes sweep_table runs and defaults to its
+        # default, both read from the one list.
+        assert sweep_table((1.0,)) == sweep_table((1.0,), report.SWEEP_METHODS[0])
+        monkeypatch.setattr(report, "SWEEP_METHODS", ("shooting", "nitm"))
+        parser = cli.build_parser.__wrapped__()  # build_parser is cached
+        assert parser.parse_args(["table"]).method == "shooting"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["table", "--method", "both"])
+        assert "{shooting,nitm}" in capsys.readouterr().err
+
+
+class TestJsonRoundtrip:
+    def test_roundtrip(self, capsys):
+        code, out, _ = _run(capsys, ["table", "--n", "0.7", "--n", "1.2", "--method", "both", "--format", "json"])
+        assert code == 0
+        rows = sweep_table((0.7, 1.2), method="both")
+        back = [SweepRow(**row) for row in json.loads(out)["rows"]]
+        assert len(back) == len(rows)
+        for a, b in zip(rows, back):
+            assert a.n == b.n
+            assert a.fpp0_nitm == b.fpp0_nitm  # full precision survives
+            assert a.fpp0_shooting == b.fpp0_shooting
+        assert back == rows
+
+    def test_none_fields_skipped(self, capsys):
+        code, out, _ = _run(capsys, ["table", "--n", "1", "--format", "json"])
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert set(row) == {"n", "fpp0_nitm", "method_tag", "eta_star_inf", "eta_inf_physical"}
+
+
+class TestRenderTable:
+    def test_six_decimals(self):
+        rows = sweep_table((1.0,))
+        text = cli._render_table(rows)
+        lines = text.strip().split("\n")
+        assert lines[0].startswith("n,fpp0_nitm")
+        assert "0.332057" in lines[1]
+
+    def test_boundary_cells(self):
+        # The boundaries a row was given read back exactly, as does a row's n;
+        # a one-IVP row's computed physical boundary is rounded like its fpp0.
+        rows = [
+            SweepRow(n=1.0, fpp0_nitm=0.3, eta_star_inf=10.0000001, eta_inf_physical=14.44090001),
+            SweepRow(n=2.0, fpp0_shooting=0.3, eta_inf_physical=10.0000001),
+            SweepRow(
+                n=3.0, fpp0_shooting=0.3, eta_star_inf=10.0000001, eta_inf_physical=10.0000001, error="nitm: boom"
+            ),
+        ]
+        _, *cells = csv.reader(io.StringIO(cli._render_table(rows)))
+        assert [row[5:7] for row in cells] == [
+            ["10.0000001", "14.4409"],
+            ["", "10.0000001"],
+            ["10.0000001", "10.0000001"],
+        ]
+
+    def test_error_row_rendered(self):
+        text = cli._render_table([SweepRow(n=0.5, error="boom")])
+        assert "boom" in text
+
 
 class TestVerify:
     def test_agreement_at_matched_boundary(self, capsys):
@@ -413,16 +475,19 @@ class TestCsvErrorCells:
 
 
 #: Run in a fresh interpreter with NumPy blocked (any import of it raises
-#: ImportError): note the modules loaded at start-up (by `site`, say), `cli.run`
-#: one command per stdin line, printing its exit code, then print the
-#: excluded-exponent answers, the largest ODE residual at n = 1.7, whether
-#: `grid.ts` needs NumPy, and the modules loaded since start-up.
+#: ImportError): note the modules loaded at start-up (by `site`, say), print
+#: the modules `import blasius_powerlaw` alone loads, `cli.run` one command per
+#: stdin line, printing its exit code, then print the excluded-exponent
+#: answers, the largest ODE residual at n = 1.7, whether `grid.ts` needs NumPy,
+#: and the modules loaded since start-up.
 _NO_NUMPY_SCRIPT = """
 import sys
 sys.modules["numpy"] = None
 before = set(sys.modules)
-import contextlib, io
 sys.path.insert(0, sys.argv[1])
+import blasius_powerlaw
+print(" ".join(sorted(set(sys.modules) - before)))
+import contextlib, io
 from blasius_powerlaw import cli, nitm
 for line in sys.stdin:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -451,23 +516,24 @@ class TestImports:
 
     @pytest.fixture(scope="class")
     def no_numpy_run(self):
-        # One fresh interpreter serves both checks: its exit codes, excluded
-        # answers, residual, `ts` line and the modules it loaded.
+        # One fresh interpreter serves every check: the modules the library
+        # import loaded, its exit codes, excluded answers, residual, `ts` line
+        # and the modules it loaded in all.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
             [sys.executable, "-I", "-c", _NO_NUMPY_SCRIPT, src],
             input="\n".join(argv for argv, _ in self.COMMANDS),
             capture_output=True, text=True, check=True,
         )
-        *codes, excluded, residual, ts, loaded = proc.stdout.splitlines()
+        library, *codes, excluded, residual, ts, loaded = proc.stdout.splitlines()
         assert codes == [str(code) for _, code in self.COMMANDS]
-        return excluded, residual, ts, set(loaded.split())
+        return set(library.split()), excluded, residual, ts, set(loaded.split())
 
     def test_cli_never_imports_numpy(self, no_numpy_run):
         # NumPy is only the `arrays` extra: every command, both excluded
         # exponents and the residual check run without it, to the same
         # answers; `grid.ts` needs it.
-        excluded, residual, ts, _ = no_numpy_run
+        _, excluded, residual, ts, _ = no_numpy_run
         assert excluded.split() == [solve_excluded(n).fpp0.hex() for n in (0.5, 2.0)]
         assert residual == max(map(abs, profile_ode_residuals(solve(1.7).profile))).hex()
         assert ts == "ts needs numpy"
@@ -478,6 +544,13 @@ class TestImports:
         *_, loaded = no_numpy_run
         assert "blasius_powerlaw.cli" in loaded
         assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+
+    def test_library_import_loads_no_writer_modules(self, no_numpy_run):
+        # Only the command line writes CSV or JSON or parses flags, so a
+        # library user does not pay for importing those modules.
+        library, *_ = no_numpy_run
+        assert "blasius_powerlaw.report" in library
+        assert {"json", "csv", "argparse"}.isdisjoint(library)
 
     def test_grid_arrays_are_built_once_from_the_lists(self):
         grid = solve(1.7).profile.grid

@@ -1,6 +1,3 @@
-import csv
-import io
-import json
 import math
 
 import pytest
@@ -13,9 +10,7 @@ from blasius_powerlaw.report import (
     SelectionError,
     SweepRow,
     boundary_sensitivity,
-    emit_json,
     export_profile,
-    render_table,
     sweep_table,
 )
 from blasius_powerlaw.shooting import ShootingConfig, solve_shooting
@@ -174,54 +169,6 @@ class TestExportProfile:
     def test_unknown_column(self):
         with pytest.raises(SelectionError):
             export_profile(nitm_solve(1.0), ("eta", "vorticity"))
-
-
-class TestJsonRoundtrip:
-    def test_roundtrip(self):
-        rows = sweep_table((0.7, 1.2), method="both")
-        doc = emit_json(rows, {"method": "both"})
-        back = [SweepRow(**row) for row in json.loads(doc)["rows"]]
-        assert len(back) == len(rows)
-        for a, b in zip(rows, back):
-            assert a.n == b.n
-            assert a.fpp0_nitm == b.fpp0_nitm  # full precision survives
-            assert a.fpp0_shooting == b.fpp0_shooting
-        assert back == rows
-
-    def test_none_fields_skipped(self):
-        doc = emit_json([SweepRow(n=1.0, fpp0_nitm=0.5)])
-        assert "error" not in doc
-        assert "fpp0_shooting" not in doc
-
-
-class TestRenderTable:
-    def test_six_decimals(self):
-        rows = sweep_table((1.0,))
-        text = render_table(rows)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("n,fpp0_nitm")
-        assert "0.332057" in lines[1]
-
-    def test_boundary_cells(self):
-        # The boundaries a row was given read back exactly, as does a row's n;
-        # a one-IVP row's computed physical boundary is rounded like its fpp0.
-        rows = [
-            SweepRow(n=1.0, fpp0_nitm=0.3, eta_star_inf=10.0000001, eta_inf_physical=14.44090001),
-            SweepRow(n=2.0, fpp0_shooting=0.3, eta_inf_physical=10.0000001),
-            SweepRow(
-                n=3.0, fpp0_shooting=0.3, eta_star_inf=10.0000001, eta_inf_physical=10.0000001, error="nitm: boom"
-            ),
-        ]
-        _, *cells = csv.reader(io.StringIO(render_table(rows)))
-        assert [row[5:7] for row in cells] == [
-            ["10.0000001", "14.4409"],
-            ["", "10.0000001"],
-            ["10.0000001", "10.0000001"],
-        ]
-
-    def test_error_row_rendered(self):
-        text = render_table([SweepRow(n=0.5, error="boom")])
-        assert "boom" in text
 
 
 class TestRecords:
