@@ -27,8 +27,10 @@ MAX_TABLE_ROWS = 10_000
 
 
 def _nitm_config(args) -> NitmConfig:
+    # `sensitivity` has no scalar --eta-inf: each of its passes sets its own.
+    boundary = {"eta_star_inf": args.eta_inf} if "eta_inf" in args else {}
     integrator = IntegratorConfig(rel_tol=args.rtol, abs_tol=args.atol)
-    return NitmConfig(eta_star_inf=args.eta_inf, c0=args.c0, integrator=integrator)
+    return NitmConfig(**boundary, c0=args.c0, integrator=integrator)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -153,7 +155,7 @@ def _cmd_solve(args) -> tuple[str, int]:
         "fpp0": result.fpp0,
         "fp_star_inf": result.fp_star_inf,
         "eta_star_inf": args.eta_inf,
-        "eta_inf_physical": result.profile.final.eta,
+        "eta_inf_physical": result.eta_inf_physical,
         "method_tag": result.method_tag,
     }
     return json.dumps(doc, indent=2) + "\n", 0
@@ -214,7 +216,7 @@ def _cmd_verify(args) -> tuple[str, int]:
     # shooting run must impose its far-field condition at the same spot.  Its
     # first trial is the one-IVP answer: accepted when that satisfies the
     # physical BVP to shooting's own tolerance (discrepancy 0.0).
-    eta_match = result.profile.final.eta
+    eta_match = result.eta_inf_physical
     shoot = solve_shooting(
         args.n,
         ShootingConfig(eta_inf=eta_match, integrator=config.integrator),
@@ -241,9 +243,7 @@ def _cmd_sensitivity(args) -> tuple[str, int]:
         raise UsageError(f"bad --eta-inf list: {exc}") from exc
     if not etas:
         raise UsageError("--eta-inf must list at least one boundary")
-    # Each pass sets its own boundary, so the config has none.
-    cfg = NitmConfig(c0=args.c0, integrator=IntegratorConfig(rel_tol=args.rtol, abs_tol=args.atol))
-    records = report.boundary_sensitivity(args.n, etas, cfg)
+    records = report.boundary_sensitivity(args.n, etas, _nitm_config(args))
     cells = [[_key_cell(eta), "" if fpp0 is None else repr(fpp0), err or ""] for eta, fpp0, err in records]
     code = 1 if any(err is not None for _, _, err in records) else 0
     return _csv_text(["eta_inf", "fpp0", "error"], cells), code

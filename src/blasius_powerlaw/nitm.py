@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .ode_core import (
@@ -60,9 +59,16 @@ class NitmResult(NamedTuple):
     lam: float  # 1/a, the classical group parameter lambda
     fpp0: float
     fp_star_inf: float
-    profile: SolutionProfile
     star_profile: SolutionProfile
     method_tag: str  # "direct" or "extrapolated"
+    a: float  # the group element f(eta) = a F(b eta) of the star solve
+    b: float
+    eta_inf_physical: float  # eta*/b, the last node of `profile`
+
+    @property
+    def profile(self) -> SolutionProfile:
+        """The physical profile, rescaled from `star_profile` on every read."""
+        return rescale_profile(self.star_profile, self.a, self.b)
 
 
 def solve_star_ivp(n: float, config: NitmConfig, stops: Sequence[float] = ()) -> SolutionProfile:
@@ -108,6 +114,18 @@ def group_parameters(n: float, fp_star_inf: float, c0: float) -> tuple[float, fl
     return a, b, fpp0
 
 
+def _physical_boundary(star: SolutionProfile, a: float, b: float) -> float:
+    """eta*/b, or DivergenceError where `rescale_profile(star, a, b)` would
+    overflow.  F and F' rise from 0 and w falls from the wall, so each column
+    is largest in size at an end of the star grid: four values stand for all."""
+    if b != 0.0:
+        eta, f, fp, _ = star.final
+        values = (eta / b, a * f, a * b * fp, a * a * b * star.grid.states[0][2])
+        if all(map(math.isfinite, values)):
+            return values[0]
+    raise DivergenceError(f"physical profile overflows at a = {a}, b = {b}")
+
+
 def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfile:
     """Map a star-frame profile to physical variables by f(eta) = a F(b eta).
 
@@ -116,19 +134,19 @@ def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfil
     which needs a^(n-2) b^(2n-1) = 1 (true of `group_parameters`), so f''
     is the decode of the scaled flux.  The factors must be finite, as
     `group_parameters` checks; a value they overflow (a large wall flux
-    c0^n, say), or a b of zero, raises DivergenceError.
+    c0^n, say), or a b of zero, raises DivergenceError.  Only each column's
+    extreme is checked, which relies on the star profile's monotonicity.
     """
-    if b != 0.0:
-        ab, aab = a * b, a * a * b
-        nodes = [t / b for t in star.grid.nodes]
-        states = [(a * f, ab * fp, aab * w) for f, fp, w in star.grid.states]
-        if all(map(math.isfinite, chain(nodes, *states))):
-            return SolutionProfile(GridSolution(nodes, states), star.n)
-    raise DivergenceError(f"physical profile overflows at a = {a}, b = {b}")
+    _physical_boundary(star, a, b)
+    ab, aab = a * b, a * a * b
+    nodes = [t / b for t in star.grid.nodes]
+    states = [(a * f, ab * fp, aab * w) for f, fp, w in star.grid.states]
+    return SolutionProfile(GridSolution(nodes, states), star.n)
 
 
 def solve(n: float, config: NitmConfig = NitmConfig()) -> NitmResult:
-    """One-IVP solve: star integration, group recovery, rescaling."""
+    """One-IVP solve: star integration and group recovery.  `profile` is
+    rescaled on read; what would overflow it is refused here."""
     star = solve_star_ivp(n, config)
     fp_star_inf = star.final.fp
     a, b, fpp0 = group_parameters(n, fp_star_inf, config.c0)
@@ -138,9 +156,11 @@ def solve(n: float, config: NitmConfig = NitmConfig()) -> NitmResult:
         lam=1.0 / a,
         fpp0=fpp0,
         fp_star_inf=fp_star_inf,
-        profile=rescale_profile(star, a, b),
         star_profile=star,
         method_tag="direct",
+        a=a,
+        b=b,
+        eta_inf_physical=_physical_boundary(star, a, b),
     )
 
 

@@ -66,7 +66,7 @@ def sweep_table(
                 fields.update(fpp0_nitm=result.fpp0, method_tag=result.method_tag)
                 # The one-IVP row satisfies f' = 1 at its rescaled endpoint,
                 # so shooting must impose the far field at the same spot.
-                fields["eta_inf_physical"] = result.profile.final.eta
+                fields["eta_inf_physical"] = result.eta_inf_physical
             except OdeError as exc:
                 errors.append(f"nitm: {exc}")
         if method in ("shooting", "both"):

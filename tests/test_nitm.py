@@ -1,15 +1,17 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from blasius_powerlaw import ode_core
+from blasius_powerlaw import cli, nitm, ode_core
 from blasius_powerlaw.ode_core import (
     DivergenceError,
     DomainError,
     IntegratorConfig,
+    OdeError,
     curvature_from_flux,
     flux_from_curvature,
 )
@@ -261,6 +263,82 @@ class TestRescale:
         # F'_inf = eta* = 1e-250: a^2 b = 1e500 overflows before the rescaling.
         with pytest.raises(DivergenceError, match="rescaling factor overflows"):
             solve(2.0, NitmConfig(eta_star_inf=1e-250))
+
+
+def eager_rescaling_refuses(n, config):
+    """Whether `solve` refused (n, config) when it rescaled the whole star
+    grid on every call: `group_parameters`, then a finite check of every
+    rescaled value.  A failing star solve raises, as it did then."""
+    star = solve_star_ivp(n, config)
+    try:
+        a, b, _ = group_parameters(n, star.final.fp, config.c0)
+    except DivergenceError:
+        return True
+    if b == 0.0:
+        return True
+    scaled = [t / b for t in star.grid.nodes]
+    scaled += [x for f, fp, w in star.grid.states for x in (a * f, a * b * fp, a * a * b * w)]
+    return not all(map(math.isfinite, scaled))
+
+
+# log10 of c0 and of eta*, uniform over [-300, 300].
+log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda x: 10.0**x)
+
+
+class TestProfileView:
+    """`profile` is rescaled from the star profile when read; the solve keeps
+    the physical boundary and refuses what the rescaling would."""
+
+    def test_view_is_the_rescaled_star_profile(self):
+        for k in range(10, 251):
+            result = solve(k / 100)
+            profile = result.profile
+            assert result.eta_inf_physical == profile.final.eta
+            expected = rescale_profile(result.star_profile, result.a, result.b)
+            assert profile.grid.nodes == expected.grid.nodes
+            assert profile.grid.states == expected.grid.states
+            assert profile.n == expected.n
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["solve", "--n", "0.7"], 0),
+            (["verify", "--n", "0.7"], 0),
+            (["table", "--n", "0.3", "--n", "0.5", "--n", "1.7", "--method", "both"], 0),
+            (["profile", "--n", "0.7"], 1),
+        ],
+        ids=["solve", "verify", "table", "profile"],
+    )
+    def test_only_profile_rescales(self, monkeypatch, capsys, argv, calls):
+        seen = []
+        original = nitm.rescale_profile
+
+        def counting(*args, **kwargs):
+            seen.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nitm, "rescale_profile", counting)
+        assert cli.run(argv) == 0
+        assert len(seen) == calls
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.floats(min_value=0.05, max_value=5.0), c0=log_uniform, eta=log_uniform)
+    @example(n=0.1, c0=1e200, eta=10.0)
+    @example(n=0.3, c0=1e150, eta=10.0)
+    @example(n=2.0, c0=1.0, eta=1e-250)
+    def test_refuses_what_eager_rescaling_refused(self, n, c0, eta):
+        config = NitmConfig(eta_star_inf=eta, c0=c0)
+        try:
+            refused = eager_rescaling_refuses(n, config)
+        except OdeError as exc:
+            with pytest.raises(type(exc), match="^" + re.escape(str(exc)) + "$"):
+                solve(n, config)
+            return
+        if refused:
+            with pytest.raises(DivergenceError):
+                solve(n, config)
+        else:
+            solve(n, config)
 
 
 # Physical profiles of solve(n), decoding the flux as |w| ** (1/n).
