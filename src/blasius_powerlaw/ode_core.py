@@ -45,9 +45,10 @@ def _curvature_overflow(w: float, n: float) -> DivergenceError:
 
 
 def curvature_from_flux(w: float, n: float) -> float:
-    """Recover f'' = sign(w) |w|^(1/n) from the viscous flux w."""
+    """Recover f'' = sign(w) |w|^(1/n) from the viscous flux w; a positive w,
+    as on a trajectory until the projector pins it, skips abs and copysign."""
     try:
-        return math.copysign(abs(w) ** (1.0 / n), w)
+        return w ** (1.0 / n) if w > 0.0 else math.copysign(abs(w) ** (1.0 / n), w)
     except OverflowError:
         raise _curvature_overflow(w, n) from None
 
@@ -109,26 +110,12 @@ def flux_system(n: float) -> Rhs:
     def rhs(eta: float, y: State) -> State:
         w = y[2]
         try:
-            fpp = copysign(abs(w) ** inv_n, w)
+            fpp = w ** inv_n if w > 0.0 else copysign(abs(w) ** inv_n, w)
         except OverflowError:
             raise _curvature_overflow(w, n) from None
         return (y[1], fpp, -y[0] * fpp * inv_np1)
 
     return rhs
-
-
-# Dormand-Prince 5(4) coefficients: nodes C, stage weights A (row 7 holds
-# the fifth-order weights, so stage 7 is evaluated at the propagated
-# solution) and the fifth-minus-fourth-order error weights E.  Stage 2's
-# weights in rows 7 and E are zero and are left out.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 
 
 class GridSolution(namedtuple("GridSolution", "nodes states")):
@@ -189,6 +176,19 @@ def integrate_system(
     if not all(map(math.isfinite, y)):
         raise DomainError("non-finite initial state")
 
+    # Dormand-Prince 5(4) coefficients: nodes C, stage weights A (row 7 holds
+    # the fifth-order weights, so stage 7 is evaluated at the propagated
+    # solution) and the fifth-minus-fourth-order error weights E.  Stage 2's
+    # weights in rows 7 and E are zero and are left out.
+    C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+    A21 = 1 / 5
+    A31, A32 = 3 / 40, 9 / 40
+    A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
+    A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+    A61, A62, A63, A64, A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+    A71, A73, A74, A75, A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+    E1, E3, E4, E5, E6, E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+
     rtol, atol, h_max = config.rel_tol, config.abs_tol, config.h_max
     isfinite = math.isfinite
     t = t0
@@ -207,7 +207,7 @@ def integrate_system(
     # y + h * 0.0 unless y is -0.0.  A state component is -0.0 only where the
     # initial state has one, and `integrate` starts from +0.0, so no stored
     # bit changes.  A non-finite stage 2 still reaches z through the nonzero
-    # weights _A32.._A62 (the power-law field keeps a non-finite state
+    # weights A32..A62 (the power-law field keeps a non-finite state
     # non-finite), so the step is rejected.
     while t < t_end:
         if nsteps >= MAX_STEPS:
@@ -219,34 +219,34 @@ def integrate_system(
         if h > rest:
             h = rest
         t_new = target if h == rest else t + h
-        b0, b1, b2 = rhs(t + _C2 * h, (
-            y0 + h * (_A21 * a0),
-            y1 + h * (_A21 * a1),
-            y2 + h * (_A21 * a2),
+        b0, b1, b2 = rhs(t + C2 * h, (
+            y0 + h * (A21 * a0),
+            y1 + h * (A21 * a1),
+            y2 + h * (A21 * a2),
         ))
-        c0, c1, c2 = rhs(t + _C3 * h, (
-            y0 + h * (_A31 * a0 + _A32 * b0),
-            y1 + h * (_A31 * a1 + _A32 * b1),
-            y2 + h * (_A31 * a2 + _A32 * b2),
+        c0, c1, c2 = rhs(t + C3 * h, (
+            y0 + h * (A31 * a0 + A32 * b0),
+            y1 + h * (A31 * a1 + A32 * b1),
+            y2 + h * (A31 * a2 + A32 * b2),
         ))
-        d0, d1, d2 = rhs(t + _C4 * h, (
-            y0 + h * (_A41 * a0 + _A42 * b0 + _A43 * c0),
-            y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1),
-            y2 + h * (_A41 * a2 + _A42 * b2 + _A43 * c2),
+        d0, d1, d2 = rhs(t + C4 * h, (
+            y0 + h * (A41 * a0 + A42 * b0 + A43 * c0),
+            y1 + h * (A41 * a1 + A42 * b1 + A43 * c1),
+            y2 + h * (A41 * a2 + A42 * b2 + A43 * c2),
         ))
-        e0, e1, e2 = rhs(t + _C5 * h, (
-            y0 + h * (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
-            y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
-            y2 + h * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
+        e0, e1, e2 = rhs(t + C5 * h, (
+            y0 + h * (A51 * a0 + A52 * b0 + A53 * c0 + A54 * d0),
+            y1 + h * (A51 * a1 + A52 * b1 + A53 * c1 + A54 * d1),
+            y2 + h * (A51 * a2 + A52 * b2 + A53 * c2 + A54 * d2),
         ))
         f0, f1, f2 = rhs(t_new, (
-            y0 + h * (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0 + _A65 * e0),
-            y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
-            y2 + h * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
+            y0 + h * (A61 * a0 + A62 * b0 + A63 * c0 + A64 * d0 + A65 * e0),
+            y1 + h * (A61 * a1 + A62 * b1 + A63 * c1 + A64 * d1 + A65 * e1),
+            y2 + h * (A61 * a2 + A62 * b2 + A63 * c2 + A64 * d2 + A65 * e2),
         ))
-        z0 = y0 + h * (_A71 * a0 + _A73 * c0 + _A74 * d0 + _A75 * e0 + _A76 * f0)
-        z1 = y1 + h * (_A71 * a1 + _A73 * c1 + _A74 * d1 + _A75 * e1 + _A76 * f1)
-        z2 = y2 + h * (_A71 * a2 + _A73 * c2 + _A74 * d2 + _A75 * e2 + _A76 * f2)
+        z0 = y0 + h * (A71 * a0 + A73 * c0 + A74 * d0 + A75 * e0 + A76 * f0)
+        z1 = y1 + h * (A71 * a1 + A73 * c1 + A74 * d1 + A75 * e1 + A76 * f1)
+        z2 = y2 + h * (A71 * a2 + A73 * c2 + A74 * d2 + A75 * e2 + A76 * f2)
         y_new = (z0, z1, z2)
         k7 = rhs(t_new, y_new)  # first-same-as-last: k1 of the next step
         g0, g1, g2 = k7
@@ -256,13 +256,13 @@ def integrate_system(
             # Each error weight is max(|y|, |z|), written out with max's tie rule.
             s0, s1, s2 = abs(y0), abs(y1), abs(y2)
             u0, u1, u2 = abs(z0), abs(z1), abs(z2)
-            q0 = h * (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * f0 + _E7 * g0) / (
+            q0 = h * (E1 * a0 + E3 * c0 + E4 * d0 + E5 * e0 + E6 * f0 + E7 * g0) / (
                 atol + rtol * (u0 if u0 > s0 else s0)
             )
-            q1 = h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1) / (
+            q1 = h * (E1 * a1 + E3 * c1 + E4 * d1 + E5 * e1 + E6 * f1 + E7 * g1) / (
                 atol + rtol * (u1 if u1 > s1 else s1)
             )
-            q2 = h * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2) / (
+            q2 = h * (E1 * a2 + E3 * c2 + E4 * d2 + E5 * e2 + E6 * f2 + E7 * g2) / (
                 atol + rtol * (u2 if u2 > s2 else s2)
             )
             # Not sum(): from Python 3.12 it compensates, which rounds differently.

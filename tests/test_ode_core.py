@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -170,6 +172,33 @@ class TestRhsFlux:
         with pytest.raises(DivergenceError) as from_decoder:
             curvature_from_flux(1e300, 0.05)
         assert str(from_field.value) == str(from_decoder.value)
+
+    # Both decoders take `w ** (1/n)` for w > 0; pin them at the edges of
+    # that branch to the sign-magnitude expression, which every other flux
+    # still takes.
+    @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
+    @pytest.mark.parametrize(
+        "w",
+        [0.0, -0.0, 5e-324, -5e-324, ode_core.FLUX_CUTOFF, 1.0, math.inf, -math.inf, math.nan],
+    )
+    def test_decoders_match_the_sign_magnitude_formula(self, w, n):
+        def bits(x):
+            return "nan" if math.isnan(x) else x.hex()
+
+        expected = bits(math.copysign(abs(w) ** (1.0 / n), w))
+        assert bits(flux_system(n)(0.0, (1.5, 0.5, w))[1]) == expected
+        assert bits(curvature_from_flux(w, n)) == expected
+
+    @pytest.mark.parametrize("w", [1e300, -1e300])
+    def test_overflow_message_is_the_sign_magnitude_one(self, w):
+        with pytest.raises(OverflowError):
+            math.copysign(abs(w) ** (1.0 / 0.3), w)
+        message = f"curvature |w|^(1/n) overflows at w = {w}, n = 0.3"
+        with pytest.raises(DivergenceError) as from_field:
+            flux_system(0.3)(0.0, (1.5, 0.5, w))
+        with pytest.raises(DivergenceError) as from_decoder:
+            curvature_from_flux(w, 0.3)
+        assert str(from_field.value) == str(from_decoder.value) == message
 
 
 class TestRhsDirect:
@@ -486,6 +515,20 @@ class TestKernel:
             sha.update(array.tobytes())
         assert sha.hexdigest() == digest
         assert counts == {"calls": calls, "projections": projections}
+
+    # SHA-256 over the star grids of `solve` at n = 0.10, 0.15, ..., 2.50:
+    # per exponent the nodes, the states and fpp0, as little-endian doubles
+    # (x86-64, glibc libm; the same on Python 3.10 to 3.13).  A change to the
+    # stepper or the field that is meant to keep the numbers keeps this digest.
+    def test_star_grids_are_bit_identical(self):
+        sha = hashlib.sha256()
+        for percent in range(10, 251, 5):
+            result = solve(percent / 100)
+            grid = result.star_profile.grid
+            values = [*grid.nodes, *itertools.chain.from_iterable(grid.states), result.fpp0]
+            sha.update(struct.pack(f"<{len(values)}d", *values))
+        digest = "8296ceeb8216b0e4309219a9fb350dffebd34a84555068bfb2c46976b93b7c3e"
+        assert sha.hexdigest() == digest
 
 
 class TestIntegratorConfig:
