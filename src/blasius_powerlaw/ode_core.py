@@ -33,7 +33,8 @@ class StepBudgetError(OdeError):
 
 
 class StepUnderflowError(OdeError):
-    """Error control forced the step below H_MIN (stiffness)."""
+    """Error control forced the step below H_MIN (stiffness), or below the
+    float spacing at t, so that the step cannot move t."""
 
 
 class DivergenceError(OdeError):
@@ -81,7 +82,7 @@ H_INIT, H_MIN, MAX_STEPS = 1e-3, 1e-12, 1_000_000
 
 
 class IntegratorConfig(
-    namedtuple("IntegratorConfig", "rel_tol abs_tol h_max", defaults=(1e-12, 1e-12, 0.5))
+    namedtuple("IntegratorConfig", "rel_tol abs_tol h_max", defaults=(1e-12, 1e-12, math.inf))
 ):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
@@ -89,8 +90,8 @@ class IntegratorConfig(
     def __init__(self, *args, **kwargs) -> None:
         require_positive("rel_tol", self.rel_tol)
         require_positive("abs_tol", self.abs_tol)
-        if not H_INIT <= self.h_max < math.inf:
-            raise DomainError(f"h_max must be finite and >= H_INIT = {H_INIT}, got {self.h_max}")
+        if not H_INIT <= self.h_max:  # NaN fails too
+            raise DomainError(f"h_max must be >= H_INIT = {H_INIT} (default inf), got {self.h_max}")
 
 
 State = tuple[float, ...]
@@ -166,7 +167,8 @@ def integrate_system(
     if not all(a < b for a, b in zip(bounds, bounds[1:])):
         raise DomainError(f"need t0 < stops < t_end, strictly increasing, got {bounds}")
     if t_end - t0 > MAX_STEPS * config.h_max:
-        # Every step is at most h_max, so the budget cannot reach t_end.
+        # Every step is at most h_max, so the budget cannot reach t_end
+        # (never true under the default h_max = inf).
         raise StepBudgetError(
             f"step budget {MAX_STEPS} x h_max {config.h_max} cannot reach t = {t_end}"
         )
@@ -219,6 +221,8 @@ def integrate_system(
         if h > rest:
             h = rest
         t_new = target if h == rest else t + h
+        if t_new == t:
+            raise StepUnderflowError(f"step h = {h} is below the float spacing at t = {t}")
         b0, b1, b2 = rhs(t + C2 * h, (
             y0 + h * (A21 * a0),
             y1 + h * (A21 * a1),

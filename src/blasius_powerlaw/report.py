@@ -131,9 +131,8 @@ def export_profile(result: NitmResult, columns: tuple[str, ...] | None = None) -
     """CSV (header row, LF endings) of the physical and star profiles."""
     columns = select_columns(columns or PROFILE_COLUMNS)
     data = dict(zip(PROFILE_COLUMNS, (*_columns(result.profile), *_columns(result.star_profile))))
-    rows = zip(*(data[c] for c in columns))
-    lines = [",".join(columns), *(",".join(map(repr, row)) for row in rows)]
-    return "\n".join(lines) + "\n"
+    cells = [list(map(repr, data[c])) for c in columns]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _columns(profile: SolutionProfile) -> tuple:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -51,9 +52,10 @@ class TestSolve:
         assert json.loads(target.read_text())["n"] == 1.0
 
     def test_numerical_failure_exit_code(self, capsys):
-        # 10^6 steps of at most 0.5 cannot reach 10^6: rejected before stepping.
+        # F* overflows near eta* = 8.6e307; the rejections that follow halve
+        # the step until it cannot move eta*, which stops the solve there.
         t0 = time.perf_counter()
-        code, _, err = _run(capsys, ["solve", "--n", "1", "--eta-inf", "1e6"])
+        code, _, err = _run(capsys, ["solve", "--n", "1", "--eta-inf", "1.7e308"])
         assert time.perf_counter() - t0 < 1.0
         assert code == 1
         assert "numerical failure" in err
@@ -379,10 +381,20 @@ def test_verify_and_table_both_agree(capsys, n):
 
 class TestSensitivity:
     def test_boundary_cells_keep_their_own_value(self, capsys):
-        code, out, _ = _run(capsys, ["sensitivity", "--n", "1", "--eta-inf", "10.0000001,10,1e6"])
-        assert code == 1  # 1e6 is beyond the step budget
+        argv = ["sensitivity", "--n", "1", "--eta-inf", "10.0000001,10,1.7e308"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 1  # F* overflows before 1.7e308
         header, *rows = csv.reader(io.StringIO(out))
-        assert [row[0] for row in rows] == ["10.0000001", "10", "1e+06"]
+        assert [row[0] for row in rows] == ["10.0000001", "10", "1.7e+308"]
+
+    def test_far_boundaries_are_cheap(self, capsys):
+        # Each decade of boundary costs a few dozen steps once the layer has
+        # decayed (1,317 ms here with the old step cap of 0.5).
+        argv = ["sensitivity", "--n", "0.5", "--eta-inf", "10,100,1000,10000,100000"]
+        t0 = time.perf_counter()
+        code, out, _ = _run(capsys, argv)
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 0 and len(out.strip().split("\n")) == 6
 
     def test_default_grid(self, capsys):
         code, out, _ = _run(capsys, ["sensitivity", "--n", "1.0"])
@@ -394,11 +406,14 @@ class TestSensitivity:
         assert last == pytest.approx(0.33205733621519630, abs=1e-9)
 
     def test_failed_boundary_is_a_row(self, capsys):
-        code, out, err = _run(capsys, ["sensitivity", "--n", "1", "--eta-inf", "6,1e7"])
+        t0 = time.perf_counter()
+        code, out, err = _run(capsys, ["sensitivity", "--n", "1", "--eta-inf", "6,1.7e308"])
+        assert time.perf_counter() - t0 < 1.0
         assert code == 1
         lines = out.strip().split("\n")
         assert float(lines[1].split(",")[1]) == pytest.approx(0.33205752415, abs=1e-10)
-        assert lines[2].startswith("1e+07,,step budget")
+        assert lines[2].startswith("1.7e+308,,step h = ")
+        assert " is below the float spacing at t = 8.62" in lines[2]
         assert "Traceback" not in out + err
 
     @pytest.mark.filterwarnings("error")
@@ -644,10 +659,18 @@ def _number(lo, hi):
     return st.floats(lo, hi).map(repr)
 
 
-# Valid values keep each example to milliseconds: --eta-inf <= 40, table
-# requests of at most six rows, and tolerances in [1e-12, 1e-11].  Looser
-# tolerances are slow, not wrong: at n > 1 the flux then stalls just above
-# the projector's cutoff and a trial takes ~100x more steps.
+def _log_number(lo, hi):
+    """Log-uniform in [lo, hi], so that every decade is drawn as often."""
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp).map(repr)
+
+
+# Boundaries are drawn up to the largest finite float: without a step cap a
+# far boundary costs a few hundred more steps, not steps in proportion to it,
+# and near 1.7e308 F* itself overflows.  Valid values keep each example to
+# milliseconds: table requests of at most six rows, and tolerances in
+# [1e-12, 1e-11].  Looser tolerances are slow, not wrong: at n > 1 the flux
+# then stalls just above the projector's cutoff and a trial takes ~100x more
+# steps.
 _VALID = {
     # A few extreme exponents: the shooting start trial ends with
     # f'(eta_inf) <= 0 (no Newton step) for n >~ 50, and at 3000 the flux
@@ -656,7 +679,7 @@ _VALID = {
     "--n-from": _number(0.1, 2.5),
     "--n-to": _number(0.1, 2.5),
     "--n-step": _number(0.5, 2.0),
-    "--eta-inf": _number(0.01, 40.0),
+    "--eta-inf": _log_number(0.01, 1.7e308),
     "--c0": _number(0.1, 10.0),
     "--rtol": _number(1e-12, 1e-11),
     "--atol": _number(1e-12, 1e-11),
@@ -665,7 +688,7 @@ _VALID = {
     "--format": st.sampled_from(["csv", "json"]),
     "--columns": st.sampled_from(["eta,fpp", "eta,f,fp,fpp,eta_star", ""]),
 }
-_SENSITIVITY_ETAS = st.lists(_number(0.01, 40.0), min_size=1, max_size=3).map(",".join)
+_SENSITIVITY_ETAS = st.lists(_log_number(0.01, 1.7e308), min_size=1, max_size=3).map(",".join)
 _OUT_OF_RANGE = st.sampled_from(["0", "-1", "-0.0", "nan", "inf", "-inf", "1e400"])
 _NON_NUMERIC = st.sampled_from(["abc", "", "1.0.0", "0x1p", "vorticity"])
 # Mostly valid values, so that whole subcommands run and can fail numerically.
@@ -700,7 +723,9 @@ def _argv(draw):
 
 
 class TestExitCodeProperty:
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    # Every example takes milliseconds; the deadline catches a run that
+    # steps in place (seconds) even where it would still exit 1.
+    @settings(max_examples=100, deadline=1000, derandomize=True)
     @given(argv=_argv())
     @example(argv=["table", "--method", "shooting", "--n", "300"])
     @example(argv=["verify", "--n", "3000"])
@@ -712,6 +737,7 @@ class TestExitCodeProperty:
     @example(argv=["solve", "--n", "2", "--eta-inf", "1e-250"])
     @example(argv=["profile", "--n", "2", "--eta-inf", "1e-250"])
     @example(argv=["sensitivity", "--n", "2", "--eta-inf", "1e-250,10"])
+    @example(argv=["solve", "--n", "1", "--eta-inf", "1.7e308"])
     def test_exit_code_contract(self, argv):
         # cli.run must map every input to 0, 1 or 2 and raise nothing.
         out, err = io.StringIO(), io.StringIO()

@@ -359,26 +359,26 @@ PHYSICAL_PINS = {
         ],
     ),
     1.0: (
-        "874e552c35e89db09d848ef8c1bdc5c31373d552d26b4c84ad412effc1b3e2ad",
+        "5141844697a3fc7608f6102d678ac16a503e8daaeb75770808ed032425d3a536",
         "0x1.5406d69dcc1b4p-2",
         [
             ("0x1.5406d69dcc1b4p-2", "-0x0.0p+0", "0x1.5406d69dcc1b4p-2"),
             ("0x1.5406d69d52680p-2", "-0x1.edcbb317f1261p-25", "0x1.5406d69d52680p-2"),
             ("0x1.90bb05fa66bdap-3", "-0x1.cc164f30b6e57p-4", "0x1.90bb05fa66bdap-3"),
-            ("0x1.3bf85086fea36p-6", "-0x1.f40306a3217c0p-6", "0x1.3bf85086fea36p-6"),
-            ("0x1.f1b9cf112e82bp-12", "-0x1.35d18295f1032p-10", "0x1.f1b9cf112e82bp-12"),
+            ("0x1.45bbda50502fbp-6", "-0x1.002d6b300aeb1p-5", "0x1.45bbda50502fbp-6"),
+            ("0x1.0878bb5a120afp-11", "-0x1.47a194e774654p-10", "0x1.0878bb5a120afp-11"),
             ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"),
         ],
     ),
     1.7: (
-        "44ad6d28be894a002fd68e918c709f447d1793681fb4551cf2b3ab252a164802",
+        "e7193e420f74f60811d4ff25d0ff5fc38f9e4013906714528d596c5ac053ee56",
         "0x1.8400f72c30bc0p-2",
         [
             ("0x1.8967f8ee40d08p-3", "-0x0.0p+0", "0x1.8400f72c30bbfp-2"),
             ("0x1.8967f8edd883ap-3", "-0x1.154e99898fd58p-25", "0x1.8400f72bf4393p-2"),
-            ("0x1.1f8644a4270ffp-3", "-0x1.33c8614634180p-4", "0x1.42a7a0962d7d4p-2"),
-            ("0x1.bfc166e58217cp-7", "-0x1.ccbe5451af1bcp-5", "0x1.47d47de483086p-4"),
-            ("0x1.60890f438bfffp-13", "-0x1.559a545f75adap-8", "0x1.8aaa3f3097e4dp-8"),
+            ("0x1.287fe8c6a411cp-3", "-0x1.2617cd8aaeb7ap-4", "0x1.488ab5ad08a1fp-2"),
+            ("0x1.12dc492fef96bp-6", "-0x1.f9afe066c22d4p-5", "0x1.71e1638724044p-4"),
+            ("0x1.6a292464723cfp-12", "-0x1.01d9c807872fdp-7", "0x1.2d68c81e15283p-7"),
             ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"),
         ],
     ),
@@ -485,6 +485,24 @@ class TestSolveNitm:
             result = solve(n)
             assert result.method_tag == "direct"
             assert abs(result.fpp0 - centre) <= 1e-9
+
+
+class TestLargeBoundary:
+    """With no step cap the step grows once the layer has decayed, so a
+    truncated boundary costs steps in proportion to log eta*, not to eta*."""
+
+    def test_far_boundary_costs_a_few_steps(self):
+        assert len(solve(1.0, NitmConfig(eta_star_inf=1e5)).star_profile.grid.nodes) < 400
+
+    def test_blasius_value_at_a_near_infinite_boundary(self):
+        fpp0 = solve(1.0, NitmConfig(eta_star_inf=1e300)).fpp0
+        assert abs(fpp0 - 0.33205733621519630) <= 1e-11
+
+    @pytest.mark.parametrize("n", [0.05, 0.1, 0.5, 1.0, 2.0, 5.0])
+    def test_near_infinite_boundary_grid(self, n):
+        nodes = solve(n, NitmConfig(eta_star_inf=1e300)).star_profile.grid.nodes
+        assert len(nodes) <= 4000
+        assert all(a < b for a, b in zip(nodes, nodes[1:]))
 
 
 class TestSolveExcluded:

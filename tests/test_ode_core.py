@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from blasius_powerlaw import ode_core
-from blasius_powerlaw.nitm import solve
+from blasius_powerlaw.nitm import NitmConfig, solve
 from blasius_powerlaw.ode_core import (
     DivergenceError,
     DomainError,
     IntegratorConfig,
     OdeError,
     StepBudgetError,
+    StepUnderflowError,
     curvature_from_flux,
     flux_from_curvature,
     flux_nonnegative_projector,
@@ -279,11 +280,13 @@ class TestIntegrator:
             integrate_system(lambda t, y: y, 0.0, ONES, 50.0, CFG)
 
     def test_impossible_budget_rejected_before_stepping(self, monkeypatch):
-        # 3 steps of at most h_max = 0.5 cannot cover [0, 2].
+        # 3 steps of at most an explicit h_max = 0.5 cannot cover [0, 2].
         calls = []
         monkeypatch.setattr(ode_core, "MAX_STEPS", 3)
         with pytest.raises(StepBudgetError):
-            integrate_system(lambda t, y: calls.append(t) or y, 0.0, ONES, 2.0, CFG)
+            integrate_system(
+                lambda t, y: calls.append(t) or y, 0.0, ONES, 2.0, IntegratorConfig(h_max=0.5)
+            )
         assert calls == []
 
     def test_budget_exhausted_while_stepping(self, monkeypatch):
@@ -293,12 +296,37 @@ class TestIntegrator:
             integrate_system(lambda t, y: y, 0.0, ONES, 1.0, CFG)
 
     def test_divergence_error(self):
-        # y' = y^2 blows up at t = 1.  `y[0] * y[0]` overflows to inf where
-        # `y[0] ** 2` would raise OverflowError.
-        with pytest.raises(DivergenceError):
+        # y' = y^2 from 1e154 blows up at t = 1e-154, inside the one step
+        # H_MIN to t_end, so even the smallest step overflows the state.
+        # `y[0] * y[0]` overflows to inf where `y[0] ** 2` would raise
+        # OverflowError.
+        with pytest.raises(DivergenceError, match="non-finite"):
             integrate_system(
-                lambda t, y: (y[0] * y[0], y[1] * y[1], y[2] * y[2]), 0.0, ONES, 5.0, CFG
+                lambda t, y: (y[0] * y[0], y[1] * y[1], y[2] * y[2]),
+                0.0, [1e154] * 3, ode_core.H_MIN, CFG,
             )
+
+    def test_blow_up_stops_at_the_float_spacing(self):
+        # y' = y^2 from 1 blows up at t = 1.  The step shrinks with 1 - t and
+        # falls below the float spacing at t while the state is ~1e12; a step
+        # that cannot move t is refused, instead of stepping in place until
+        # the state overflows (230,323 RHS calls before).
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (y[0] * y[0], y[1] * y[1], y[2] * y[2])
+
+        with pytest.raises(StepUnderflowError, match="float spacing at t = 0.99999999999"):
+            integrate_system(rhs, 0.0, ONES, 5.0, CFG)
+        assert len(calls) < 30_000
+
+    def test_step_that_cannot_move_t_is_refused(self):
+        # From t0 = 1e20 the first trial step H_INIT is below one ulp (16384).
+        calls = []
+        with pytest.raises(StepUnderflowError, match="float spacing at t = 1e[+]20"):
+            integrate_system(lambda t, y: calls.append(t) or y, 1e20, ONES, 2e20, CFG)
+        assert calls == [1e20]
 
     def test_nonfinite_initial_state(self):
         with pytest.raises(DomainError, match="non-finite initial state"):
@@ -374,9 +402,11 @@ class TestIntegrator:
     def test_stop_is_not_overshot(self, monkeypatch):
         # From t = -0.4 the clipped step 3e-17 - t rounds up to 0.4 + 2^-54,
         # so t + h would pass the stop by 2.6e-17; the node is set on it.
+        # An explicit h_max = 0.5 then puts one node between it and t_end.
         monkeypatch.setattr(ode_core, "H_INIT", 0.5)
+        config = IntegratorConfig(h_max=0.5)
         grid = integrate_system(
-            lambda t, y: (0.0, 0.0, 0.0), -0.4, ONES, 1.0, CFG, stops=(3e-17,)
+            lambda t, y: (0.0, 0.0, 0.0), -0.4, ONES, 1.0, config, stops=(3e-17,)
         )
         assert grid.ts.tolist() == [-0.4, 3e-17, 0.5, 1.0]
 
@@ -403,9 +433,9 @@ class TestKernel:
             (0.1, "0x1.a7281f4c61bfcp-1", 236),
             (0.3, "0x1.90e96626c9921p-2", 267),
             (0.5, "0x1.53b53fb8ed1dap-2", 298),
-            (1.0, "0x1.5406d69dcc1b4p-2", 354),
-            (1.7, "0x1.8400f72c30bc0p-2", 287),
-            (2.0, "0x1.9962b34340bf9p-2", 272),
+            (1.0, "0x1.5406d69dcc1b4p-2", 352),
+            (1.7, "0x1.8400f72c30bc0p-2", 276),
+            (2.0, "0x1.9962b34340bf9p-2", 262),
         ],
         ids=["0.1", "0.3", "0.5", "1.0", "1.7", "2.0"],
     )
@@ -418,8 +448,8 @@ class TestKernel:
     # star IVP, and those of one run with stops at 6 and 8.
     @pytest.mark.parametrize(
         "n, stops, calls, projections",
-        [(0.3, (), 1597, 0), (1.0, (), 2120, 1), (1.7, (), 1784, 1), (1.0, (6.0, 8.0), 2132, 1)],
-        ids=["0.3-1597-0", "1.0-2120-1", "1.7-1784-1", "1.0-stops-2132-1"],
+        [(0.3, (), 1597, 0), (1.0, (), 2108, 1), (1.7, (), 1718, 1), (1.0, (6.0, 8.0), 2114, 1)],
+        ids=["0.3-1597-0", "1.0-2108-1", "1.7-1718-1", "1.0-stops-2114-1"],
     )
     def test_rhs_call_contract(self, n, stops, calls, projections):
         rhs, project = flux_system(n), flux_nonnegative_projector()
@@ -456,9 +486,9 @@ class TestKernel:
         "n, stops, digest",
         [
             (0.3, (), "3a0cfc29ee712efbb0e042ff366941f43234515e11d24e58a6f1a478b3e138d0"),
-            (1.0, (), "c10d5341b5f13e08ba2b4879a2213007434f45139c343c7102be4cad90cb543c"),
-            (1.7, (), "3ba308a2c3d81983a9cba2a4c2c9f685de8d4a1b0f4571007d6b802382c4da08"),
-            (1.0, (6.0, 8.0), "148678eaf668a501faf4f63b6a55bf19f23baad14265d7437af8b71102fecbf6"),
+            (1.0, (), "6c6f45bba065ebc48f5a70b373d88ac63d5ccffe3c259a1378d4a36d3ef61c25"),
+            (1.7, (), "a84986d3df6784dceb5eb3ea95b407ff495570af0e48faedd3f701ebb106e3c3"),
+            (1.0, (6.0, 8.0), "233bdb297ef355c9ddd2512c3e43a9904359366e0b924b1670fef24f6f965ced"),
         ],
         ids=["0.3", "1.0", "1.7", "1.0-stops"],
     )
@@ -476,7 +506,7 @@ class TestKernel:
     # state-changing projections, over more of the stepper: star IVPs at both
     # ends of the exponent range; a shooting-frame trial from f''(0) = 0.3 to
     # eta = 7 with stops at 2 and 5 (9 rejected steps, one projection and
-    # 9 steps with a zero error estimate); and a loose-tolerance run
+    # 7 steps with a zero error estimate); and a loose-tolerance run
     # (14 rejected steps, and 4 steps with a nonzero error that grow by the
     # 5x cap).
     @pytest.mark.parametrize(
@@ -485,9 +515,9 @@ class TestKernel:
             (0.1, 1.0, 10.0, (), 1e-12,
              "2eb9754f5202881cc83b7d066eafc6cf1427a182a5cec1df76f53984b8102b6a", 1411, 0),
             (2.5, 1.0, 10.0, (), 1e-12,
-             "2a011aa431712fc62703b48b6add7f87d7130d1e9d0e0bedbda9b523421af4a2", 1676, 1),
+             "a7a010a9c197819ca94ab0fa3c1252c5c01d34285cb47cf8322f166b479dde39", 1610, 1),
             (1.5, 0.3, 7.0, (2.0, 5.0), 1e-12,
-             "ee8933994821122a4199a42f8f0014a794ac410ffa6ddba16c1973f15dbca5cd", 1436, 1),
+             "62f7826ed2c974329d24c88349d0161b6652ece126f9b6a1c541145f3cebe975", 1424, 1),
             (1.7, 1.0, 10.0, (), 1e-6,
              "4621284479323a13c22a281e949b4e2d69d9ec41540da4d4c02d81088f6dd17d", 8137, 0),
         ],
@@ -527,7 +557,21 @@ class TestKernel:
             grid = result.star_profile.grid
             values = [*grid.nodes, *itertools.chain.from_iterable(grid.states), result.fpp0]
             sha.update(struct.pack(f"<{len(values)}d", *values))
-        digest = "8296ceeb8216b0e4309219a9fb350dffebd34a84555068bfb2c46976b93b7c3e"
+        digest = "47bfb49d648df8a1e229a3687231ce9a5e7e3667ef274f1426cc38842859273d"
+        assert sha.hexdigest() == digest
+
+
+    # SHA-256 of fpp0 alone, as little-endian doubles, for n = 0.10, 0.11, ...,
+    # 2.50 at eta* = 6, 8 and 10 (x86-64, glibc libm).  Recorded with the old
+    # step cap h_max = 0.5: the steps that cap clipped come after the far
+    # field has settled at these boundaries, so lifting it keeps every bit.
+    def test_fpp0_is_bit_identical_at_short_boundaries(self):
+        sha = hashlib.sha256()
+        for eta in (6.0, 8.0, 10.0):
+            config = NitmConfig(eta_star_inf=eta)
+            values = [solve(percent / 100, config).fpp0 for percent in range(10, 251)]
+            sha.update(struct.pack(f"<{len(values)}d", *values))
+        digest = "57e0c72cfc12d5a08d277bac52384d1ca6af4af72ef5f42666d3bc33804b23ab"
         assert sha.hexdigest() == digest
 
 
@@ -536,11 +580,17 @@ class TestIntegratorConfig:
         with pytest.raises(DomainError):
             IntegratorConfig(rel_tol=0.0)
 
-    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "h_max"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "value, field",
+        [*itertools.product([math.nan, math.inf], ["rel_tol", "abs_tol"]), (math.nan, "h_max")],
+    )
     def test_nonfinite_rejected(self, field, value):
         with pytest.raises(DomainError):
             IntegratorConfig(**{field: value})
+
+    def test_h_max_defaults_to_no_cap(self):
+        assert IntegratorConfig().h_max == math.inf
+        assert IntegratorConfig(h_max=math.inf) == IntegratorConfig()
 
     def test_bad_step_bounds(self):
         # h_max below the first trial step H_INIT = 1e-3.

@@ -131,9 +131,11 @@ class TestBoundarySensitivity:
                 assert value == pytest.approx(alone, rel=1e-11, abs=0.0)
 
     def test_failed_boundary_keeps_the_others(self):
-        # 1e7 is beyond the default step budget of 1e6 steps of h_max 0.5.
-        (_, value, error), (_, value_far, error_far) = boundary_sensitivity(1.0, [6.0, 1e7])
-        assert value == nitm_solve(1.0, NitmConfig(eta_star_inf=6.0)).fpp0 and error is None
+        # 1e7 is beyond the step budget of 1e6 steps of an explicit h_max 0.5.
+        config = NitmConfig(integrator=IntegratorConfig(h_max=0.5))
+        records = boundary_sensitivity(1.0, [6.0, 1e7], config)
+        (_, value, error), (_, value_far, error_far) = records
+        assert value == nitm_solve(1.0, config._replace(eta_star_inf=6.0)).fpp0 and error is None
         assert value_far is None and "step budget" in error_far
 
     def test_overflowing_boundary_keeps_the_others(self):
@@ -165,6 +167,20 @@ class TestExportProfile:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[1]) == pytest.approx(result.fpp0, rel=1e-15)
+
+    @pytest.mark.parametrize("columns", [None, ("fpp", "eta", "fpp")], ids=["all", "repeated"])
+    def test_bytes_are_the_row_wise_rendering(self, columns):
+        # Columns are formatted one at a time; the text is that of repr over
+        # each row, joined by commas.
+        result = nitm_solve(1.7)
+        names = columns or PROFILE_COLUMNS
+        data = {}
+        for suffix, profile in (("", result.profile), ("_star", result.star_profile)):
+            f, fp, _ = zip(*profile.grid.states)
+            values = (profile.grid.nodes, f, fp, profile.curvatures())
+            data.update(zip((c + suffix for c in ("eta", "f", "fp", "fpp")), values))
+        rows = [",".join(map(repr, row)) for row in zip(*(data[c] for c in names))]
+        assert export_profile(result, columns) == "\n".join([",".join(names), *rows]) + "\n"
 
     def test_unknown_column(self):
         with pytest.raises(SelectionError):
@@ -220,7 +236,7 @@ class TestRecords:
     def test_repr(self):
         assert repr(NitmConfig(c0=2.0)) == (
             "NitmConfig(eta_star_inf=10.0, c0=2.0, integrator="
-            "IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, h_max=0.5))"
+            "IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, h_max=inf))"
         )
 
     @pytest.mark.parametrize(
