@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
 from .ode_core import (
     FLUX_CUTOFF,
@@ -53,17 +53,16 @@ class NitmConfig(
         require_positive("c0", self.c0)
 
 
-class NitmResult(NamedTuple):
-    n: float
-    delta: float | None  # (2 - n)/(1 - 2n), unused by the solve; None at n = 1/2, +0.0 at n = 2
-    lam: float  # 1/a, the classical group parameter lambda
-    fpp0: float
-    fp_star_inf: float
-    star_profile: SolutionProfile
-    method_tag: str  # "direct" or "extrapolated"
-    a: float  # the group element f(eta) = a F(b eta) of the star solve
-    b: float
-    eta_inf_physical: float  # eta*/b, the last node of `profile`
+class NitmResult(
+    namedtuple("NitmResult", "n delta lam fpp0 fp_star_inf star_profile method_tag a b eta_inf_physical")
+):
+    """One-IVP answer at exponent n.  `delta` = (2 - n)/(1 - 2n) is unused by
+    the solve (None at n = 1/2, +0.0 at n = 2); `lam` = 1/a is the classical
+    group parameter lambda; `method_tag` is "direct" or "extrapolated"; `a`
+    and `b` are the group element f(eta) = a F(b eta) of the star solve, and
+    `eta_inf_physical` = eta*/b is the last node of `profile`."""
+
+    __slots__ = ()
 
     @property
     def profile(self) -> SolutionProfile:

@@ -14,10 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from collections.abc import Callable, Sequence
 
 
 class OdeError(Exception):
@@ -68,13 +65,10 @@ def require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and > 0, got {value}")
 
 
-class IvpState(NamedTuple):
+class IvpState(namedtuple("IvpState", "eta f fp w")):
     """One grid point of the first-order system (eta, f, f', w)."""
 
-    eta: float
-    f: float
-    fp: float
-    w: float
+    __slots__ = ()
 
 
 #: First trial step, smallest step and step budget of `integrate_system`.
@@ -126,13 +120,13 @@ class GridSolution(namedtuple("GridSolution", "nodes states")):
     in the instance `__dict__` (no `__slots__` here); the CLI reads neither."""
 
     @functools.cached_property
-    def ts(self) -> np.ndarray:
+    def ts(self):
         import numpy as np
 
         return np.array(self.nodes, dtype=float)
 
     @functools.cached_property
-    def ys(self) -> np.ndarray:
+    def ys(self):
         import numpy as np
 
         return np.array(self.states, dtype=float)
@@ -292,20 +286,22 @@ def integrate_system(
             factor = 5.0 if err == 0.0 else 0.9 * err ** -0.2
             h = h * (factor if factor < 5.0 else 5.0)
         else:
-            if not isfinite(err) and h <= H_MIN * (1.0 + 1e-12):
-                raise DivergenceError(f"state became non-finite at t = {t}")
-            h = h * (0.5 if not isfinite(err) else max(0.2, 0.9 * err ** -0.2))
+            diverged = not isfinite(err)
+            h = h * (0.5 if diverged else max(0.2, 0.9 * err ** -0.2))
+            # A trial that overflowed and cannot shrink further (below H_MIN,
+            # or too small to move t) is divergence, not stiffness.
+            if diverged and (h < H_MIN or t + h == t):
+                raise DivergenceError(f"state became non-finite after t = {t}; last finite state {y}")
             if h < H_MIN:
                 raise StepUnderflowError(f"step underflow below H_MIN at t = {t}")
 
     return GridSolution(nodes, states)
 
 
-class SolutionProfile(NamedTuple):
+class SolutionProfile(namedtuple("SolutionProfile", "grid n")):
     """Ordered solution grid of the (f, f', w) system at exponent n."""
 
-    grid: GridSolution
-    n: float
+    __slots__ = ()
 
     @property
     def final(self) -> IvpState:

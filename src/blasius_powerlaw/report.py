@@ -7,7 +7,8 @@ message instead of aborting the whole sweep; `cli` writes them out.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .ode_core import DomainError, OdeError, SolutionProfile, require_positive
 from . import nitm
@@ -24,15 +25,11 @@ class SelectionError(DomainError):
     """Unknown profile column requested."""
 
 
-class SweepRow(NamedTuple):
-    n: float
-    fpp0_nitm: float | None = None
-    fpp0_shooting: float | None = None
-    discrepancy: float | None = None
-    method_tag: str | None = None
-    eta_star_inf: float | None = None  # one-IVP star boundary
-    eta_inf_physical: float | None = None  # where the row imposes f' = 1
-    error: str | None = None
+SweepRow = namedtuple(
+    "SweepRow",
+    "n fpp0_nitm fpp0_shooting discrepancy method_tag eta_star_inf eta_inf_physical error",
+    defaults=(None,) * 7,
+)
 
 
 def relative_discrepancy(fpp0_nitm: float, fpp0_shooting: float) -> float:
@@ -45,6 +42,9 @@ def sweep_table(
     n_values: Sequence[float], method: str = SWEEP_METHODS[0], nitm_config: NitmConfig = NitmConfig()
 ) -> list[SweepRow]:
     """One row per exponent, ordered by n; per-row failures are recorded.
+
+    A row's fields are None where it has no value; `eta_star_inf` is the
+    one-IVP star boundary and `eta_inf_physical` where the row imposes f' = 1.
 
     `nitm_config` also sets shooting's integrator, and its physical boundary
     where a row has no one-IVP endpoint to match (method "shooting", or a

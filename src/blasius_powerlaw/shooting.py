@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import NamedTuple
 
 from .ode_core import (
     IntegratorConfig,
@@ -61,12 +60,7 @@ class ShootingConfig(
         require_positive("eta_inf", self.eta_inf)
 
 
-class ShootingResult(NamedTuple):
-    fpp0: float
-    residual: float
-    iterations: int
-    profile: SolutionProfile
-    start_residual: float  # of the first trial, `start`
+ShootingResult = namedtuple("ShootingResult", "fpp0 residual iterations profile start_residual")
 
 
 def shoot_residual(

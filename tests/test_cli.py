@@ -412,8 +412,9 @@ class TestSensitivity:
         assert code == 1
         lines = out.strip().split("\n")
         assert float(lines[1].split(",")[1]) == pytest.approx(0.33205752415, abs=1e-10)
-        assert lines[2].startswith("1.7e+308,,step h = ")
-        assert " is below the float spacing at t = 8.62" in lines[2]
+        # F* overflows near eta* = 8.62e307: divergence, not a step underflow.
+        assert lines[2].startswith('1.7e+308,,"state became non-finite after t = 8.62')
+        assert "; last finite state (1.7976931348623157e+308, " in lines[2]
         assert "Traceback" not in out + err
 
     @pytest.mark.filterwarnings("error")
@@ -517,6 +518,20 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
+#: Run with neither `site` (which may preload modules) nor the environment:
+#: import the package and `cli`, run `solve --n 1`, and print its exit code
+#: and every module loaded.
+_BARE_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import blasius_powerlaw
+from blasius_powerlaw import cli
+code = cli.run(["solve", "--n", "1"])
+print(code)
+print(" ".join(sys.modules))
+"""
+
+
 class TestImports:
     COMMANDS = [
         ("solve --n 1", 0),
@@ -566,6 +581,20 @@ class TestImports:
         library, *_ = no_numpy_run
         assert "blasius_powerlaw.report" in library
         assert {"json", "csv", "argparse"}.isdisjoint(library)
+
+    def test_bare_interpreter_loads_no_typing(self):
+        # typing alone takes longer to import than the package, so the
+        # records are `collections.namedtuple` classes and the annotations
+        # name `collections.abc` types.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", _BARE_SCRIPT, src],
+            capture_output=True, text=True, check=True,
+        )
+        *_, code, loaded = proc.stdout.splitlines()
+        assert code == "0"
+        assert "blasius_powerlaw.cli" in loaded.split()
+        assert {"typing", "numpy", "dataclasses"}.isdisjoint(loaded.split())
 
     def test_grid_arrays_are_built_once_from_the_lists(self):
         grid = solve(1.7).profile.grid
@@ -686,62 +715,96 @@ _VALID = {
     "--tol": _number(1e-16, 1e-3),
     "--method": st.sampled_from(["nitm", "shooting", "both"]),
     "--format": st.sampled_from(["csv", "json"]),
-    "--columns": st.sampled_from(["eta,fpp", "eta,f,fp,fpp,eta_star", ""]),
+    "--columns": st.sampled_from(["eta,fpp", "eta,f,fp,fpp,eta_star"]),
 }
 _SENSITIVITY_ETAS = st.lists(_log_number(0.01, 1.7e308), min_size=1, max_size=3).map(",".join)
 _OUT_OF_RANGE = st.sampled_from(["0", "-1", "-0.0", "nan", "inf", "-inf", "1e400"])
 _NON_NUMERIC = st.sampled_from(["abc", "", "1.0.0", "0x1p", "vorticity"])
-# Mostly valid values, so that whole subcommands run and can fail numerically.
+# Kinds of value of each flag in a malformed draw.
 _KINDS = st.sampled_from(("valid",) * 10 + ("missing",) * 3 + ("out of range", "non-numeric"))
 _COMMON = ("--eta-inf", "--c0", "--rtol", "--atol")
+_RANGE = ("--n-from", "--n-to", "--n-step")
 _FLAGS = {
     "solve": ("--n", *_COMMON),
-    "table": ("--n", "--n-from", "--n-to", "--n-step", "--method", "--format", *_COMMON),
+    "table": ("--n", *_RANGE, "--method", "--format", *_COMMON),
     "verify": ("--n", "--tol", *_COMMON),
     "sensitivity": ("--n", *_COMMON),
     "profile": ("--n", "--columns", *_COMMON),
 }
 
 
+def _valid(sub, flag):
+    return _SENSITIVITY_ETAS if (sub, flag) == ("sensitivity", "--eta-inf") else _VALID[flag]
+
+
 @st.composite
 def _argv(draw):
+    """Four draws in five are well formed: --n (for table, --n or a whole
+    --n-from <= --n-to range) and any of the other flags, all with valid
+    values, so that the subcommand runs and exits 0 or 1.  The fifth draws
+    each flag missing, valid, out of range or not a number, and may end on a
+    flag without its value."""
     sub = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [sub]
-    for flag in _FLAGS[sub]:
-        kind = draw(_KINDS)
-        if kind == "missing":
-            continue
-        if kind == "valid":
-            valid = _SENSITIVITY_ETAS if (sub, flag) == ("sensitivity", "--eta-inf") else _VALID[flag]
-            value = draw(valid)
-        else:
-            value = draw(_OUT_OF_RANGE if kind == "out of range" else _NON_NUMERIC)
-        argv += [flag, value]
     if draw(st.integers(0, 4)) == 0:
-        argv.append(draw(st.sampled_from(_FLAGS[sub])))  # a flag without its value
+        for flag in _FLAGS[sub]:
+            kind = draw(_KINDS)
+            if kind == "missing":
+                continue
+            if kind == "valid":
+                value = draw(_valid(sub, flag))
+            else:
+                value = draw(_OUT_OF_RANGE if kind == "out of range" else _NON_NUMERIC)
+            argv += [flag, value]
+        if draw(st.integers(0, 4)) == 0:
+            argv.append(draw(st.sampled_from(_FLAGS[sub])))  # a flag without its value
+        return argv
+    required = _RANGE if sub == "table" and draw(st.booleans()) else ("--n",)
+    for flag in _FLAGS[sub]:
+        if flag in required or (flag not in _RANGE and draw(st.booleans())):
+            argv += [flag, draw(_valid(sub, flag))]
+    if "--n-from" in argv:
+        i, j = argv.index("--n-from") + 1, argv.index("--n-to") + 1
+        argv[i], argv[j] = sorted((argv[i], argv[j]), key=float)
     return argv
 
 
+#: Inputs that once broke the exit-code contract, run before the drawn ones.
+_EXAMPLES = [
+    ["table", "--method", "shooting", "--n", "300"],
+    ["verify", "--n", "3000"],
+    ["verify", "--n", "1", "--eta-inf", "1e-6"],
+    ["table", "--n-from", "0.1", "--n-to", "2", "--n-step", "1e-300"],
+    ["solve", "--n", "1e-20"],
+    ["solve", "--n", "5", "--eta-inf", "1e-210"],
+    ["sensitivity", "--n", "1", "--eta-inf", "1e-250,10"],
+    ["solve", "--n", "2", "--eta-inf", "1e-250"],
+    ["profile", "--n", "2", "--eta-inf", "1e-250"],
+    ["sensitivity", "--n", "2", "--eta-inf", "1e-250,10"],
+    ["solve", "--n", "1", "--eta-inf", "1.7e308"],
+]
+
+
 class TestExitCodeProperty:
-    # Every example takes milliseconds; the deadline catches a run that
-    # steps in place (seconds) even where it would still exit 1.
-    @settings(max_examples=100, deadline=1000, derandomize=True)
-    @given(argv=_argv())
-    @example(argv=["table", "--method", "shooting", "--n", "300"])
-    @example(argv=["verify", "--n", "3000"])
-    @example(argv=["verify", "--n", "1", "--eta-inf", "1e-6"])
-    @example(argv=["table", "--n-from", "0.1", "--n-to", "2", "--n-step", "1e-300"])
-    @example(argv=["solve", "--n", "1e-20"])
-    @example(argv=["solve", "--n", "5", "--eta-inf", "1e-210"])
-    @example(argv=["sensitivity", "--n", "1", "--eta-inf", "1e-250,10"])
-    @example(argv=["solve", "--n", "2", "--eta-inf", "1e-250"])
-    @example(argv=["profile", "--n", "2", "--eta-inf", "1e-250"])
-    @example(argv=["sensitivity", "--n", "2", "--eta-inf", "1e-250,10"])
-    @example(argv=["solve", "--n", "1", "--eta-inf", "1.7e308"])
-    def test_exit_code_contract(self, argv):
-        # cli.run must map every input to 0, 1 or 2 and raise nothing.
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+    def test_exit_code_contract(self):
+        exits = set()  # (subcommand, exit code) of every drawn argv
+
+        # Every example takes milliseconds; the deadline catches a run that
+        # steps in place (seconds) even where it would still exit 1.
+        @settings(max_examples=100, deadline=1000, derandomize=True)
+        @given(argv=_argv())
+        def check(argv):
+            # cli.run must map every input to 0, 1 or 2 and raise nothing.
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if argv not in _EXAMPLES:
+                exits.add((argv[0], code))
+
+        for argv in _EXAMPLES:
+            check = example(argv=argv)(check)
+        check()
+        # The draws reach the solver: each subcommand answers at least once.
+        assert {sub for sub, code in exits if code == 0} == set(_FLAGS), sorted(exits)

@@ -306,6 +306,18 @@ class TestIntegrator:
                 0.0, [1e154] * 3, ode_core.H_MIN, CFG,
             )
 
+    def test_overflow_that_halves_below_h_min_is_divergence(self):
+        # The same field over [0, 5]: every trial from H_INIT down overflows,
+        # so the halving passes H_MIN; that is divergence, not stiffness.
+        with pytest.raises(DivergenceError) as info:
+            integrate_system(
+                lambda t, y: (y[0] * y[0], y[1] * y[1], y[2] * y[2]),
+                0.0, [1e154] * 3, 5.0, CFG,
+            )
+        assert str(info.value) == (
+            "state became non-finite after t = 0.0; last finite state (1e+154, 1e+154, 1e+154)"
+        )
+
     def test_blow_up_stops_at_the_float_spacing(self):
         # y' = y^2 from 1 blows up at t = 1.  The step shrinks with 1 - t and
         # falls below the float spacing at t while the state is ~1e12; a step
