@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 
 from .ode_core import IntegratorConfig, OdeError
@@ -65,14 +66,38 @@ def _add_common(p: argparse.ArgumentParser, eta_inf: bool = True) -> None:
     p.add_argument("--output", default=None, help="output file (default stdout)")
 
 
+def _help_formatter(prog: str) -> argparse.HelpFormatter:
+    """argparse's formatter at the width it would take from
+    `shutil.get_terminal_size`: $COLUMNS if a positive integer, else the
+    terminal on stdout, else 80.  Every `add_argument` builds a formatter,
+    and argparse's own import of `shutil` for that width costs a process
+    more than the package import."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+        except (AttributeError, ValueError, OSError):
+            columns = 80
+    return argparse.HelpFormatter(prog, width=columns - 2)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blasius-powerlaw",
         description="Power-law boundary-layer solver: one-IVP scaling method with a shooting cross-check.",
+        formatter_class=_help_formatter,
     )
-    # `dest` is the name argparse's errors give the subcommand.
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # `dest` is the name argparse's errors give the subcommand.  Subparsers
+    # do not inherit the formatter.
+    sub = parser.add_subparsers(
+        dest="subcommand",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=_help_formatter),
+    )
 
     p = sub.add_parser("solve", help="solve one exponent by the non-iterative method")
     p.set_defaults(handler=_cmd_solve)

@@ -78,7 +78,7 @@ def solve_star_ivp(n: float, config: NitmConfig, stops: Sequence[float] = ()) ->
     pin it to zero after the first step, F' would stop growing there, and
     f''(0) would come out wrong (1e10 for c0 = 1e-11 at n = 1).
     """
-    rhs, project = flux_system(n), flux_nonnegative_projector()
+    rhs, project = flux_system(n), flux_nonnegative_projector(n)
     if flux_from_curvature(config.c0, n) <= FLUX_CUTOFF:
         raise DomainError(
             f"wall flux c0^n = {config.c0}^{n} is at or below the cutoff {FLUX_CUTOFF}"

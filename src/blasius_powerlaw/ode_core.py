@@ -315,24 +315,41 @@ class SolutionProfile(namedtuple("SolutionProfile", "grid n")):
 
 #: Default extinction cutoff for flux_nonnegative_projector.  For n > 1 the
 #: flux reaches zero at finite eta and the equation becomes arbitrarily stiff
-#: as w -> 0+; pinning the last ~10 decades of decay to zero perturbs the
-#: far-field slope by O(cutoff) and keeps the stepper out of the singular
-#: layer.
+#: as w -> 0+; pinning the last ~10 decades of decay to zero keeps the
+#: stepper out of the singular layer, and the projector gives back the slope
+#: that decay would add, so the far-field slope misses only a term second
+#: order in the length of the cut tail.
 FLUX_CUTOFF = 1e-10
 
 
-def flux_nonnegative_projector() -> Callable[[State], State]:
-    """Pin the flux component of a (f, f', w) state to zero once it is spent.
+def flux_nonnegative_projector(n: float) -> Callable[[State], State]:
+    """Pin the flux component of a (f, f', w) state at exponent n to zero
+    once it is spent, and add to f' the slope that the rest of the decay
+    would give.
 
     The boundary-layer solutions of interest start from w(0) > 0 and w decays
     monotonically; the exact solution never goes negative, and for n > 1 it
     extinguishes at finite eta (the layer has finite extent) where the
-    right-hand side is non-Lipschitz in w.
+    right-hand side is non-Lipschitz in w.  Along a trajectory
+    f'' d eta = -(n + 1) dw / f, so letting w run from its pinned value to 0
+    adds (n + 1) w / f to f', to first order in how much f changes over that
+    tail; a step that overshot to w < 0 takes slope back.  The gain is given
+    only where f > 0, f' > 0 and |gain| f' <= f |w|^(1/n), that is, where it
+    is at most what the current f'' adds over f/f', the length on which f
+    doubles: a trial pinned near the wall, where f ~ g eta^2 / 2, gains
+    nothing.
     """
+    require_positive("power-law exponent", n)
+    inv_n, np1 = 1.0 / n, n + 1.0
 
     def project(y: State) -> State:
         if y[2] < FLUX_CUTOFF:
-            return (y[0], y[1], 0.0)
+            f, fp, w = y
+            if f > 0.0 and fp > 0.0:
+                gain = np1 * w / f
+                if abs(gain) * fp <= f * abs(w) ** inv_n:
+                    return (f, fp + gain, 0.0)
+            return (f, fp, 0.0)
         return y
 
     return project

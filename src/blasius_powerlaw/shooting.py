@@ -69,7 +69,7 @@ def shoot_residual(
     """Residual f'(eta_inf) - 1 of the trial wall curvature `guess`, and its profile."""
     require_positive("trial curvature", guess)
     profile = integrate(
-        flux_system(n), n, guess, config.eta_inf, config.integrator, flux_nonnegative_projector()
+        flux_system(n), n, guess, config.eta_inf, config.integrator, flux_nonnegative_projector(n)
     )
     return profile.final.fp - 1.0, profile
 

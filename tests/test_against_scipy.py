@@ -1,0 +1,56 @@
+"""Accuracy against an independent integrator: SciPy's DOP853 at rtol 1e-14
+over the same field, with max(w, 0) in place of the flux pin, so with no
+cutoff at all.  At n = 1.05, 1.2, 1.7, 2.0 and 2.5 it agrees with the
+untruncated Crocco-form values to <= 4.7e-13."""
+
+import warnings
+
+import pytest
+
+from blasius_powerlaw.nitm import solve
+from blasius_powerlaw.shooting import solve_shooting
+
+scipy_integrate = pytest.importorskip("scipy.integrate")
+scipy_optimize = pytest.importorskip("scipy.optimize")
+
+
+def _reference_slope(n, fpp0, eta_end):
+    """f'(eta_end) of the wall IVP f = f' = 0, f'' = fpp0 at exponent n."""
+    inv_n, inv_np1 = 1.0 / n, 1.0 / (n + 1.0)
+
+    def field(eta, y):
+        fpp = max(y[2], 0.0) ** inv_n
+        return (y[1], fpp, -y[0] * fpp * inv_np1)
+
+    with warnings.catch_warnings():
+        # SciPy raises an rtol below 100 ulp to that floor, with a warning.
+        warnings.simplefilter("ignore", UserWarning)
+        sol = scipy_integrate.solve_ivp(
+            field, (0.0, eta_end), (0.0, 0.0, fpp0**n), method="DOP853", rtol=1e-14, atol=1e-22
+        )
+    # At large n, w^(1/n) is nearly a step where the layer extinguishes, and
+    # DOP853 stops there with its step below the float spacing; the slope
+    # the rest of the decay would add, (n + 1) w / f, is then below 1e-14.
+    f, fp, w = sol.y[:, -1]
+    assert sol.success or (n + 1.0) * w / f < 1e-14, sol.message
+    return float(fp)
+
+
+def test_one_ivp_answer_matches_the_reference():
+    # The star IVP from c0 = 1 to eta* = 10, recovered as F'_inf^(-3/(n+1)).
+    # Worst 7.2e-13 measured (n = 1); 2.2e-11 while the pin dropped the
+    # slope it cuts.
+    errors = {}
+    for n in (1.0, 1.05, 1.2, 1.5, 1.7, 2.0, 2.5):
+        reference = _reference_slope(n, 1.0, 10.0) ** (-3.0 / (n + 1.0))
+        errors[n] = abs(solve(n).fpp0 - reference) / reference
+    assert max(errors.values()) <= 1.5e-12, errors
+
+
+def test_shooting_at_large_exponent_matches_the_reference():
+    # brentq on the reference residual; 5e-15 off measured, 4.7e-10 while
+    # the pin dropped the slope it cuts.
+    root = scipy_optimize.brentq(
+        lambda g: _reference_slope(50.0, g, 10.0) - 1.0, 0.85, 0.95, xtol=1e-17, rtol=8.9e-16
+    )
+    assert abs(solve_shooting(50.0).fpp0 - root) <= 1e-13

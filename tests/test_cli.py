@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -147,17 +148,17 @@ class TestTable:
         (0.7, "0x1.49c339358b6b0p-2", "0x1.49c339358b6b0p-2"),
         (0.8, "0x1.4b4f0e3887143p-2", "0x1.4b4f0e3887143p-2"),
         (0.9, "0x1.4efd96e8c8fb1p-2", "0x1.4efd96e8c8fb1p-2"),
-        (1.0, "0x1.5406d69dcc1b4p-2", "0x1.5406d69de0e02p-2"),
-        (1.1, "0x1.59f0e6ded796ap-2", "0x1.59f0e6dedff01p-2"),
-        (1.2, "0x1.606cd0d0ec8b7p-2", "0x1.606cd0d10ef38p-2"),
-        (1.3, "0x1.6745a0e2f36ecp-2", "0x1.6745a0e30b2c2p-2"),
-        (1.4, "0x1.6e56ee6e9b49bp-2", "0x1.6e56ee6eb8729p-2"),
-        (1.5, "0x1.7587312e73780p-2", "0x1.7587312e78c00p-2"),
-        (1.6, "0x1.7cc43b739e0ebp-2", "0x1.7cc43b7445091p-2"),
-        (1.7, "0x1.8400f72c30bc0p-2", "0x1.8400f72cf0899p-2"),
-        (1.8, "0x1.8b33e7a7fa6e2p-2", "0x1.8b33e7a7ffc53p-2"),
-        (1.9, "0x1.925626fe8db0ep-2", "0x1.925626fe981c7p-2"),
-        (2.0, "0x1.9962b34340bf9p-2", "0x1.9962b3433c92dp-2"),
+        (1.0, "0x1.5406d69dc2aedp-2", "0x1.5406d69dc2aedp-2"),
+        (1.1, "0x1.59f0e6deca655p-2", "0x1.59f0e6deca655p-2"),
+        (1.2, "0x1.606cd0d0e1de7p-2", "0x1.606cd0d0e1de7p-2"),
+        (1.3, "0x1.6745a0e2e96a4p-2", "0x1.6745a0e2e96a4p-2"),
+        (1.4, "0x1.6e56ee6e92da7p-2", "0x1.6e56ee6e92da7p-2"),
+        (1.5, "0x1.7587312e64cd7p-2", "0x1.7587312e64cd7p-2"),
+        (1.6, "0x1.7cc43b739a581p-2", "0x1.7cc43b739a581p-2"),
+        (1.7, "0x1.8400f72c2eb6dp-2", "0x1.8400f72c2eb6dp-2"),
+        (1.8, "0x1.8b33e7a7f92a7p-2", "0x1.8b33e7a7f92a7p-2"),
+        (1.9, "0x1.925626fe87c33p-2", "0x1.925626fe87c33p-2"),
+        (2.0, "0x1.9962b34340a29p-2", "0x1.9962b34340a29p-2"),
     ]
 
     def test_paper_grid_is_bit_identical(self, capsys):
@@ -585,7 +586,8 @@ class TestImports:
     def test_bare_interpreter_loads_no_typing(self):
         # typing alone takes longer to import than the package, so the
         # records are `collections.namedtuple` classes and the annotations
-        # name `collections.abc` types.
+        # name `collections.abc` types.  shutil (with bz2 and lzma) would
+        # cost as much, for a help width the parser reads from os instead.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
             [sys.executable, "-I", "-S", "-c", _BARE_SCRIPT, src],
@@ -594,7 +596,22 @@ class TestImports:
         *_, code, loaded = proc.stdout.splitlines()
         assert code == "0"
         assert "blasius_powerlaw.cli" in loaded.split()
-        assert {"typing", "numpy", "dataclasses"}.isdisjoint(loaded.split())
+        assert {"typing", "numpy", "dataclasses", "shutil"}.isdisjoint(loaded.split())
+
+    @pytest.mark.parametrize("columns", ["60", "120", None])
+    def test_help_text_is_argparse_default(self, monkeypatch, columns):
+        # The parser's formatter takes the width argparse's default one
+        # would, so every help text is unchanged.
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for p in (parser, *sub.choices.values()):
+            ours = p.format_help(), p.format_usage()
+            monkeypatch.setattr(p, "formatter_class", argparse.HelpFormatter)
+            assert (p.format_help(), p.format_usage()) == ours
 
     def test_grid_arrays_are_built_once_from_the_lists(self):
         grid = solve(1.7).profile.grid

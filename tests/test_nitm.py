@@ -359,26 +359,26 @@ PHYSICAL_PINS = {
         ],
     ),
     1.0: (
-        "5141844697a3fc7608f6102d678ac16a503e8daaeb75770808ed032425d3a536",
-        "0x1.5406d69dcc1b4p-2",
+        "474ed8e972f2db9c22f55433260ed3462525031cb0f2ebd43f6e1a2b771a4e50",
+        "0x1.5406d69dc2aedp-2",
         [
-            ("0x1.5406d69dcc1b4p-2", "-0x0.0p+0", "0x1.5406d69dcc1b4p-2"),
-            ("0x1.5406d69d52680p-2", "-0x1.edcbb317f1261p-25", "0x1.5406d69d52680p-2"),
-            ("0x1.90bb05fa66bdap-3", "-0x1.cc164f30b6e57p-4", "0x1.90bb05fa66bdap-3"),
-            ("0x1.45bbda50502fbp-6", "-0x1.002d6b300aeb1p-5", "0x1.45bbda50502fbp-6"),
-            ("0x1.0878bb5a120afp-11", "-0x1.47a194e774654p-10", "0x1.0878bb5a120afp-11"),
+            ("0x1.5406d69dc2aecp-2", "-0x0.0p+0", "0x1.5406d69dc2aecp-2"),
+            ("0x1.5406d69d48fb8p-2", "-0x1.edcbb317dee6ep-25", "0x1.5406d69d48fb8p-2"),
+            ("0x1.90bb05fa5ba27p-3", "-0x1.cc164f30a5e50p-4", "0x1.90bb05fa5ba27p-3"),
+            ("0x1.45bbda5047289p-6", "-0x1.002d6b300173ap-5", "0x1.45bbda5047289p-6"),
+            ("0x1.0878bb5a0ab68p-11", "-0x1.47a194e76849dp-10", "0x1.0878bb5a0ab68p-11"),
             ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"),
         ],
     ),
     1.7: (
-        "e7193e420f74f60811d4ff25d0ff5fc38f9e4013906714528d596c5ac053ee56",
-        "0x1.8400f72c30bc0p-2",
+        "b04529d2538919d9633415bc161ebd6a5de1cafcad4d0d2f002a845325e8d0d4",
+        "0x1.8400f72c2eb6dp-2",
         [
-            ("0x1.8967f8ee40d08p-3", "-0x0.0p+0", "0x1.8400f72c30bbfp-2"),
-            ("0x1.8967f8edd883ap-3", "-0x1.154e99898fd58p-25", "0x1.8400f72bf4393p-2"),
-            ("0x1.287fe8c6a411cp-3", "-0x1.2617cd8aaeb7ap-4", "0x1.488ab5ad08a1fp-2"),
-            ("0x1.12dc492fef96bp-6", "-0x1.f9afe066c22d4p-5", "0x1.71e1638724044p-4"),
-            ("0x1.6a292464723cfp-12", "-0x1.01d9c807872fdp-7", "0x1.2d68c81e15283p-7"),
+            ("0x1.8967f8ee3d553p-3", "-0x0.0p+0", "0x1.8400f72c2eb6dp-2"),
+            ("0x1.8967f8edd5085p-3", "-0x1.154e99898d3c4p-25", "0x1.8400f72bf2342p-2"),
+            ("0x1.287fe8c6a1720p-3", "-0x1.2617cd8aabf61p-4", "0x1.488ab5ad06ec1p-2"),
+            ("0x1.12dc492fed27fp-6", "-0x1.f9afe066bd703p-5", "0x1.71e1638722175p-4"),
+            ("0x1.6a2924646f086p-12", "-0x1.01d9c80784c54p-7", "0x1.2d68c81e13968p-7"),
             ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"),
         ],
     ),
@@ -451,13 +451,21 @@ class TestSolveNitm:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="FLUX_CUTOFF is absolute: it pins a wall flux c0^2 = 1e-8 once it falls to 1e-2 of that",
+        reason="FLUX_CUTOFF is absolute: it pins a wall flux c0^2 = 1e-8 once it falls to 1e-2 "
+        "of that, and the slope it gives back there is right to first order only",
     )
     def test_small_c0_gives_the_same_answer(self):
         # At n = 2, b = F'_inf^0 = 1, so both star solves truncate the same
-        # physical problem at eta = 10; they differ by 2.0e-3 today.
+        # physical problem at eta = 10; they differ by 4.0e-5 relative today
+        # (0.399775 against 0.399791; 2.0e-3 while the pin dropped the slope).
         small = solve(2.0, NitmConfig(c0=1e-4)).fpp0
         assert small == pytest.approx(solve(2.0).fpp0, rel=0.0, abs=1e-9)
+
+    def test_pin_near_the_wall_gains_no_slope(self):
+        # A wall flux c0^n just above FLUX_CUTOFF is pinned so near the wall
+        # that a slope given back there would be spurious: the guard keeps
+        # this far-off answer (0.136 from c0 = 1) at a plain pin's value.
+        assert solve(2.0, NitmConfig(c0=1.2e-5)).fpp0 == 0.5357537801763487
 
     def test_monotone_decreasing_small_n(self):
         vals = [solve_nitm(n).fpp0 for n in (0.1, 0.2, 0.3, 0.4)]
@@ -520,8 +528,8 @@ class TestSolveExcluded:
         # The quadratic through n = 1.7, 1.8, 1.9, evaluated at 2.
         y = [solve_nitm(x).fpp0 for x in (1.7, 1.8, 1.9)]
         assert result.fpp0 == math.fsum([y[0], -3.0 * y[1], 3.0 * y[2]])
-        # np.polyfit through the same nodes gave 0.3998096762176184.
-        assert result.fpp0 == pytest.approx(0.3998096762176184, rel=1e-15, abs=0.0)
+        # np.polyfit through the same nodes gave 0.39980967621397795.
+        assert result.fpp0 == pytest.approx(0.39980967621397795, rel=1e-15, abs=0.0)
         assert result.fpp0 == pytest.approx(0.399809676, abs=1e-8)
 
     def test_not_excluded_rejected(self):

@@ -232,6 +232,35 @@ class TestRhsDirect:
         assert w_rate_direct == pytest.approx(w_rate_flux, rel=1e-9, abs=1e-12)
 
 
+class TestFluxProjector:
+    """The pin at FLUX_CUTOFF, and the slope (n + 1) w / f it gives back."""
+
+    def test_live_flux_is_left_alone(self):
+        y = (2.0, 0.9, 2.0 * ode_core.FLUX_CUTOFF)
+        assert flux_nonnegative_projector(1.5)(y) is y
+
+    @pytest.mark.parametrize("w", [5e-11, -5e-11])
+    def test_pin_gives_back_the_slope_it_cuts(self, w):
+        # f'' d eta = -(n + 1) dw / f along a trajectory; an overshoot to
+        # w < 0 takes the slope back.
+        assert flux_nonnegative_projector(1.5)((2.0, 0.9, w)) == (2.0, 0.9 + 2.5 * w / 2.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "y",
+        [(1e-20, 1e-10, 5e-11), (1.4e-23, -9e-12, 2.5e-36), (0.0, 0.0, 5e-11), (-1e-3, 0.1, 5e-11)],
+        ids=["near-wall", "negative-slope", "at-wall", "negative-f"],
+    )
+    def test_no_gain_off_the_decay_tail(self, y):
+        # The gain may not exceed what the current f'' adds over f/f', and
+        # needs f > 0 and f' > 0; elsewhere the pin only zeroes w.
+        assert flux_nonnegative_projector(1.5)(y) == (y[0], y[1], 0.0)
+
+    def test_pinned_state_is_unchanged(self):
+        # Once w is 0 the gain is 0: the integrator sees no projection.
+        y = (2.0, 0.9, 0.0)
+        assert flux_nonnegative_projector(1.5)(y) == y
+
+
 class TestIntegrator:
     def test_exponential(self):
         sol = integrate_system(lambda t, y: y, 0.0, ONES, 1.0, CFG)
@@ -379,7 +408,7 @@ class TestIntegrator:
 
     @pytest.mark.parametrize("n", [0.1, 0.7, 1.0, 1.5, 2.0])
     def test_positivity_and_monotone_slope(self, n):
-        prof = integrate(flux_system(n), n, 1.0, 10.0, CFG, flux_nonnegative_projector())
+        prof = integrate(flux_system(n), n, 1.0, 10.0, CFG, flux_nonnegative_projector(n))
         w = prof.grid.ys[:, 2]
         fp = prof.grid.ys[:, 1]
         # For n > 1 the flux extinguishes at finite eta; beyond that point it
@@ -445,9 +474,9 @@ class TestKernel:
             (0.1, "0x1.a7281f4c61bfcp-1", 236),
             (0.3, "0x1.90e96626c9921p-2", 267),
             (0.5, "0x1.53b53fb8ed1dap-2", 298),
-            (1.0, "0x1.5406d69dcc1b4p-2", 352),
-            (1.7, "0x1.8400f72c30bc0p-2", 276),
-            (2.0, "0x1.9962b34340bf9p-2", 262),
+            (1.0, "0x1.5406d69dc2aedp-2", 352),
+            (1.7, "0x1.8400f72c2eb6dp-2", 276),
+            (2.0, "0x1.9962b34340a29p-2", 262),
         ],
         ids=["0.1", "0.3", "0.5", "1.0", "1.7", "2.0"],
     )
@@ -464,7 +493,7 @@ class TestKernel:
         ids=["0.3-1597-0", "1.0-2108-1", "1.7-1718-1", "1.0-stops-2114-1"],
     )
     def test_rhs_call_contract(self, n, stops, calls, projections):
-        rhs, project = flux_system(n), flux_nonnegative_projector()
+        rhs, project = flux_system(n), flux_nonnegative_projector(n)
         abscissas, changed = [], []
 
         def counted_rhs(t, y):
@@ -498,16 +527,16 @@ class TestKernel:
         "n, stops, digest",
         [
             (0.3, (), "3a0cfc29ee712efbb0e042ff366941f43234515e11d24e58a6f1a478b3e138d0"),
-            (1.0, (), "6c6f45bba065ebc48f5a70b373d88ac63d5ccffe3c259a1378d4a36d3ef61c25"),
-            (1.7, (), "a84986d3df6784dceb5eb3ea95b407ff495570af0e48faedd3f701ebb106e3c3"),
-            (1.0, (6.0, 8.0), "233bdb297ef355c9ddd2512c3e43a9904359366e0b924b1670fef24f6f965ced"),
+            (1.0, (), "ca0ca1d1cb92926d87864805843d124440d183997164f42307e14e137aba85c0"),
+            (1.7, (), "9632c195369af09cb1463ecb34dc0b4374c122cffd21d9d57bf69d9e786616a7"),
+            (1.0, (6.0, 8.0), "005cbc19d044826447e8938dae9c573b3fb01d2e3476107a304270290defa223"),
         ],
         ids=["0.3", "1.0", "1.7", "1.0-stops"],
     )
     def test_whole_grid_is_bit_identical(self, n, stops, digest):
         rhs = flux_system(n)
         grid = integrate_system(
-            rhs, 0.0, (0.0, 0.0, 1.0), 10.0, CFG, flux_nonnegative_projector(), stops
+            rhs, 0.0, (0.0, 0.0, 1.0), 10.0, CFG, flux_nonnegative_projector(n), stops
         )
         sha = hashlib.sha256()
         for array in (grid.ts, grid.ys, _node_derivatives(rhs, grid)):
@@ -527,9 +556,9 @@ class TestKernel:
             (0.1, 1.0, 10.0, (), 1e-12,
              "2eb9754f5202881cc83b7d066eafc6cf1427a182a5cec1df76f53984b8102b6a", 1411, 0),
             (2.5, 1.0, 10.0, (), 1e-12,
-             "a7a010a9c197819ca94ab0fa3c1252c5c01d34285cb47cf8322f166b479dde39", 1610, 1),
+             "06dbbbc25922020008447564c1e6f5ad022e9208559867687813d9ebda5c7c34", 1610, 1),
             (1.5, 0.3, 7.0, (2.0, 5.0), 1e-12,
-             "62f7826ed2c974329d24c88349d0161b6652ece126f9b6a1c541145f3cebe975", 1424, 1),
+             "ef3e4fc55338f8953a9b876fd6138f0ffa9042c81845e52633970dcb22985b09", 1424, 1),
             (1.7, 1.0, 10.0, (), 1e-6,
              "4621284479323a13c22a281e949b4e2d69d9ec41540da4d4c02d81088f6dd17d", 8137, 0),
         ],
@@ -538,7 +567,7 @@ class TestKernel:
     def test_more_grids_are_bit_identical(
         self, n, fpp0, eta_end, stops, tol, digest, calls, projections
     ):
-        rhs, project = flux_system(n), flux_nonnegative_projector()
+        rhs, project = flux_system(n), flux_nonnegative_projector(n)
         counts = {"calls": 0, "projections": 0}
 
         def counted_rhs(t, y):
@@ -569,7 +598,7 @@ class TestKernel:
             grid = result.star_profile.grid
             values = [*grid.nodes, *itertools.chain.from_iterable(grid.states), result.fpp0]
             sha.update(struct.pack(f"<{len(values)}d", *values))
-        digest = "47bfb49d648df8a1e229a3687231ce9a5e7e3667ef274f1426cc38842859273d"
+        digest = "e6ef9760bd4ea61308881ab4b5d77f0e77a0f4cb2f0c026e443c3bf501d595e9"
         assert sha.hexdigest() == digest
 
 
@@ -583,7 +612,7 @@ class TestKernel:
             config = NitmConfig(eta_star_inf=eta)
             values = [solve(percent / 100, config).fpp0 for percent in range(10, 251)]
             sha.update(struct.pack(f"<{len(values)}d", *values))
-        digest = "57e0c72cfc12d5a08d277bac52384d1ca6af4af72ef5f42666d3bc33804b23ab"
+        digest = "fdd2560ade6efc7214d61cc9672016484ab4f526682fc58cdf5b1a7955934cd5"
         assert sha.hexdigest() == digest
 
 

@@ -29,6 +29,25 @@ class TestResidual:
         assert shoot_residual(1.0, 1.0)[0] == pytest.approx(1.08541, abs=1e-4)
         assert shoot_residual(1.0, 0.05)[0] == pytest.approx(-0.718, abs=2e-3)
 
+    # Trials whose wall flux g^n lies at FLUX_CUTOFF: pinned at or near their
+    # first node, where f ~ g eta^2 / 2, they gain no slope, so these are the
+    # residuals of a plain pin (x86-64, glibc libm).  With the gain, the
+    # n = 20000 trial at 0.99999 would read +2.28, a false sign change.
+    @pytest.mark.parametrize(
+        "n, factor, expected",
+        [
+            (300.0, 0.999, -0.9990748123158742),
+            (300.0, 0.99999, -0.9990738942046836),
+            (300.0, 1.00001, -0.9990738756605914),
+            (20000.0, 0.999, -0.9999920171979009),
+            (20000.0, 0.99999, -0.999001160619825),
+            (20000.0, 1.00001, -0.9858708552285197),
+        ],
+    )
+    def test_trial_pinned_near_the_wall_gains_no_slope(self, n, factor, expected):
+        guess = ode_core.FLUX_CUTOFF ** (1.0 / n) * factor
+        assert shoot_residual(n, guess)[0] == expected
+
     def test_invalid_guess(self):
         with pytest.raises(DomainError):
             shoot_residual(1.0, 0.0)
@@ -50,10 +69,13 @@ class TestSolveShooting:
 
     @pytest.mark.parametrize(
         "n, fpp0",
-        [(50.0, 0.8939383259492325), (300.0, 0.9753975760118911), (1000.0, 0.9913461169467862)],
+        [(50.0, 0.8939383255301814), (300.0, 0.9753975755839032), (1000.0, 0.9913461165389693)],
+        ids=["50.0", "300.0", "1000.0"],
     )
     def test_large_exponent(self, n, fpp0):
-        # Reference values from the linear-secant solver this one replaced.
+        # Reference values from SciPy: brentq on the residual of DOP853
+        # (rtol 1e-14, atol 1e-22) over the same field with max(w, 0) and
+        # no flux cutoff.
         result = solve_shooting(n)
         assert abs(result.residual) <= 1e-12
         assert result.fpp0 == pytest.approx(fpp0, rel=1e-12)
@@ -65,7 +87,7 @@ class TestSolveShooting:
             shoot_residual(3000.0, 1.5)
         result = solve_shooting(3000.0)
         assert abs(result.residual) <= 1e-12
-        assert result.fpp0 == pytest.approx(0.9967402903396, rel=1e-11)
+        assert result.fpp0 == pytest.approx(0.9967402901065359, rel=1e-11)
 
     @pytest.mark.parametrize(
         "eta_inf, fpp0",
@@ -104,20 +126,29 @@ class TestSolveShooting:
         nitm = solve_nitm(n)
         eta_match = nitm.profile.final.eta
         shoot = solve_shooting(n, ShootingConfig(eta_inf=eta_match))
-        assert abs(nitm.fpp0 - shoot.fpp0) <= 1e-10
         # For n > 1 the flux cutoff fires in the star frame for one route and
-        # in the physical frame for the other, which costs up to ~1.2e-10.
-        if n < 1.0:
-            assert abs(nitm.fpp0 - shoot.fpp0) <= 1e-12 * nitm.fpp0
+        # in the physical frame for the other; the slope the pin gives back
+        # keeps that to ~3e-13 (it was up to ~1.2e-10 without).
+        assert abs(nitm.fpp0 - shoot.fpp0) <= 1e-12 * nitm.fpp0
 
     def test_bracket_expansion(self, monkeypatch):
         # A start trial whose wall flux g^300 is below the projector's cutoff
-        # ends with f'(eta_inf) <= 0, which has no log and so no Newton step:
-        # g doubles (0.2, 0.4, 0.8) until it has one.
+        # is pinned at its first node, gains no slope there, and ends with
+        # f'(eta_inf) <= 0, which has no log and so no Newton step: g doubles
+        # (0.2, 0.4, 0.8) until it has one.
+        trials = []
+        residual = shooting.shoot_residual
+
+        def recording(n, guess, config):
+            trials.append(guess)
+            return residual(n, guess, config)
+
+        monkeypatch.setattr(shooting, "shoot_residual", recording)
         monkeypatch.setattr(shooting, "G_START", 0.2)
         result = solve_shooting(300.0)
+        assert trials[:3] == [0.2, 0.4, 0.8]
         assert abs(result.residual) <= 1e-12
-        assert result.fpp0 == pytest.approx(0.9753975760118911, rel=1e-11)
+        assert result.fpp0 == pytest.approx(0.9753975755839032, rel=1e-11)
 
     def test_bracket_error(self, monkeypatch):
         # Four doublings from g = 1e-3 leave the wall flux g^300 underflowed.
@@ -132,9 +163,10 @@ class TestSolveShooting:
             solve_shooting(1.0)
 
     def test_no_float_left_in_bracket_stops_early(self, monkeypatch):
-        # At n = 20000 and eta_inf = 10 neighbouring floats g bracket the root
-        # with residuals of +-2e-11: the solve stops instead of repeating a
-        # trial until the budget is spent.
+        # With no tolerance, only an exact root would do; at n = 1
+        # neighbouring floats g bracket the root with residuals of a few
+        # 1e-16: the solve stops instead of repeating a trial until the
+        # budget is spent.
         trials = []
         residual = shooting.shoot_residual
 
@@ -143,13 +175,14 @@ class TestSolveShooting:
             return residual(n, guess, config)
 
         monkeypatch.setattr(shooting, "shoot_residual", recording)
+        monkeypatch.setattr(shooting, "ROOT_TOL", 0.0)
         # The error names the cause: the bracket ends and their residuals.
         with pytest.raises(
             ConvergenceError,
-            match=r"no float lies between g = 0\.99941543644579\d* \(residual -6\.\d+e-12\) "
-            r"and g = 0\.99941543644579\d* \(residual 3\.\d+e-11\)",
+            match=r"no float lies between g = 0\.33205733720344\d* \(residual -\d\.\d+e-16\) "
+            r"and g = 0\.33205733720344\d* \(residual \d\.\d+e-16\)",
         ):
-            solve_shooting(20000.0)
+            solve_shooting(1.0)
         assert len(trials) <= len(set(trials)) + 1
 
     @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
