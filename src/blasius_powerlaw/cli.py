@@ -7,8 +7,6 @@ range, an unknown --columns name, an unwritable --output).  Data goes to --outpu
 its text and exit status, and `run` writes the text.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import functools

@@ -12,8 +12,6 @@ which are finite for every n > 0.  At n = 1/2 the group is a pure stretch of
 eta, at n = 2 a pure scaling of f.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Sequence

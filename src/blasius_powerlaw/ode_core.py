@@ -9,8 +9,6 @@ and the wall curvature f''(0) alone, through `integrate`.  The stepper is
 written for that 3-component state: each stage is unrolled per component.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from collections import namedtuple
@@ -30,8 +28,10 @@ class StepBudgetError(OdeError):
 
 
 class StepUnderflowError(OdeError):
-    """Error control forced the step below H_MIN (stiffness), or below the
-    float spacing at t, so that the step cannot move t."""
+    """Error control rejected a step and shrank it below H_MIN (stiffness),
+    or the step fell below the float spacing at t, so that it cannot move t.
+    Only rejected steps are checked against H_MIN: accepted steps may shrink
+    past it, down to the float spacing."""
 
 
 class DivergenceError(OdeError):
@@ -71,7 +71,8 @@ class IvpState(namedtuple("IvpState", "eta f fp w")):
     __slots__ = ()
 
 
-#: First trial step, smallest step and step budget of `integrate_system`.
+#: First trial step, smallest step a rejection may leave and step budget
+#: of `integrate_system`.
 H_INIT, H_MIN, MAX_STEPS = 1e-3, 1e-12, 1_000_000
 
 

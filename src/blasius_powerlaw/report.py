@@ -4,8 +4,6 @@ Sweep rows are plain data: a failed exponent becomes a row carrying an error
 message instead of aborting the whole sweep; `cli` writes them out.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence

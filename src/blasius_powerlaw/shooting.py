@@ -13,8 +13,6 @@ value satisfies the physical BVP, and shooting works at every n > 0
 including n = 1/2 and n = 2.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import namedtuple
@@ -102,12 +100,15 @@ def solve_shooting(
     times, else BracketError).  The accepted trial's profile is returned, so
     the root is never integrated twice.  A start within ROOT_TOL is returned
     as it is (0 iterations); `start_residual` records how far it was off.
-    ConvergenceError names the bracket ends when no float lies between them.
+    A trial that repeats an earlier one stops the search with
+    ConvergenceError, which names the bracket ends when no float lies between
+    them and otherwise the repeated g.
     """
     start = G_START if start is None else start
     require_positive("start", start)
     g, lo, hi, expansions, v_newton = start, -math.inf, math.inf, 0, math.inf
-    ends = {}  # residual < 0 -> (g, residual) of the latest trial on that side
+    ends = {}  # residual < 0 -> g of the latest trial on that side
+    tried = {}  # g -> residual of every trial made
     for iteration in range(MAX_ITERS + 1):
         residual, profile = shoot_residual(n, g, config)
         if iteration == 0:
@@ -118,7 +119,7 @@ def solve_shooting(
         fp = profile.final.fp
         u, v = math.log(g), math.log(fp) if fp > 0.0 else math.nan
         lo, hi = (u, hi) if residual < 0.0 else (lo, u)
-        ends[residual < 0.0] = (g, residual)
+        ends[residual < 0.0], tried[g] = g, residual
         # No Newton step where f'(eta_inf) is 0 (a tiny trial curvature can
         # underflow the flux) and v is NaN, or after a Newton step that did
         # not halve |v| (its slope is off); a NaN step fails the guard.
@@ -129,14 +130,7 @@ def solve_shooting(
         if max(lo, -_LOG_MAX) < step < min(hi, _LOG_MAX):
             g, v_newton = math.exp(step), v
         elif math.isfinite(lo) and math.isfinite(hi):
-            g, g_prev = math.exp(0.5 * (lo + hi)), g
-            if g == g_prev:
-                (g_lo, r_lo), (g_hi, r_hi) = ends[True], ends[False]
-                raise ConvergenceError(
-                    f"no float lies between g = {g_lo!r} (residual {r_lo:.3g}) and "
-                    f"g = {g_hi!r} (residual {r_hi:.3g}), so |residual| <= {ROOT_TOL} "
-                    f"cannot be met (n = {n})"
-                )
+            g = math.exp(0.5 * (lo + hi))
         elif expansions < 4:
             g = 2.0 * g if residual < 0.0 else 0.5 * g
             expansions += 1
@@ -144,6 +138,19 @@ def solve_shooting(
             raise BracketError(
                 f"no sign change after {expansions} expansions from g = {start} (n = {n})"
             )
+        # A repeated trial would give the same residual again: stop at the
+        # first, from a Newton step or a bisection.  No float between lo and
+        # hi means the ends are adjacent in log g, where the search bisects.
+        if g in tried:
+            if math.nextafter(lo, hi) == hi:
+                g_lo, g_hi = ends[True], ends[False]
+                cause = (
+                    f"no float lies between g = {g_lo!r} (residual {tried[g_lo]:.3g}) and "
+                    f"g = {g_hi!r} (residual {tried[g_hi]:.3g}) in log g"
+                )
+            else:
+                cause = f"trial g = {g!r} (residual {tried[g]:.3g}) repeats"
+            raise ConvergenceError(f"{cause}, so |residual| <= {ROOT_TOL} cannot be met (n = {n})")
 
     raise ConvergenceError(
         f"no convergence to |residual| <= {ROOT_TOL} in {iteration} iterations"

@@ -38,13 +38,16 @@ def _reference_slope(n, fpp0, eta_end):
 
 def test_one_ivp_answer_matches_the_reference():
     # The star IVP from c0 = 1 to eta* = 10, recovered as F'_inf^(-3/(n+1)).
-    # Worst 7.2e-13 measured (n = 1); 2.2e-11 while the pin dropped the
-    # slope it cuts.
+    # For n >= 1 the worst measured is 7.2e-13 (n = 1); 2.2e-11 while the
+    # pin dropped the slope it cuts.  Below n = 1, where the pin never
+    # fires, the error grows as n falls: 6.3e-13 at n = 0.9 to 5.0e-12 at
+    # n = 0.1, so those are bounded at twice the worst.
     errors = {}
-    for n in (1.0, 1.05, 1.2, 1.5, 1.7, 2.0, 2.5):
+    for n in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.05, 1.2, 1.5, 1.7, 2.0, 2.5):
         reference = _reference_slope(n, 1.0, 10.0) ** (-3.0 / (n + 1.0))
         errors[n] = abs(solve(n).fpp0 - reference) / reference
-    assert max(errors.values()) <= 1.5e-12, errors
+    assert max(e for n, e in errors.items() if n < 1.0) <= 1e-11, errors
+    assert max(e for n, e in errors.items() if n >= 1.0) <= 1.5e-12, errors
 
 
 def test_shooting_at_large_exponent_matches_the_reference():

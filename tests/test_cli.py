@@ -588,6 +588,8 @@ class TestImports:
         # records are `collections.namedtuple` classes and the annotations
         # name `collections.abc` types.  shutil (with bz2 and lzma) would
         # cost as much, for a help width the parser reads from os instead.
+        # The annotations are plain expressions, evaluated at definition,
+        # so no module needs `__future__`.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
             [sys.executable, "-I", "-S", "-c", _BARE_SCRIPT, src],
@@ -596,7 +598,7 @@ class TestImports:
         *_, code, loaded = proc.stdout.splitlines()
         assert code == "0"
         assert "blasius_powerlaw.cli" in loaded.split()
-        assert {"typing", "numpy", "dataclasses", "shutil"}.isdisjoint(loaded.split())
+        assert {"typing", "numpy", "dataclasses", "shutil", "__future__"}.isdisjoint(loaded.split())
 
     @pytest.mark.parametrize("columns", ["60", "120", None])
     def test_help_text_is_argparse_default(self, monkeypatch, columns):

@@ -185,6 +185,26 @@ class TestSolveShooting:
             solve_shooting(1.0)
         assert len(trials) <= len(set(trials)) + 1
 
+    @pytest.mark.parametrize("n", [50.0, 20000.0])
+    def test_repeated_trial_stops_the_search(self, monkeypatch, n):
+        # With no tolerance, a Newton step lands back on an earlier trial
+        # while the bracket ends are still floats apart: the solve stops at
+        # that repeat and names it, instead of cycling through the budget.
+        trials = []
+        residual = shooting.shoot_residual
+
+        def recording(n, guess, config):
+            trials.append(guess)
+            return residual(n, guess, config)
+
+        monkeypatch.setattr(shooting, "shoot_residual", recording)
+        monkeypatch.setattr(shooting, "ROOT_TOL", 0.0)
+        repeats = r"trial g = \S+ \(residual \S+\) repeats"
+        with pytest.raises(ConvergenceError, match=repeats) as info:
+            solve_shooting(n)
+        assert len(trials) == len(set(trials))
+        assert any(f"trial g = {g!r} " in str(info.value) for g in trials)
+
     @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
     @pytest.mark.parametrize("factor", [10.0, 0.1, -1.0])
     def test_wrong_slope_still_converges(self, monkeypatch, n, factor):
