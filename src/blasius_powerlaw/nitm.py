@@ -17,12 +17,12 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .ode_core import (
-    FLUX_CUTOFF,
     DivergenceError,
     DomainError,
     GridSolution,
     IntegratorConfig,
     SolutionProfile,
+    flux_cutoff,
     flux_from_curvature,
     flux_nonnegative_projector,
     flux_system,
@@ -72,15 +72,15 @@ def solve_star_ivp(n: float, config: NitmConfig, stops: Sequence[float] = ()) ->
     """Integrate the scaled IVP f*(0) = f*'(0) = 0, f*''(0) = c0 to eta_star_inf,
     with a node at each of `stops`.
 
-    A wall flux c0^n at or below FLUX_CUTOFF is refused: the projector would
-    pin it to zero after the first step, F' would stop growing there, and
-    f''(0) would come out wrong (1e10 for c0 = 1e-11 at n = 1).
+    A wall flux c0^n at or below the projector's `flux_cutoff` is refused:
+    the projector would pin it to zero after the first step, F' would stop
+    growing there, and f''(0) would come out wrong (1e10 for c0 = 1e-11 at
+    n = 1 and the default tolerance).
     """
-    rhs, project = flux_system(n), flux_nonnegative_projector(n)
-    if flux_from_curvature(config.c0, n) <= FLUX_CUTOFF:
-        raise DomainError(
-            f"wall flux c0^n = {config.c0}^{n} is at or below the cutoff {FLUX_CUTOFF}"
-        )
+    cutoff = flux_cutoff(config.integrator)
+    rhs, project = flux_system(n), flux_nonnegative_projector(n, cutoff)
+    if flux_from_curvature(config.c0, n) <= cutoff:
+        raise DomainError(f"wall flux c0^n = {config.c0}^{n} is at or below the cutoff {cutoff}")
     return integrate(rhs, n, config.c0, config.eta_star_inf, config.integrator, project, stops)
 
 
@@ -128,8 +128,10 @@ def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfil
 
     The group scales every column by a constant: eta = eta*/b, f = a F,
     f' = a b F', f'' = a b^2 F'', and the flux w = (a b^2)^n W = a^2 b W,
-    which needs a^(n-2) b^(2n-1) = 1 (true of `group_parameters`), so f''
-    is the decode of the scaled flux.  The factors must be finite, as
+    which needs a^(n-2) b^(2n-1) = 1 (true of `group_parameters`).  The
+    profile keeps `star`, so its f'' is a b^2 times the star's, one rounding
+    from F'' rather than a decode of the rounded, scaled flux (up to 9 ulp
+    from f''(0) at the wall, against 3).  The factors must be finite, as
     `group_parameters` checks; a value they overflow (a large wall flux
     c0^n, say), or a b of zero, raises DivergenceError.  Only each column's
     extreme is checked, which relies on the star profile's monotonicity.
@@ -138,7 +140,7 @@ def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfil
     ab, aab = a * b, a * a * b
     nodes = [t / b for t in star.grid.nodes]
     states = [(a * f, ab * fp, aab * w) for f, fp, w in star.grid.states]
-    return SolutionProfile(GridSolution(nodes, states), star.n)
+    return SolutionProfile(GridSolution(nodes, states), star.n, star, ab * b)
 
 
 def solve(n: float, config: NitmConfig = NitmConfig()) -> NitmResult:

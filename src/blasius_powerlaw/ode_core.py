@@ -1,5 +1,5 @@
-"""Adaptive Runge-Kutta integration and the flux-form right-hand side of the
-power-law boundary-layer equation.
+"""Adaptive Runge-Kutta integration (Tsitouras 5(4)) and the flux-form
+right-hand side of the power-law boundary-layer equation.
 
 The governing third-order equation is integrated as a first-order system in
 (f, f', w) where w = |f''|^(n-1) f'' is the viscous flux.  Working with w
@@ -133,6 +133,28 @@ class GridSolution(namedtuple("GridSolution", "nodes states")):
         return np.array(self.states, dtype=float)
 
 
+#: Tsitouras 5(4) pair of `integrate_system` (Ch. Tsitouras, Comput. Math.
+#: Appl. 62 (2011) 770-775): the nodes c1..c7 (c6 = c7 = 1), rows 2..7 of the
+#: stage weights A (row 7 holds the fifth-order weights b, so stage 7 is
+#: evaluated at the propagated solution and is the next step's stage 1), and
+#: the fifth-minus-fourth-order error weights E.
+TSIT5_C = (0.0, 0.161, 0.327, 0.9, 0.9800255409045097, 1.0, 1.0)
+TSIT5_A = (
+    (0.161,),
+    (-0.008480655492356989, 0.335480655492357),
+    (2.897153057105493, -6.359448489975075, 4.3622954328695815),
+    (5.325864828439257, -11.748883564062828, 7.4955393428898365, -0.09249506636175525),
+    (5.86145544294642, -12.92096931784711, 8.159367898576159, -0.071584973281401,
+     -0.028269050394068383),
+    (0.09646076681806523, 0.01, 0.4798896504144996, 1.379008574103742, -3.290069515436081,
+     2.324710524099774),
+)
+TSIT5_E = (
+    -0.00178001105222577714, -0.0008164344596567469, 0.007880878010261995, -0.1447110071732629,
+    0.5823571654525552, -0.45808210592918697, 1 / 66,
+)
+
+
 def integrate_system(
     rhs: Rhs,
     t0: float,
@@ -142,7 +164,7 @@ def integrate_system(
     project: Callable[[State], Sequence[float]] | None = None,
     stops: Sequence[float] = (),
 ) -> GridSolution:
-    """Integrate y' = rhs(t, y) from t0 to t_end with an embedded 5(4) pair.
+    """Integrate y' = rhs(t, y) from t0 to t_end with the Tsitouras 5(4) pair.
 
     The state is the triple (f, f', w), held as three floats with the stages
     unrolled per component; any other length is refused.  `rhs(t, y)` and
@@ -173,18 +195,12 @@ def integrate_system(
     if not all(map(math.isfinite, y)):
         raise DomainError("non-finite initial state")
 
-    # Dormand-Prince 5(4) coefficients: nodes C, stage weights A (row 7 holds
-    # the fifth-order weights, so stage 7 is evaluated at the propagated
-    # solution) and the fifth-minus-fourth-order error weights E.  Stage 2's
-    # weights in rows 7 and E are zero and are left out.
-    C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-    A21 = 1 / 5
-    A31, A32 = 3 / 40, 9 / 40
-    A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
-    A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-    A61, A62, A63, A64, A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-    A71, A73, A74, A75, A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-    E1, E3, E4, E5, E6, E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+    _, C2, C3, C4, C5, _, _ = TSIT5_C
+    (
+        (A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
+        (A61, A62, A63, A64, A65), (A71, A72, A73, A74, A75, A76),
+    ) = TSIT5_A
+    E1, E2, E3, E4, E5, E6, E7 = TSIT5_E
 
     rtol, atol, h_max = config.rel_tol, config.abs_tol, config.h_max
     isfinite = math.isfinite
@@ -197,15 +213,7 @@ def integrate_system(
     nsteps = 0
     targets = [t_end, *reversed(stops)]  # the next node to land on is targets[-1]
 
-    # Stage k1..k7 is (a, b, c, d, e, f, g) per component.  The weighted sums
-    # start from their first term and skip stage 2's zero weights in z and in
-    # the error.  Against sums seeded with 0.0 that keep every weight, a sum
-    # can differ only in the sign of a zero, and y + h * (-0.0) equals
-    # y + h * 0.0 unless y is -0.0.  A state component is -0.0 only where the
-    # initial state has one, and `integrate` starts from +0.0, so no stored
-    # bit changes.  A non-finite stage 2 still reaches z through the nonzero
-    # weights A32..A62 (the power-law field keeps a non-finite state
-    # non-finite), so the step is rejected.
+    # Stage k1..k7 is (a, b, c, d, e, f, g) per component.
     while t < t_end:
         if nsteps >= MAX_STEPS:
             raise StepBudgetError(f"step budget {MAX_STEPS} exhausted at t = {t}")
@@ -243,9 +251,9 @@ def integrate_system(
             y1 + h * (A61 * a1 + A62 * b1 + A63 * c1 + A64 * d1 + A65 * e1),
             y2 + h * (A61 * a2 + A62 * b2 + A63 * c2 + A64 * d2 + A65 * e2),
         ))
-        z0 = y0 + h * (A71 * a0 + A73 * c0 + A74 * d0 + A75 * e0 + A76 * f0)
-        z1 = y1 + h * (A71 * a1 + A73 * c1 + A74 * d1 + A75 * e1 + A76 * f1)
-        z2 = y2 + h * (A71 * a2 + A73 * c2 + A74 * d2 + A75 * e2 + A76 * f2)
+        z0 = y0 + h * (A71 * a0 + A72 * b0 + A73 * c0 + A74 * d0 + A75 * e0 + A76 * f0)
+        z1 = y1 + h * (A71 * a1 + A72 * b1 + A73 * c1 + A74 * d1 + A75 * e1 + A76 * f1)
+        z2 = y2 + h * (A71 * a2 + A72 * b2 + A73 * c2 + A74 * d2 + A75 * e2 + A76 * f2)
         y_new = (z0, z1, z2)
         k7 = rhs(t_new, y_new)  # first-same-as-last: k1 of the next step
         g0, g1, g2 = k7
@@ -255,13 +263,13 @@ def integrate_system(
             # Each error weight is max(|y|, |z|), written out with max's tie rule.
             s0, s1, s2 = abs(y0), abs(y1), abs(y2)
             u0, u1, u2 = abs(z0), abs(z1), abs(z2)
-            q0 = h * (E1 * a0 + E3 * c0 + E4 * d0 + E5 * e0 + E6 * f0 + E7 * g0) / (
+            q0 = h * (E1 * a0 + E2 * b0 + E3 * c0 + E4 * d0 + E5 * e0 + E6 * f0 + E7 * g0) / (
                 atol + rtol * (u0 if u0 > s0 else s0)
             )
-            q1 = h * (E1 * a1 + E3 * c1 + E4 * d1 + E5 * e1 + E6 * f1 + E7 * g1) / (
+            q1 = h * (E1 * a1 + E2 * b1 + E3 * c1 + E4 * d1 + E5 * e1 + E6 * f1 + E7 * g1) / (
                 atol + rtol * (u1 if u1 > s1 else s1)
             )
-            q2 = h * (E1 * a2 + E3 * c2 + E4 * d2 + E5 * e2 + E6 * f2 + E7 * g2) / (
+            q2 = h * (E1 * a2 + E2 * b2 + E3 * c2 + E4 * d2 + E5 * e2 + E6 * f2 + E7 * g2) / (
                 atol + rtol * (u2 if u2 > s2 else s2)
             )
             # Not sum(): from Python 3.12 it compensates, which rounds differently.
@@ -299,8 +307,12 @@ def integrate_system(
     return GridSolution(nodes, states)
 
 
-class SolutionProfile(namedtuple("SolutionProfile", "grid n")):
-    """Ordered solution grid of the (f, f', w) system at exponent n."""
+class SolutionProfile(
+    namedtuple("SolutionProfile", "grid n star fpp_scale", defaults=(None, None))
+):
+    """Ordered solution grid of the (f, f', w) system at exponent n.  A
+    profile rescaled from the profile `star` keeps it, with the factor
+    `fpp_scale` that maps the star's f'' to its own."""
 
     __slots__ = ()
 
@@ -309,24 +321,33 @@ class SolutionProfile(namedtuple("SolutionProfile", "grid n")):
         return IvpState(self.grid.nodes[-1], *self.grid.states[-1])
 
     def curvatures(self) -> list[float]:
-        """f'' at every stored node, decoded from the stored flux by
-        `curvature_from_flux` (Python's power: NumPy's can differ by an ulp)."""
+        """f'' at every stored node: on a rescaled profile `fpp_scale` times
+        the star's, else decoded from the stored flux by `curvature_from_flux`
+        (Python's power: NumPy's can differ by an ulp)."""
+        if self.star is not None:
+            scale = self.fpp_scale
+            return [scale * fpp for fpp in self.star.curvatures()]
         return [curvature_from_flux(w, self.n) for _, _, w in self.grid.states]
 
 
-#: Default extinction cutoff for flux_nonnegative_projector.  For n > 1 the
-#: flux reaches zero at finite eta and the equation becomes arbitrarily stiff
-#: as w -> 0+; pinning the last ~10 decades of decay to zero keeps the
-#: stepper out of the singular layer, and the projector gives back the slope
-#: that decay would add, so the far-field slope misses only a term second
-#: order in the length of the cut tail.
-FLUX_CUTOFF = 1e-10
+def flux_cutoff(config: IntegratorConfig) -> float:
+    """Extinction cutoff of `flux_nonnegative_projector` for an integration
+    at `config`: 100 abs_tol, so 1e-10 at the default tolerance.
+
+    For n > 1 the flux reaches zero at finite eta and the equation becomes
+    arbitrarily stiff as w -> 0+.  Below abs_tol the error control no longer
+    resolves w, and a stepper left there crawls through that layer; pinning
+    the decay from two decades above abs_tol keeps it out.  The projector
+    gives back the slope that the decay would add, so the far-field slope
+    misses only a term second order in the length of the cut tail.
+    """
+    return 100.0 * config.abs_tol
 
 
-def flux_nonnegative_projector(n: float) -> Callable[[State], State]:
+def flux_nonnegative_projector(n: float, cutoff: float) -> Callable[[State], State]:
     """Pin the flux component of a (f, f', w) state at exponent n to zero
-    once it is spent, and add to f' the slope that the rest of the decay
-    would give.
+    once it falls below `cutoff`, and add to f' the slope that the rest of
+    the decay would give.
 
     The boundary-layer solutions of interest start from w(0) > 0 and w decays
     monotonically; the exact solution never goes negative, and for n > 1 it
@@ -344,7 +365,7 @@ def flux_nonnegative_projector(n: float) -> Callable[[State], State]:
     inv_n, np1 = 1.0 / n, n + 1.0
 
     def project(y: State) -> State:
-        if y[2] < FLUX_CUTOFF:
+        if y[2] < cutoff:
             f, fp, w = y
             if f > 0.0 and fp > 0.0:
                 gain = np1 * w / f

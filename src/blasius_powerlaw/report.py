@@ -128,12 +128,15 @@ def select_columns(columns: tuple[str, ...]) -> tuple[str, ...]:
 def export_profile(result: NitmResult, columns: tuple[str, ...] | None = None) -> str:
     """CSV (header row, LF endings) of the physical and star profiles."""
     columns = select_columns(columns or PROFILE_COLUMNS)
-    data = dict(zip(PROFILE_COLUMNS, (*_columns(result.profile), *_columns(result.star_profile))))
+    profile, star = result.profile, result.star_profile
+    star_fpp = star.curvatures()  # decoded once: f'' is its image, as in profile.curvatures()
+    fpp = [profile.fpp_scale * c for c in star_fpp]
+    data = dict(zip(PROFILE_COLUMNS, (*_columns(profile, fpp), *_columns(star, star_fpp))))
     cells = [list(map(repr, data[c])) for c in columns]
     return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
-def _columns(profile: SolutionProfile) -> tuple:
-    """eta, f, f' and f'' of every stored node, one sequence each."""
+def _columns(profile: SolutionProfile, fpp: list[float]) -> tuple:
+    """eta, f and f' of every stored node, one sequence each, and `fpp`."""
     f, fp, _ = zip(*profile.grid.states)
-    return profile.grid.nodes, f, fp, profile.curvatures()
+    return profile.grid.nodes, f, fp, fpp

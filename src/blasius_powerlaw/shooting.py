@@ -22,6 +22,7 @@ from .ode_core import (
     OdeError,
     SolutionProfile,
     curvature_from_flux,
+    flux_cutoff,
     flux_nonnegative_projector,
     flux_system,
     integrate,
@@ -66,9 +67,8 @@ def shoot_residual(
 ) -> tuple[float, SolutionProfile]:
     """Residual f'(eta_inf) - 1 of the trial wall curvature `guess`, and its profile."""
     require_positive("trial curvature", guess)
-    profile = integrate(
-        flux_system(n), n, guess, config.eta_inf, config.integrator, flux_nonnegative_projector(n)
-    )
+    project = flux_nonnegative_projector(n, flux_cutoff(config.integrator))
+    profile = integrate(flux_system(n), n, guess, config.eta_inf, config.integrator, project)
     return profile.final.fp - 1.0, profile
 
 

@@ -213,11 +213,16 @@ class TestStarIvp:
         ids=["0.3", "1.0", "1.7", "0.3-physical", "1.0-physical", "1.7-physical"],
     )
     def test_curvatures_are_the_decoded_flux(self, n, frame):
-        # curvatures() equals the per-node decode of the stored flux bit for
-        # bit, projected nodes (w = 0, n > 1) included, in both frames.
-        prof = solve_star_ivp(n, NitmConfig()) if frame == "star" else solve(n).profile
-        w = prof.grid.ys[:, 2]
+        # curvatures() equals the per-node decode of the star's stored flux
+        # bit for bit, projected nodes (w = 0, n > 1) included; in the
+        # physical frame, times a b^2: the group image, not a decode of the
+        # rescaled flux.
+        result = solve(n)
+        w = result.star_profile.grid.ys[:, 2]
         decoded = np.array([curvature_from_flux(float(x), n) for x in w])
+        prof = result.star_profile
+        if frame == "physical":
+            decoded, prof = result.a * result.b * result.b * decoded, result.profile
         assert np.array(prof.curvatures()).tobytes() == decoded.tobytes()
         if n > 1.0:
             assert np.any(w == 0.0)
@@ -341,44 +346,44 @@ class TestProfileView:
             solve(n, config)
 
 
-# Physical profiles of solve(n), decoding the flux as |w| ** (1/n).
-# SHA-256 of the eta, f and f' columns (little-endian float64, in that
-# order), fpp0, and (w, w', f'') at node indices 0, 1, m/4, m/2, 3m/4, m-1
-# for m nodes.
+# Physical profiles of solve(n), whose f'' is the image a b^2 F'' of the
+# star's.  SHA-256 of the eta, f and f' columns (little-endian float64, in
+# that order), fpp0, and (w, w', f'') at node indices 0, 1, m/4, m/2, 3m/4,
+# m-1 for m nodes.
 PHYSICAL_PINS = {
     0.3: (
-        "b4231790c06bd10f8329e6c8a82b2d030b9808604f47fe40f9c172355df68d62",
-        "0x1.90e96626c9921p-2",
+        "65fe64f5af77bf115ecadc6d28398c1cf6abffa96b1937048437cd782b551ad6",
+        "0x1.90e96626cbebbp-2",
         [
-            ("0x1.82737e37f4b5fp-1", "-0x0.0p+0", "0x1.90e96626c9921p-2"),
-            ("0x1.82737e371feaap-1", "-0x1.6e71334e424edp-23", "0x1.90e96623e9b70p-2"),
-            ("0x1.5e62353b9f594p-1", "-0x1.bd6525af9d14fp-4", "0x1.2135aaa24cb55p-2"),
-            ("0x1.892d1123bec86p-2", "-0x1.5100d2b052080p-4", "0x1.510a00647d705p-5"),
-            ("0x1.9c55190d7ddbdp-3", "-0x1.8765990fa3a6fp-6", "0x1.3979fce34ad58p-8"),
-            ("0x1.9c0d352a249a9p-4", "-0x1.6b06715c3210dp-8", "0x1.f07bf2dadc832p-12"),
+            ("0x1.82737e37f563dp-1", "-0x0.0p+0", "0x1.90e96626cbeb9p-2"),
+            ("0x1.82737e3720988p-1", "-0x1.6e71334e4428bp-23", "0x1.90e96623ec108p-2"),
+            ("0x1.61c1f0a15d367p-1", "-0x1.ab026486c212bp-4", "0x1.2a98eae4c2ba4p-2"),
+            ("0x1.a59d0538a7563p-2", "-0x1.798216d645aaap-4", "0x1.a95fd5daaecdep-5"),
+            ("0x1.b1cc8abfdba8cp-3", "-0x1.b2411ae8f1bb1p-6", "0x1.7341ea8c95881p-8"),
+            ("0x1.9c0d352a27cfep-4", "-0x1.6b06715c3a306p-8", "0x1.f07bf2dae9661p-12"),
         ],
     ),
     1.0: (
-        "474ed8e972f2db9c22f55433260ed3462525031cb0f2ebd43f6e1a2b771a4e50",
-        "0x1.5406d69dc2aedp-2",
+        "66b5c605379e7e8591599527921b8fd220d4ce97d0c86d513338c5f4859114ec",
+        "0x1.5406d69dc3482p-2",
         [
-            ("0x1.5406d69dc2aecp-2", "-0x0.0p+0", "0x1.5406d69dc2aecp-2"),
-            ("0x1.5406d69d48fb8p-2", "-0x1.edcbb317dee6ep-25", "0x1.5406d69d48fb8p-2"),
-            ("0x1.90bb05fa5ba27p-3", "-0x1.cc164f30a5e50p-4", "0x1.90bb05fa5ba27p-3"),
-            ("0x1.45bbda5047289p-6", "-0x1.002d6b300173ap-5", "0x1.45bbda5047289p-6"),
-            ("0x1.0878bb5a0ab68p-11", "-0x1.47a194e76849dp-10", "0x1.0878bb5a0ab68p-11"),
+            ("0x1.5406d69dc3483p-2", "-0x0.0p+0", "0x1.5406d69dc3483p-2"),
+            ("0x1.5406d69d4994fp-2", "-0x1.edcbb317e00c9p-25", "0x1.5406d69d4994fp-2"),
+            ("0x1.a3b4bc672b5c7p-3", "-0x1.c69750b57cea6p-4", "0x1.a3b4bc672b5c7p-3"),
+            ("0x1.33bc1e0c0ea3cp-6", "-0x1.e983b5107cf75p-6", "0x1.33bc1e0c0ea3cp-6"),
+            ("0x1.ec85dd7a61923p-12", "-0x1.32d6e52a7970dp-10", "0x1.ec85dd7a61923p-12"),
             ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"),
         ],
     ),
     1.7: (
-        "b04529d2538919d9633415bc161ebd6a5de1cafcad4d0d2f002a845325e8d0d4",
-        "0x1.8400f72c2eb6dp-2",
+        "d2baaee015dd0e948ce3acd2d406cfd1d5616316d528d3ef44e2fc0711b421fb",
+        "0x1.8400f72c2efdcp-2",
         [
-            ("0x1.8967f8ee3d553p-3", "-0x0.0p+0", "0x1.8400f72c2eb6dp-2"),
-            ("0x1.8967f8edd5085p-3", "-0x1.154e99898d3c4p-25", "0x1.8400f72bf2342p-2"),
-            ("0x1.287fe8c6a1720p-3", "-0x1.2617cd8aabf61p-4", "0x1.488ab5ad06ec1p-2"),
-            ("0x1.12dc492fed27fp-6", "-0x1.f9afe066bd703p-5", "0x1.71e1638722175p-4"),
-            ("0x1.6a2924646f086p-12", "-0x1.01d9c80784c54p-7", "0x1.2d68c81e13968p-7"),
+            ("0x1.8967f8ee3dcf6p-3", "-0x0.0p+0", "0x1.8400f72c2efdcp-2"),
+            ("0x1.8967f8edd5828p-3", "-0x1.154e99898d958p-25", "0x1.8400f72bf27b0p-2"),
+            ("0x1.2fe6ea9bcd08bp-3", "-0x1.19f634bcd4b2bp-4", "0x1.4d579bf12d6c4p-2"),
+            ("0x1.d3500a9ee49adp-7", "-0x1.d5e8a529ab5d7p-5", "0x1.502dc5245d2fep-4"),
+            ("0x1.18f524d12902dp-12", "-0x1.be30606de5949p-8", "0x1.0398800217394p-7"),
             ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"),
         ],
     ),
@@ -412,10 +417,12 @@ class TestPhysicalProfile:
             for value, pin in zip(got, pins):
                 assert value == pytest.approx(float.fromhex(pin), rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
+    @pytest.mark.parametrize("n", [k / 100 for k in range(10, 251)])
     def test_flux_encodes_the_curvature(self, n):
         # w = a^2 b W holds because a^(n-2) b^(2n-1) = 1, so the scaled flux
-        # column still encodes the scaled curvature.
+        # column still encodes the scaled curvature.  The wall row is the
+        # group image of F''(0) = c0, so it meets fpp0 within a few ulp; a
+        # decode of the scaled flux was up to 9 ulp off (n = 0.12).
         result = solve(n)
         fpp = result.profile.curvatures()
         encoded = np.array([flux_from_curvature(float(x), n) for x in fpp])
@@ -451,21 +458,22 @@ class TestSolveNitm:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="FLUX_CUTOFF is absolute: it pins a wall flux c0^2 = 1e-8 once it falls to 1e-2 "
-        "of that, and the slope it gives back there is right to first order only",
+        reason="the flux cutoff, 100 abs_tol, is absolute: it pins a wall flux c0^2 = 1e-8 once "
+        "it falls to 1e-2 of that, and the slope it gives back there is right to first order only",
     )
     def test_small_c0_gives_the_same_answer(self):
         # At n = 2, b = F'_inf^0 = 1, so both star solves truncate the same
-        # physical problem at eta = 10; they differ by 4.0e-5 relative today
-        # (0.399775 against 0.399791; 2.0e-3 while the pin dropped the slope).
+        # physical problem at eta = 10; they differ by 3.6e-5 relative today
+        # (0.399776 against 0.399791; 2.0e-3 while the pin dropped the slope).
         small = solve(2.0, NitmConfig(c0=1e-4)).fpp0
         assert small == pytest.approx(solve(2.0).fpp0, rel=0.0, abs=1e-9)
 
     def test_pin_near_the_wall_gains_no_slope(self):
-        # A wall flux c0^n just above FLUX_CUTOFF is pinned so near the wall
-        # that a slope given back there would be spurious: the guard keeps
-        # this far-off answer (0.136 from c0 = 1) at a plain pin's value.
-        assert solve(2.0, NitmConfig(c0=1.2e-5)).fpp0 == 0.5357537801763487
+        # A wall flux c0^n just above the cutoff, 1e-10 at the default
+        # tolerance, is pinned so near the wall that a slope given back there
+        # would be spurious: the guard keeps this far-off answer (0.144 from
+        # c0 = 1) at a plain pin's value.
+        assert solve(2.0, NitmConfig(c0=1.2e-5)).fpp0 == 0.5433363747815545
 
     def test_monotone_decreasing_small_n(self):
         vals = [solve_nitm(n).fpp0 for n in (0.1, 0.2, 0.3, 0.4)]
@@ -513,6 +521,35 @@ class TestLargeBoundary:
         assert all(a < b for a, b in zip(nodes, nodes[1:]))
 
 
+class TestCutoffFollowsTolerance:
+    """The flux cutoff is 100 abs_tol.  Below abs_tol the error control does
+    not resolve the decaying flux, so with a fixed cutoff under it the
+    stepper crawled through the stiff layer instead of pinning it."""
+
+    def test_loose_tolerance_stores_few_nodes(self):
+        # 212,153 star nodes with the fixed cutoff 1e-10.
+        config = NitmConfig(eta_star_inf=40.0, integrator=IntegratorConfig(1e-6, 1e-6))
+        assert len(solve(2.5, config).star_profile.grid.nodes) < 1000
+
+    def test_tight_tolerance_stores_few_nodes(self):
+        # The Tsitouras pair with the fixed cutoff 1e-10, only ten times
+        # abs_tol here, stored 715,904.
+        config = NitmConfig(integrator=IntegratorConfig(1e-11, 1e-11))
+        assert len(solve(2.0, config).star_profile.grid.nodes) <= 200
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-9])
+    @pytest.mark.parametrize("eta", [40.0, 1000.0])
+    def test_loose_answers_stay_within_ten_tol(self, eta, tol):
+        # Against the default tolerance, and between the two routes.
+        integrator = IntegratorConfig(tol, tol)
+        for n in (1.05, 1.2, 1.5, 1.7, 2.0, 2.5):
+            result = solve(n, NitmConfig(eta_star_inf=eta, integrator=integrator))
+            assert len(result.star_profile.grid.nodes) <= 200
+            assert abs(result.fpp0 - solve(n, NitmConfig(eta_star_inf=eta)).fpp0) <= 10 * tol
+            shooting = solve_shooting(n, ShootingConfig(result.eta_inf_physical, integrator))
+            assert abs(shooting.fpp0 - result.fpp0) <= 10 * tol
+
+
 class TestSolveExcluded:
     def test_half(self):
         result = solve_excluded(0.5)
@@ -528,8 +565,8 @@ class TestSolveExcluded:
         # The quadratic through n = 1.7, 1.8, 1.9, evaluated at 2.
         y = [solve_nitm(x).fpp0 for x in (1.7, 1.8, 1.9)]
         assert result.fpp0 == math.fsum([y[0], -3.0 * y[1], 3.0 * y[2]])
-        # np.polyfit through the same nodes gave 0.39980967621397795.
-        assert result.fpp0 == pytest.approx(0.39980967621397795, rel=1e-15, abs=0.0)
+        # np.polyfit through the same nodes gave 0.3998096762140332.
+        assert result.fpp0 == pytest.approx(0.3998096762140332, rel=1e-15, abs=0.0)
         assert result.fpp0 == pytest.approx(0.399809676, abs=1e-8)
 
     def test_not_excluded_rejected(self):

@@ -26,6 +26,8 @@ from blasius_powerlaw.ode_core import (
 
 
 CFG = IntegratorConfig()
+#: The projector's cutoff at the default tolerance, as the solvers set it.
+CUTOFF = ode_core.flux_cutoff(CFG)
 
 ONES = [1.0, 1.0, 1.0]
 
@@ -180,7 +182,7 @@ class TestRhsFlux:
     @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
     @pytest.mark.parametrize(
         "w",
-        [0.0, -0.0, 5e-324, -5e-324, ode_core.FLUX_CUTOFF, 1.0, math.inf, -math.inf, math.nan],
+        [0.0, -0.0, 5e-324, -5e-324, CUTOFF, 1.0, math.inf, -math.inf, math.nan],
     )
     def test_decoders_match_the_sign_magnitude_formula(self, w, n):
         def bits(x):
@@ -233,17 +235,22 @@ class TestRhsDirect:
 
 
 class TestFluxProjector:
-    """The pin at FLUX_CUTOFF, and the slope (n + 1) w / f it gives back."""
+    """The pin at the cutoff, and the slope (n + 1) w / f it gives back."""
+
+    def test_default_cutoff(self):
+        # 100 abs_tol is 1e-10 exactly at the default abs_tol = 1e-12.
+        assert CUTOFF == 1e-10
 
     def test_live_flux_is_left_alone(self):
-        y = (2.0, 0.9, 2.0 * ode_core.FLUX_CUTOFF)
-        assert flux_nonnegative_projector(1.5)(y) is y
+        y = (2.0, 0.9, 2.0 * CUTOFF)
+        assert flux_nonnegative_projector(1.5, CUTOFF)(y) is y
 
     @pytest.mark.parametrize("w", [5e-11, -5e-11])
     def test_pin_gives_back_the_slope_it_cuts(self, w):
         # f'' d eta = -(n + 1) dw / f along a trajectory; an overshoot to
         # w < 0 takes the slope back.
-        assert flux_nonnegative_projector(1.5)((2.0, 0.9, w)) == (2.0, 0.9 + 2.5 * w / 2.0, 0.0)
+        pinned = (2.0, 0.9 + 2.5 * w / 2.0, 0.0)
+        assert flux_nonnegative_projector(1.5, CUTOFF)((2.0, 0.9, w)) == pinned
 
     @pytest.mark.parametrize(
         "y",
@@ -253,12 +260,69 @@ class TestFluxProjector:
     def test_no_gain_off_the_decay_tail(self, y):
         # The gain may not exceed what the current f'' adds over f/f', and
         # needs f > 0 and f' > 0; elsewhere the pin only zeroes w.
-        assert flux_nonnegative_projector(1.5)(y) == (y[0], y[1], 0.0)
+        assert flux_nonnegative_projector(1.5, CUTOFF)(y) == (y[0], y[1], 0.0)
 
     def test_pinned_state_is_unchanged(self):
         # Once w is 0 the gain is 0: the integrator sees no projection.
         y = (2.0, 0.9, 0.0)
-        assert flux_nonnegative_projector(1.5)(y) == y
+        assert flux_nonnegative_projector(1.5, CUTOFF)(y) == y
+
+
+class TestTableau:
+    """The Tsitouras 5(4) coefficients against the Runge-Kutta order
+    conditions (Butcher trees up to order 5)."""
+
+    C = ode_core.TSIT5_C
+    A = [[0.0] * 7, *([*row, *[0.0] * (7 - len(row))] for row in ode_core.TSIT5_A)]
+    B = A[6]
+
+    def _dot(self, weights, values):
+        return math.fsum(w * v for w, v in zip(weights, values))
+
+    def _a(self, values):
+        """A applied to a stage vector."""
+        return [self._dot(row, values) for row in self.A]
+
+    def _trees(self, weights):
+        """(weights . Phi(tree), 1/gamma(tree)) for the 17 trees of order <= 5."""
+        a = self._a
+
+        def times(u, v):
+            return [x * y for x, y in zip(u, v)]
+
+        c = self.C
+        c2 = times(c, c)
+        c3 = times(c2, c)
+        ac, ac2 = a(c), a(c2)
+        vectors = [
+            ([1.0] * 7, 1), (c, 2),
+            (c2, 3), (ac, 6),
+            (c3, 4), (times(c, ac), 8), (ac2, 12), (a(ac), 24),
+            (times(c3, c), 5), (times(c2, ac), 10), (times(c, ac2), 15),
+            (times(c, a(ac)), 30), (times(ac, ac), 20), (a(c3), 20),
+            (a(times(c, ac)), 40), (a(ac2), 60), (a(a(ac)), 120),
+        ]
+        return [(self._dot(weights, v), 1.0 / gamma) for v, gamma in vectors]
+
+    def test_fifth_order(self):
+        trees = self._trees(self.B)
+        assert len(trees) == 17
+        for value, expected in trees:
+            assert abs(value - expected) <= 1e-15
+
+    def test_rows_sum_to_nodes_and_first_same_as_last(self):
+        for row, c in zip(self.A, self.C):
+            assert abs(math.fsum(row) - c) <= 1e-15
+        assert self.C[5] == self.C[6] == 1.0
+        assert len(ode_core.TSIT5_A[-1]) == 6  # b7 = 0: stage 7 is the next stage 1
+
+    def test_error_weights_are_fifth_minus_fourth_order(self):
+        # E = b - b_hat with b_hat of order 4: E is orthogonal to every tree of
+        # order <= 4, and not to c^4, so the estimate is of order h^5.
+        trees = self._trees(ode_core.TSIT5_E)
+        for value, _ in trees[:8]:
+            assert abs(value) <= 1e-15
+        assert abs(trees[8][0]) > 1e-4
 
 
 class TestIntegrator:
@@ -408,7 +472,7 @@ class TestIntegrator:
 
     @pytest.mark.parametrize("n", [0.1, 0.7, 1.0, 1.5, 2.0])
     def test_positivity_and_monotone_slope(self, n):
-        prof = integrate(flux_system(n), n, 1.0, 10.0, CFG, flux_nonnegative_projector(n))
+        prof = integrate(flux_system(n), n, 1.0, 10.0, CFG, flux_nonnegative_projector(n, CUTOFF))
         w = prof.grid.ys[:, 2]
         fp = prof.grid.ys[:, 1]
         # For n > 1 the flux extinguishes at finite eta; beyond that point it
@@ -471,12 +535,12 @@ class TestKernel:
     @pytest.mark.parametrize(
         "n, fpp0_hex, nodes",
         [
-            (0.1, "0x1.a7281f4c61bfcp-1", 236),
-            (0.3, "0x1.90e96626c9921p-2", 267),
-            (0.5, "0x1.53b53fb8ed1dap-2", 298),
-            (1.0, "0x1.5406d69dc2aedp-2", 352),
-            (1.7, "0x1.8400f72c2eb6dp-2", 276),
-            (2.0, "0x1.9962b34340a29p-2", 262),
+            (0.1, "0x1.a7281f4c66d34p-1", 204),
+            (0.3, "0x1.90e96626cbebbp-2", 225),
+            (0.5, "0x1.53b53fb8ee562p-2", 255),
+            (1.0, "0x1.5406d69dc3482p-2", 310),
+            (1.7, "0x1.8400f72c2efdcp-2", 241),
+            (2.0, "0x1.9962b34340e1ap-2", 228),
         ],
         ids=["0.1", "0.3", "0.5", "1.0", "1.7", "2.0"],
     )
@@ -486,14 +550,16 @@ class TestKernel:
         assert len(result.star_profile.grid.ts) == nodes
 
     # Right-hand-side calls and state-changing projections on the default
-    # star IVP, and those of one run with stops at 6 and 8.
+    # star IVP, and those of one run with stops at 6 and 8.  The ids keep
+    # the counts first recorded, with the Dormand-Prince stepper, so that the
+    # test names stay stable when the pins are re-recorded.
     @pytest.mark.parametrize(
         "n, stops, calls, projections",
-        [(0.3, (), 1597, 0), (1.0, (), 2108, 1), (1.7, (), 1718, 1), (1.0, (6.0, 8.0), 2114, 1)],
+        [(0.3, (), 1345, 0), (1.0, (), 1868, 1), (1.7, (), 1520, 1), (1.0, (6.0, 8.0), 1868, 1)],
         ids=["0.3-1597-0", "1.0-2108-1", "1.7-1718-1", "1.0-stops-2114-1"],
     )
     def test_rhs_call_contract(self, n, stops, calls, projections):
-        rhs, project = flux_system(n), flux_nonnegative_projector(n)
+        rhs, project = flux_system(n), flux_nonnegative_projector(n, CUTOFF)
         abscissas, changed = [], []
 
         def counted_rhs(t, y):
@@ -526,17 +592,17 @@ class TestKernel:
     @pytest.mark.parametrize(
         "n, stops, digest",
         [
-            (0.3, (), "3a0cfc29ee712efbb0e042ff366941f43234515e11d24e58a6f1a478b3e138d0"),
-            (1.0, (), "ca0ca1d1cb92926d87864805843d124440d183997164f42307e14e137aba85c0"),
-            (1.7, (), "9632c195369af09cb1463ecb34dc0b4374c122cffd21d9d57bf69d9e786616a7"),
-            (1.0, (6.0, 8.0), "005cbc19d044826447e8938dae9c573b3fb01d2e3476107a304270290defa223"),
+            (0.3, (), "77482f8f14dc6ac21c4207d515c9369ff6efef9f5f60d147824addc8573905b4"),
+            (1.0, (), "c3df9c64a07abebce49cbd53b1ee9d8d560795e11df6d1f20702fa69318c5e82"),
+            (1.7, (), "161f0b718221386bd46efd41d1e565ab66fc051a3fb0476887221c425928eceb"),
+            (1.0, (6.0, 8.0), "6f4ec60c51496ddcd169fef597eafe67659a4569f82aa1a1591af47c6216847c"),
         ],
         ids=["0.3", "1.0", "1.7", "1.0-stops"],
     )
     def test_whole_grid_is_bit_identical(self, n, stops, digest):
         rhs = flux_system(n)
         grid = integrate_system(
-            rhs, 0.0, (0.0, 0.0, 1.0), 10.0, CFG, flux_nonnegative_projector(n), stops
+            rhs, 0.0, (0.0, 0.0, 1.0), 10.0, CFG, flux_nonnegative_projector(n, CUTOFF), stops
         )
         sha = hashlib.sha256()
         for array in (grid.ts, grid.ys, _node_derivatives(rhs, grid)):
@@ -546,28 +612,29 @@ class TestKernel:
     # The same digest (x86-64, glibc libm), with the run's RHS calls and
     # state-changing projections, over more of the stepper: star IVPs at both
     # ends of the exponent range; a shooting-frame trial from f''(0) = 0.3 to
-    # eta = 7 with stops at 2 and 5 (9 rejected steps, one projection and
-    # 7 steps with a zero error estimate); and a loose-tolerance run
-    # (14 rejected steps, and 4 steps with a nonzero error that grow by the
-    # 5x cap).
+    # eta = 7 with stops at 2 and 5 (8 rejected steps, one projection, and
+    # 9 steps that grow by the 5x cap); and a loose-tolerance run, whose
+    # cutoff follows its tolerance (14 rejected steps, one projection, and
+    # 8 steps that grow by the 5x cap).
     @pytest.mark.parametrize(
         "n, fpp0, eta_end, stops, tol, digest, calls, projections",
         [
             (0.1, 1.0, 10.0, (), 1e-12,
-             "2eb9754f5202881cc83b7d066eafc6cf1427a182a5cec1df76f53984b8102b6a", 1411, 0),
+             "6eb877ffebafdf6ecf168aa76190ee7cc056b7f5f8cadbd2f8a9f0da6ed98d63", 1219, 0),
             (2.5, 1.0, 10.0, (), 1e-12,
-             "06dbbbc25922020008447564c1e6f5ad022e9208559867687813d9ebda5c7c34", 1610, 1),
+             "8d37d47062685c316a817b2131d1d7a4eb0098923d77209477ed63c4648e1dd7", 1454, 1),
             (1.5, 0.3, 7.0, (2.0, 5.0), 1e-12,
-             "ef3e4fc55338f8953a9b876fd6138f0ffa9042c81845e52633970dcb22985b09", 1424, 1),
+             "ad58c05c2db2979fd04e4a06a60eea99ae418fc4beb9ad5953830101d08b2d69", 1238, 1),
             (1.7, 1.0, 10.0, (), 1e-6,
-             "4621284479323a13c22a281e949b4e2d69d9ec41540da4d4c02d81088f6dd17d", 8137, 0),
+             "3aa9bdccd419bbb2e8db5d1afc8729d8b2a78c42c8510c4cfb434fa85e8ffdb6", 242, 1),
         ],
         ids=["0.1", "2.5", "1.5-trial-stops", "1.7-loose"],
     )
     def test_more_grids_are_bit_identical(
         self, n, fpp0, eta_end, stops, tol, digest, calls, projections
     ):
-        rhs, project = flux_system(n), flux_nonnegative_projector(n)
+        config = IntegratorConfig(rel_tol=tol, abs_tol=tol)
+        rhs, project = flux_system(n), flux_nonnegative_projector(n, ode_core.flux_cutoff(config))
         counts = {"calls": 0, "projections": 0}
 
         def counted_rhs(t, y):
@@ -579,7 +646,6 @@ class TestKernel:
             counts["projections"] += out != y
             return out
 
-        config = IntegratorConfig(rel_tol=tol, abs_tol=tol)
         grid = integrate(counted_rhs, n, fpp0, eta_end, config, counted_project, stops).grid
         sha = hashlib.sha256()
         for array in (grid.ts, grid.ys, _node_derivatives(rhs, grid)):
@@ -598,21 +664,21 @@ class TestKernel:
             grid = result.star_profile.grid
             values = [*grid.nodes, *itertools.chain.from_iterable(grid.states), result.fpp0]
             sha.update(struct.pack(f"<{len(values)}d", *values))
-        digest = "e6ef9760bd4ea61308881ab4b5d77f0e77a0f4cb2f0c026e443c3bf501d595e9"
+        digest = "c6ec9cec93f4a37e4fb23f841c9ce25969ad4616bde9ff28510b12b9242cb272"
         assert sha.hexdigest() == digest
 
 
     # SHA-256 of fpp0 alone, as little-endian doubles, for n = 0.10, 0.11, ...,
-    # 2.50 at eta* = 6, 8 and 10 (x86-64, glibc libm).  Recorded with the old
-    # step cap h_max = 0.5: the steps that cap clipped come after the far
-    # field has settled at these boundaries, so lifting it keeps every bit.
+    # 2.50 at eta* = 6, 8 and 10 (x86-64, glibc libm).  The old step cap
+    # h_max = 0.5 gives the same digest: the steps that cap clipped come
+    # after the far field has settled at these boundaries.
     def test_fpp0_is_bit_identical_at_short_boundaries(self):
         sha = hashlib.sha256()
         for eta in (6.0, 8.0, 10.0):
             config = NitmConfig(eta_star_inf=eta)
             values = [solve(percent / 100, config).fpp0 for percent in range(10, 251)]
             sha.update(struct.pack(f"<{len(values)}d", *values))
-        digest = "fdd2560ade6efc7214d61cc9672016484ab4f526682fc58cdf5b1a7955934cd5"
+        digest = "636ef57549dc9ff1a39d9d3cb401c6f3326718f6a4325a0b31b6de8cf0598f9c"
         assert sha.hexdigest() == digest
 
 

@@ -16,7 +16,7 @@ from blasius_powerlaw.shooting import ShootingConfig, ShootingResult
 GRID = GridSolution([0.0, 0.5], [(0.0, 0.0, 1.0), (0.125, 0.5, 0.75)])
 GRID_REPR = "GridSolution(nodes=[0.0, 0.5], states=[(0.0, 0.0, 1.0), (0.125, 0.5, 0.75)])"
 PROFILE = SolutionProfile(GRID, 1.5)
-PROFILE_REPR = f"SolutionProfile(grid={GRID_REPR}, n=1.5)"
+PROFILE_REPR = f"SolutionProfile(grid={GRID_REPR}, n=1.5, star=None, fpp_scale=None)"
 DEFAULT_INTEGRATOR_REPR = "IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, h_max=inf)"
 
 #: (instance, module, fields, defaults, repr) of each record.
@@ -50,7 +50,13 @@ RECORDS = [
         {},
         "IvpState(eta=0.5, f=0.125, fp=0.5, w=0.75)",
     ),
-    (PROFILE, "ode_core", ("grid", "n"), {}, PROFILE_REPR),
+    (
+        PROFILE,
+        "ode_core",
+        ("grid", "n", "star", "fpp_scale"),
+        {"star": None, "fpp_scale": None},
+        PROFILE_REPR,
+    ),
     (
         NitmResult(1.5, -0.25, 2.0, 0.25, 1.5, PROFILE, "direct", 0.5, 2.0, 3.0),
         "nitm",

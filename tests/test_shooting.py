@@ -29,23 +29,33 @@ class TestResidual:
         assert shoot_residual(1.0, 1.0)[0] == pytest.approx(1.08541, abs=1e-4)
         assert shoot_residual(1.0, 0.05)[0] == pytest.approx(-0.718, abs=2e-3)
 
-    # Trials whose wall flux g^n lies at FLUX_CUTOFF: pinned at or near their
-    # first node, where f ~ g eta^2 / 2, they gain no slope, so these are the
-    # residuals of a plain pin (x86-64, glibc libm).  With the gain, the
-    # n = 20000 trial at 0.99999 would read +2.28, a false sign change.
+    # Trials whose wall flux g^n lies at the default cutoff, 1e-10: pinned
+    # at or near their first node, where f ~ g eta^2 / 2, they gain no slope,
+    # so these are the residuals of a plain pin (x86-64, glibc libm).  With
+    # the gain, the n = 20000 trial at 0.99999 would read +2.28, a false sign
+    # change.  The ids keep the residuals first recorded, with the
+    # Dormand-Prince stepper, so that the test names stay stable.
     @pytest.mark.parametrize(
         "n, factor, expected",
         [
-            (300.0, 0.999, -0.9990748123158742),
-            (300.0, 0.99999, -0.9990738942046836),
-            (300.0, 1.00001, -0.9990738756605914),
-            (20000.0, 0.999, -0.9999920171979009),
+            (300.0, 0.999, -0.99928870399871),
+            (300.0, 0.99999, -0.9991977307196152),
+            (300.0, 1.00001, -0.9991957822977674),
+            (20000.0, 0.999, -0.9999920171979163),
             (20000.0, 0.99999, -0.999001160619825),
-            (20000.0, 1.00001, -0.9858708552285197),
+            (20000.0, 1.00001, -0.9832569831301334),
+        ],
+        ids=[
+            "300.0-0.999--0.9990748123158742",
+            "300.0-0.99999--0.9990738942046836",
+            "300.0-1.00001--0.9990738756605914",
+            "20000.0-0.999--0.9999920171979009",
+            "20000.0-0.99999--0.999001160619825",
+            "20000.0-1.00001--0.9858708552285197",
         ],
     )
     def test_trial_pinned_near_the_wall_gains_no_slope(self, n, factor, expected):
-        guess = ode_core.FLUX_CUTOFF ** (1.0 / n) * factor
+        guess = ode_core.flux_cutoff(ShootingConfig().integrator) ** (1.0 / n) * factor
         assert shoot_residual(n, guess)[0] == expected
 
     def test_invalid_guess(self):
@@ -163,10 +173,10 @@ class TestSolveShooting:
             solve_shooting(1.0)
 
     def test_no_float_left_in_bracket_stops_early(self, monkeypatch):
-        # With no tolerance, only an exact root would do; at n = 1
-        # neighbouring floats g bracket the root with residuals of a few
-        # 1e-16: the solve stops instead of repeating a trial until the
-        # budget is spent.
+        # With no tolerance, only an exact root would do; at n = 1 the
+        # bracket closes until its ends are adjacent floats in log g, the
+        # variable the search bisects, with residuals of a few 1e-16: the
+        # solve stops instead of repeating a trial until the budget is spent.
         trials = []
         residual = shooting.shoot_residual
 
@@ -179,8 +189,8 @@ class TestSolveShooting:
         # The error names the cause: the bracket ends and their residuals.
         with pytest.raises(
             ConvergenceError,
-            match=r"no float lies between g = 0\.33205733720344\d* \(residual -\d\.\d+e-16\) "
-            r"and g = 0\.33205733720344\d* \(residual \d\.\d+e-16\)",
+            match=r"no float lies between g = 0\.332057337203596\d* \(residual -\d\.\d+e-16\) "
+            r"and g = 0\.332057337203596\d* \(residual \d\.\d+e-16\)",
         ):
             solve_shooting(1.0)
         assert len(trials) <= len(set(trials)) + 1
