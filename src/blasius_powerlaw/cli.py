@@ -58,7 +58,7 @@ def _add_common(p: argparse.ArgumentParser, eta_inf: bool = True) -> None:
     defaults = NitmConfig()
     if eta_inf:
         p.add_argument("--eta-inf", type=_positive, default=defaults.eta_star_inf, help="truncated boundary")
-    p.add_argument("--c0", type=_positive, default=defaults.c0, help="scaled wall curvature")
+    p.add_argument("--c0", type=_positive, default=defaults.c0, help="scaled wall curvature; moves the star boundary")
     p.add_argument("--rtol", type=_positive, default=defaults.integrator.rel_tol)
     p.add_argument("--atol", type=_positive, default=defaults.integrator.abs_tol)
     p.add_argument("--output", default=None, help="output file (default stdout)")

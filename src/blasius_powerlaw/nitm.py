@@ -1,12 +1,12 @@
 """Non-iterative solution of the power-law boundary-layer BVP.
 
 One wall IVP (`ode_core.integrate`) is integrated in scaled ("star")
-variables with wall curvature c0, 1 by default.  The equation and the wall
+variables from F''(0) = 1, to `star_boundary`.  The equation and the wall
 conditions are invariant under f(eta) = a F(b eta) whenever
 a^(n-2) b^(2n-1) = 1; the far-field condition a b F'_inf = 1 then fixes
 
     a = F'_inf^((1-2n)/(n+1)),  b = F'_inf^((n-2)/(n+1)),
-    f''(0) = c0 F'_inf^(-3/(n+1)),
+    f''(0) = F'_inf^(-3/(n+1)),
 
 which are finite for every n > 0.  At n = 1/2 the group is a pure stretch of
 eta, at n = 2 a pure scaling of f.
@@ -58,7 +58,7 @@ class NitmResult(
     the solve (None at n = 1/2, +0.0 at n = 2); `lam` = 1/a is the classical
     group parameter lambda; `method_tag` is "direct" or "extrapolated"; `a`
     and `b` are the group element f(eta) = a F(b eta) of the star solve, and
-    `eta_inf_physical` = eta*/b is the last node of `profile`."""
+    `eta_inf_physical`, its boundary over b, is the last node of `profile`."""
 
     __slots__ = ()
 
@@ -68,26 +68,28 @@ class NitmResult(
         return rescale_profile(self.star_profile, self.a, self.b)
 
 
+def star_boundary(n: float, c0: float, eta: float) -> float:
+    """c0^((2-n)/3) eta, whose F''(0) = 1 star solve is the group image of F''(0) = c0's to eta."""
+    try:
+        mapped = c0 ** ((2.0 - n) / 3.0) * eta
+    except OverflowError:
+        mapped = math.inf
+    if not 0.0 < mapped < math.inf:
+        raise DivergenceError(f"star boundary c0^((2-n)/3) eta* out of range at c0 = {c0}, n = {n}")
+    return mapped
+
+
 def solve_star_ivp(n: float, config: NitmConfig, stops: Sequence[float] = ()) -> SolutionProfile:
-    """Integrate the scaled IVP f*(0) = f*'(0) = 0, f*''(0) = c0 to eta_star_inf,
-    with a node at each of `stops`.
-
-    A wall flux c0^n at or below the projector's `flux_cutoff` is refused:
-    the projector would pin it to zero after the first step, F' would stop
-    growing there, and f''(0) would come out wrong (1e10 for c0 = 1e-11 at
-    n = 1 and the default tolerance).
-    """
-    cutoff = flux_cutoff(config.integrator)
-    rhs, project = flux_system(n), flux_nonnegative_projector(n, cutoff)
-    if flux_from_curvature(config.c0, n) <= cutoff:
-        raise DomainError(f"wall flux c0^n = {config.c0}^{n} is at or below the cutoff {cutoff}")
-    return integrate(rhs, n, config.c0, config.eta_star_inf, config.integrator, project, stops)
+    """Integrate F(0) = F'(0) = 0, F''(0) = 1 to `star_boundary`, with a node at each stop mapped alike."""
+    rhs, project = flux_system(n), flux_nonnegative_projector(n, flux_cutoff(config.integrator))
+    eta_end, *nodes = (star_boundary(n, config.c0, eta) for eta in (config.eta_star_inf, *stops))
+    return integrate(rhs, n, 1.0, eta_end, config.integrator, project, nodes)
 
 
-def group_parameters(n: float, fp_star_inf: float, c0: float) -> tuple[float, float, float]:
+def group_parameters(n: float, fp_star_inf: float) -> tuple[float, float, float]:
     """Group element (a, b) of f = a F(b eta) that maps F'_inf to one, and
-    the wall curvature f''(0) = c0 F'_inf^(-3/(n+1)) of the star solve
-    started from F''(0) = c0.
+    the wall curvature f''(0) = F'_inf^(-3/(n+1)) of the star solve started
+    from F''(0) = 1.
 
     Raises DivergenceError unless the column factors of `rescale_profile`
     (a, a b, a^2 b, and each times b), f''(0) and its wall flux f''(0)^n
@@ -102,11 +104,11 @@ def group_parameters(n: float, fp_star_inf: float, c0: float) -> tuple[float, fl
     if not all(math.isfinite(x) and math.isfinite(x * b) for x in (a, a * b, a * a * b)):
         raise DivergenceError(f"a rescaling factor overflows at F'_inf = {fp_star_inf}, n = {n}")
     try:
-        fpp0 = c0 * fp_star_inf ** (-3.0 / (n + 1.0))
+        fpp0 = fp_star_inf ** (-3.0 / (n + 1.0))
     except OverflowError:
         fpp0 = math.inf
     if not math.isfinite(fpp0):
-        raise DivergenceError(f"f''(0) overflows at F'_inf = {fp_star_inf}, c0 = {c0}, n = {n}")
+        raise DivergenceError(f"f''(0) overflows at F'_inf = {fp_star_inf}, n = {n}")
     flux_from_curvature(fpp0, n)  # DivergenceError once the wall flux overflows
     return a, b, fpp0
 
@@ -132,9 +134,9 @@ def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfil
     profile keeps `star`, so its f'' is a b^2 times the star's, one rounding
     from F'' rather than a decode of the rounded, scaled flux (up to 9 ulp
     from f''(0) at the wall, against 3).  The factors must be finite, as
-    `group_parameters` checks; a value they overflow (a large wall flux
-    c0^n, say), or a b of zero, raises DivergenceError.  Only each column's
-    extreme is checked, which relies on the star profile's monotonicity.
+    `group_parameters` checks; a value they overflow (the star boundary over
+    a tiny b, say), or a b of zero, raises DivergenceError.  Only each
+    column's extreme is checked, which relies on the star profile's monotonicity.
     """
     _physical_boundary(star, a, b)
     ab, aab = a * b, a * a * b
@@ -148,7 +150,7 @@ def solve(n: float, config: NitmConfig = NitmConfig()) -> NitmResult:
     rescaled on read; what would overflow it is refused here."""
     star = solve_star_ivp(n, config)
     fp_star_inf = star.final.fp
-    a, b, fpp0 = group_parameters(n, fp_star_inf, config.c0)
+    a, b, fpp0 = group_parameters(n, fp_star_inf)
     return NitmResult(
         n=n,
         delta=None if n == 0.5 else (n - 2.0) / (2.0 * n - 1.0),

@@ -88,15 +88,19 @@ def boundary_sensitivity(
 ) -> list[tuple[float, float | None, str | None]]:
     """Wall curvature as a function of the truncated boundary, in input order.
 
-    One star integration runs to the largest boundary and lands a node on
-    each of the others, where F'(eta*) gives that boundary's f''(0).  A
-    boundary fails on its own: if the pass fails, its error is recorded on
-    the largest boundary and the pass is retried on the rest.
+    One star integration runs to the largest mapped boundary and lands a
+    node on each other one, where F'(eta*) gives that boundary's f''(0).  A
+    boundary fails on its own: one that does not map is left out, and if the
+    pass fails, its error is recorded on the largest and the rest retried.
     """
+    found = {}
     for eta in eta_inf_values:
         require_positive("every truncated boundary", eta)
-    pending = sorted(set(eta_inf_values))
-    found = {}
+        try:
+            nitm.star_boundary(n, config.c0, eta)
+        except OdeError as exc:
+            found[eta] = (None, str(exc))
+    pending = sorted(set(eta_inf_values) - found.keys())
     while pending:
         *stops, last = pending
         try:
@@ -107,10 +111,10 @@ def boundary_sensitivity(
             continue
         nodes, states = star.grid.nodes, star.grid.states
         for eta in pending:
-            fp = states[bisect_left(nodes, eta)][1]
+            fp = states[bisect_left(nodes, nitm.star_boundary(n, config.c0, eta))][1]
             try:
                 # Refuses what this boundary's solve would.
-                found[eta] = (nitm.group_parameters(n, fp, config.c0)[2], None)
+                found[eta] = (nitm.group_parameters(n, fp)[2], None)
             except OdeError as exc:
                 found[eta] = (None, str(exc))
         break

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from blasius_powerlaw import cli, report
 from blasius_powerlaw.cli import run
-from blasius_powerlaw.nitm import NitmConfig, profile_ode_residuals, solve, solve_excluded
+from blasius_powerlaw.nitm import NitmConfig, profile_ode_residuals, solve, solve_excluded, star_boundary
 from blasius_powerlaw.report import SweepRow, sweep_table
 from blasius_powerlaw.shooting import ROOT_TOL, ShootingConfig, solve_shooting
 
@@ -62,23 +62,27 @@ class TestSolve:
         assert "numerical failure" in err
 
     def test_reports_physical_boundary(self, capsys):
-        # A small c0 maps the star boundary 10 to a physical one near 0.99,
-        # so the answer is that of the problem truncated there, and says so.
+        # A small c0 maps the star boundary 10 to c0^(1/3) 10 = 1 and so to
+        # a physical one near 0.99: the answer is that of the problem
+        # truncated there, and says so.  eta_star_inf is the input boundary.
         code, out, _ = _run(capsys, ["solve", "--n", "1", "--c0", "1e-3"])
         assert code == 0
         doc = json.loads(out)
         assert doc["fpp0"] == pytest.approx(1.0312, abs=1e-4)
         assert doc["eta_inf_physical"] == pytest.approx(0.98980, abs=1e-5)
-        # eta*/b with b = a = 1/lambda at n = 1.
-        assert doc["eta_inf_physical"] == pytest.approx(10.0 * doc["lambda"], rel=1e-14)
+        assert doc["eta_star_inf"] == 10.0
+        # c0^(1/3) eta*/b with b = a = 1/lambda at n = 1.
+        mapped = star_boundary(1.0, 1e-3, 10.0)
+        assert doc["eta_inf_physical"] == pytest.approx(mapped * doc["lambda"], rel=1e-14)
 
-    def test_wall_flux_below_cutoff_is_numerical_failure(self, capsys):
+    def test_wall_flux_below_cutoff_solves_the_mapped_boundary(self, capsys):
         # The flux projector would zero c0^n = 1e-11 after one step, and the
-        # printed fpp0 would be ~1e10.
+        # printed fpp0 would be ~1e10.  The star IVP starts from F''(0) = 1
+        # instead, so c0 only moves its boundary, to 10 c0^(1/3).
         code, out, err = _run(capsys, ["solve", "--n", "1", "--c0", "1e-11"])
-        assert code == 1 and out == ""
-        assert "numerical failure: wall flux" in err
-        assert "Traceback" not in err
+        assert code == 0 and err == ""
+        mapped = NitmConfig(eta_star_inf=star_boundary(1.0, 1e-11, 10.0))
+        assert json.loads(out)["fpp0"] == solve(1.0, mapped).fpp0
 
     def test_loose_tolerance_at_a_far_boundary(self, capsys):
         # The flux cutoff follows the tolerance (1e-7 here): with a fixed
@@ -98,8 +102,8 @@ class TestSolve:
         "extra", [["--eta-inf", "1e-250"], ["--eta-inf", "1e-200", "--c0", "1e100"]]
     )
     def test_rescaling_overflow_is_numerical_failure(self, capsys, sub, extra):
-        # The physical flux column would be inf/NaN (a^2 b = 1e500, or a
-        # finite factor times a wall flux of 1e200).
+        # The physical flux column would be inf/NaN: a^2 b = 1e500, or 1e400
+        # at n = 2, where c0 leaves the star boundary 1e-200 as it is.
         code, out, err = _run(capsys, [sub, "--n", "2", *extra])
         assert code == 1 and out == ""
         assert "numerical failure" in err and "overflows" in err
@@ -367,6 +371,14 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["discrepancy"] <= 1e-12
 
+    def test_small_c0_agrees(self, capsys):
+        # The wall flux c0^n = 1e-15 is below the flux cutoff, but c0 only
+        # maps the star boundary, to 100, where shooting accepts the one-IVP
+        # answer.
+        code, out, _ = _run(capsys, ["verify", "--n", "2.5", "--c0", "1e-6"])
+        assert code == 0
+        assert json.loads(out)["discrepancy"] <= 1e-12
+
     def test_tiny_boundary_reaches_both_routes(self, capsys):
         # Both routes solve at physical boundary ~1e-150, where fpp0 ~ 1e150;
         # the discrepancy is relative, so their 1.2e-14 agreement passes.
@@ -445,10 +457,9 @@ class TestSensitivity:
     @pytest.mark.parametrize(
         "argv, error",
         [
-            # F'_inf^(-3/2) = 1e150 is finite; c0 times it is not.
-            (["--n", "1", "--eta-inf", "1e-250", "--c0", "1e100"], "f''(0) overflows"),
-            # f''(0) = 1e200 is finite; its wall flux f''(0)^2 is not.
-            (["--n", "2", "--eta-inf", "1e-200", "--c0", "1e100"], "viscous flux"),
+            # a b^2 rounds to a finite float at this F'_inf, but
+            # F'_inf^(-3/(n+1)) passes the largest one.
+            (["--n", "0.1", "--eta-inf", "9.40309797775304e-114"], "f''(0) overflows"),
         ],
     )
     def test_overflowing_answer_is_a_boundary_error(self, capsys, argv, error):
@@ -457,7 +468,17 @@ class TestSensitivity:
         (row,) = out.strip().split("\n")[1:]
         assert row.split(",")[1] == "" and error in row
 
-    @pytest.mark.parametrize("c0", ["1", "1e50", "1e100", "1e200"])
+    def test_unmapped_boundary_fails_on_its_own(self, capsys):
+        # At n = 1 the star boundary is c0^(1/3) eta* = 1e-100 eta*: 1e-250
+        # underflows to 0, but 10 maps to 1e-99 and answers as solve does.
+        argv = ["sensitivity", "--n", "1", "--c0", "1e-300", "--eta-inf", "1e-250,10"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 1
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1][:2] == ["1e-250", ""] and "out of range at c0 = 1e-300, n = 1.0" in rows[1][2]
+        assert rows[2] == ["10", repr(solve(1.0, NitmConfig(c0=1e-300)).fpp0), ""]
+
+    @pytest.mark.parametrize("c0", ["1", "1e50", "1e100", "1e200", "1e-6", "1e-3"])
     @pytest.mark.parametrize("eta", ["1e-250", "1e-200", "10"])
     @pytest.mark.parametrize("n", ["0.3", "1", "2"])
     def test_refuses_what_solve_refuses(self, capsys, n, eta, c0):
@@ -554,7 +575,7 @@ class TestImports:
         ("table --n-from 0.1 --n-to 2.0 --n-step 0.1 --method both --format json", 0),
         ("table --n-from 0.5 --n-to 1.5 --n-step 0.5", 0),
         ("sensitivity --n 1 --eta-inf ,", 2),
-        ("solve --n 0.1 --c0 1e200", 1),
+        ("solve --n 3000 --c0 0.25", 1),
     ]
 
     @pytest.fixture(scope="class")
@@ -813,6 +834,8 @@ _EXAMPLES = [
     ["profile", "--n", "2", "--eta-inf", "1e-250"],
     ["sensitivity", "--n", "2", "--eta-inf", "1e-250,10"],
     ["solve", "--n", "1", "--eta-inf", "1.7e308"],
+    ["solve", "--n", "3000", "--c0", "0.25"],
+    ["solve", "--n", "3000", "--c0", "10"],
 ]
 
 

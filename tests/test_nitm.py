@@ -24,6 +24,7 @@ from blasius_powerlaw.nitm import (
     solve_excluded,
     solve_nitm,
     solve_star_ivp,
+    star_boundary,
 )
 from blasius_powerlaw.shooting import ShootingConfig, shoot_residual, solve_shooting
 
@@ -54,6 +55,15 @@ COMPUTED_FPP0 = {
 
 
 ULP = 2.0**-52
+
+
+def star_from_curvature(n, fpp0, eta):
+    """The star IVP from F''(0) = fpp0 to eta at the default tolerance,
+    which `solve` never runs for fpp0 != 1: c0 only maps its boundary."""
+    config = IntegratorConfig()
+    project = ode_core.flux_nonnegative_projector(n, ode_core.flux_cutoff(config))
+    return ode_core.integrate(ode_core.flux_system(n), n, fpp0, eta, config, project)
+
 
 exponents = st.floats(min_value=0.05, max_value=3.0)
 slopes = st.floats(min_value=0.05, max_value=50.0)
@@ -99,50 +109,47 @@ class TestLambdaAlgebra:
     the classical group parameter is lambda = 1/a."""
 
     def test_identity(self):
-        assert group_parameters(1.3, 1.0, 1.0) == (1.0, 1.0, 1.0)
+        assert group_parameters(1.3, 1.0) == (1.0, 1.0, 1.0)
 
     def test_square_root_case(self):
-        assert group_parameters(1.0, 4.0, 1.0) == (0.5, 0.5, 0.125)
+        assert group_parameters(1.0, 4.0) == (0.5, 0.5, 0.125)
 
     def test_blasius_consistency(self):
-        a, b, _ = group_parameters(1.0, 2.08541, 1.0)
+        a, b, _ = group_parameters(1.0, 2.08541)
         assert 1.0 / a == pytest.approx(1.44410, abs=1e-5)
         assert a * b * b == pytest.approx(0.332057, abs=1e-5)
 
     def test_former_exclusions(self):
         # A pure stretch of eta at n = 1/2, a pure scaling of f at n = 2.
-        assert group_parameters(0.5, 1.7, 1.0) == (1.0, 1.7**-1.0, 1.7**-2.0)
-        assert group_parameters(2.0, 2.5, 1.0) == (2.5**-1.0, 1.0, 2.5**-1.0)
+        assert group_parameters(0.5, 1.7) == (1.0, 1.7**-1.0, 1.7**-2.0)
+        assert group_parameters(2.0, 2.5) == (2.5**-1.0, 1.0, 2.5**-1.0)
 
     def test_nonpositive_slope_rejected(self):
         with pytest.raises(DomainError):
-            group_parameters(1.0, 0.0, 1.0)
+            group_parameters(1.0, 0.0)
 
     def test_overflow_is_divergence(self):
         # a = F'_inf^(-3/2) at n = 5 passes the largest float.
         with pytest.raises(DivergenceError, match="overflows"):
-            group_parameters(5.0, 1e-210, 1.0)
+            group_parameters(5.0, 1e-210)
 
     def test_rescaling_factor_overflow_is_divergence(self):
         # a = 1/F'_inf = 1e250 is finite at n = 2, but the flux factor a^2 b is not.
         with pytest.raises(DivergenceError, match="rescaling factor overflows"):
-            group_parameters(2.0, 1e-250, 1.0)
+            group_parameters(2.0, 1e-250)
 
     def test_wall_curvature_overflow_is_divergence(self):
         # a b^2 rounds to a finite float here, but F'_inf^(-3/(n+1))
         # passes the largest one.
         with pytest.raises(DivergenceError, match=r"f''\(0\) overflows"):
-            group_parameters(0.1, 9.403097977753022e-114, 1.0)
-        # F'_inf^(-3/2) = 1e150 is finite, but c0 times it is not.
-        with pytest.raises(DivergenceError, match=r"f''\(0\) overflows"):
-            group_parameters(1.0, 1e-100, 1e200)
+            group_parameters(0.1, 9.403097977753022e-114)
 
     @given(n=exponents, fp=slopes)
     def test_lambda_inverts_far_field(self, n, fp):
         # lambda^(1 - delta) = F'_inf, the classical form; delta is None at
         # n = 1/2 and 1 - delta blows up beside it.
         assume(abs(n - 0.5) > 0.05)
-        a, _, _ = group_parameters(n, fp, 1.0)
+        a, _, _ = group_parameters(n, fp)
         delta = (n - 2.0) / (2.0 * n - 1.0)
         assert (1.0 / a) ** (1.0 - delta) == pytest.approx(fp, rel=1e-13)
 
@@ -153,26 +160,31 @@ class TestLambdaAlgebra:
     @example(n=0.5, fp=1.736189353689428)
     @example(n=2.0, fp=2.5013095978186546)
     def test_rescaled_far_field_slope_is_one(self, n, fp):
-        a, b, _ = group_parameters(n, fp, 1.0)
+        a, b, _ = group_parameters(n, fp)
         assert a * b * fp == pytest.approx(1.0, rel=8 * ULP, abs=0.0)
 
     @given(n=exponents, fp=slopes)
     @example(n=0.5, fp=1.736189353689428)
     @example(n=2.0, fp=2.5013095978186546)
     def test_wall_curvature_factor(self, n, fp):
-        a, b, fpp0 = group_parameters(n, fp, 1.0)
+        a, b, fpp0 = group_parameters(n, fp)
         assert fpp0 == fp ** (-3.0 / (n + 1.0))
         assert a * b * b == pytest.approx(fpp0, rel=32 * ULP, abs=0.0)
 
     def test_star_curvature_scales_the_wall_curvature(self):
-        # The same rounding as solve's c0 * F'_inf^(-3/(n+1)), bit for bit.
-        n, fp, c0 = 0.7, 1.7376380052489178, 3.0
-        assert group_parameters(n, fp, c0)[2] == c0 * fp ** (-3.0 / (n + 1.0))
+        # The star IVP from F''(0) = c0 to eta* is the group image of the one
+        # from F''(0) = 1 to star_boundary(n, c0, eta*), so its wall curvature
+        # c0 F'_inf^(-3/(n+1)) is solve's answer at that c0 up to the tolerance.
+        n, c0 = 0.7, 3.0
+        star = star_from_curvature(n, c0, 10.0)
+        expected = solve(n, NitmConfig(c0=c0)).fpp0
+        assert c0 * group_parameters(n, star.final.fp)[2] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_overflowing_wall_flux_is_divergence(self):
         # f''(0) = 1e200 is finite at n = 2, but its wall flux 1e400 is not.
-        with pytest.raises(DivergenceError, match="viscous flux"):
-            group_parameters(2.0, 1e-100, 1e100)
+        # From F''(0) = 1 that flux is the factor a^2 b, which is refused first.
+        with pytest.raises(DivergenceError, match="rescaling factor overflows"):
+            group_parameters(2.0, 1e-200)
 
 
 class TestStarIvp:
@@ -187,25 +199,42 @@ class TestStarIvp:
         assert prof.final.w < 1e-3
 
     def test_custom_c0_initial_flux(self):
-        prof = solve_star_ivp(2.0, NitmConfig(c0=3.0))
-        assert prof.grid.ys[0, 2] == pytest.approx(9.0)
+        # c0 moves the boundary, not the wall flux: every star IVP starts
+        # from F''(0) = 1.
+        prof = solve_star_ivp(1.0, NitmConfig(c0=3.0))
+        assert prof.grid.ys[0, 2] == 1.0
+        assert prof.final.eta == star_boundary(1.0, 3.0, 10.0) == 3.0 ** (1.0 / 3.0) * 10.0
 
     @pytest.mark.parametrize("n, c0", [(1.0, 1e-11), (2.0, 1e-6), (300.0, 0.9)])
     def test_wall_flux_below_cutoff_rejected(self, monkeypatch, n, c0):
-        # The projector would zero such a flux after the first step and leave
-        # F' nearly flat, so f''(0) would be ~1e10 at n = 1, c0 = 1e-11.
-        def no_integration(*args, **kwargs):
-            raise AssertionError("integrated a wall flux below the cutoff")
+        # A wall flux c0^n at or below the cutoff is never integrated: the
+        # projector would zero it after the first step and leave F' nearly
+        # flat (f''(0) ~ 1e10 at n = 1, c0 = 1e-11).  The IVP starts from
+        # flux 1 instead and answers for the mapped boundary.
+        starts = []
+        integrate_system = ode_core.integrate_system
 
-        monkeypatch.setattr(ode_core, "integrate_system", no_integration)
-        with pytest.raises(DomainError, match="wall flux"):
-            solve(n, NitmConfig(c0=c0))
+        def recording(rhs, t0, y0, *args):
+            starts.append(y0[2])
+            return integrate_system(rhs, t0, y0, *args)
+
+        monkeypatch.setattr(ode_core, "integrate_system", recording)
+        got = solve(n, NitmConfig(c0=c0)).fpp0
+        assert starts == [1.0] and flux_from_curvature(c0, n) <= ode_core.flux_cutoff(IntegratorConfig())
+        assert got == solve(n, NitmConfig(eta_star_inf=star_boundary(n, c0, 10.0))).fpp0
 
     def test_wall_flux_overflow_is_numerical_failure(self):
-        # The check compares the encoded flux, so c0^n that overflows a float
-        # is an OdeError, not an OverflowError.
-        with pytest.raises(DivergenceError, match="overflows"):
+        # A wall flux c0^n = 1e3000 is never formed; the star boundary
+        # c0^((2-n)/3) eta* underflows instead, an OdeError naming c0 and n.
+        with pytest.raises(DivergenceError, match=r"out of range at c0 = 10\.0, n = 3000\.0"):
             solve(3000.0, NitmConfig(c0=10.0))
+
+    @pytest.mark.parametrize("c0, eta", [(0.25, 10.0), (10.0, 10.0), (0.6, 1e300), (1.5, 1e-300)])
+    def test_star_boundary_out_of_range_is_divergence(self, c0, eta):
+        # c0^(-999.3) overflows at c0 = 0.25 and underflows at c0 = 10; at
+        # c0 = 0.6 and 1.5 it is finite, but its product with eta* is not.
+        with pytest.raises(DivergenceError, match=rf"out of range at c0 = {c0}, n = 3000\.0$"):
+            solve(3000.0, NitmConfig(eta_star_inf=eta, c0=c0))
 
     @pytest.mark.parametrize(
         "n, frame",
@@ -246,13 +275,13 @@ class TestRescale:
 
     @pytest.mark.filterwarnings("error")
     def test_column_overflow_is_divergence(self):
-        # F'_inf = c0 eta* = 1e-100 gives finite factors (a, a b, a^2 b) =
-        # (1e100, 1e100, 1e200), but the wall flux W = c0^2 = 1e200 times
-        # a^2 b passes the largest float.  group_parameters refuses this
-        # boundary by that flux when given c0; without it, rescale_profile's
+        # A star IVP from F''(0) = 1e100 to 1e-200 has F'_inf = 1e-100, which
+        # gives finite factors (a, a b, a^2 b) = (1e100, 1e100, 1e200), but
+        # its wall flux W = 1e200 times a^2 b passes the largest float.  No
+        # `solve` star starts there (its wall flux is 1), so rescale_profile's
         # own guard is the one that fires.
-        star = solve_star_ivp(2.0, NitmConfig(eta_star_inf=1e-200, c0=1e100))
-        a, b, _ = group_parameters(2.0, star.final.fp, 1.0)
+        star = star_from_curvature(2.0, 1e100, 1e-200)
+        a, b, _ = group_parameters(2.0, star.final.fp)
         with pytest.raises(DivergenceError, match="physical profile overflows"):
             rescale_profile(star, a, b)
 
@@ -276,7 +305,7 @@ def eager_rescaling_refuses(n, config):
     rescaled value.  A failing star solve raises, as it did then."""
     star = solve_star_ivp(n, config)
     try:
-        a, b, _ = group_parameters(n, star.final.fp, config.c0)
+        a, b, _ = group_parameters(n, star.final.fp)
     except DivergenceError:
         return True
     if b == 0.0:
@@ -421,7 +450,7 @@ class TestPhysicalProfile:
     def test_flux_encodes_the_curvature(self, n):
         # w = a^2 b W holds because a^(n-2) b^(2n-1) = 1, so the scaled flux
         # column still encodes the scaled curvature.  The wall row is the
-        # group image of F''(0) = c0, so it meets fpp0 within a few ulp; a
+        # group image of F''(0) = 1, so it meets fpp0 within a few ulp; a
         # decode of the scaled flux was up to 9 ulp off (n = 0.12).
         result = solve(n)
         fpp = result.profile.curvatures()
@@ -456,24 +485,34 @@ class TestSolveNitm:
         b = solve_nitm(n, NitmConfig(c0=2.0)).fpp0
         assert a == pytest.approx(b, abs=1e-8)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the flux cutoff, 100 abs_tol, is absolute: it pins a wall flux c0^2 = 1e-8 once "
-        "it falls to 1e-2 of that, and the slope it gives back there is right to first order only",
-    )
     def test_small_c0_gives_the_same_answer(self):
-        # At n = 2, b = F'_inf^0 = 1, so both star solves truncate the same
-        # physical problem at eta = 10; they differ by 3.6e-5 relative today
-        # (0.399776 against 0.399791; 2.0e-3 while the pin dropped the slope).
+        # At n = 2 the star boundary is c0^0 eta* = eta*, so both solves
+        # truncate the same physical problem at eta = 10.  A star IVP from
+        # F''(0) = c0 was 3.6e-5 off: the absolute flux cutoff pinned its
+        # wall flux c0^2 = 1e-8 early.
         small = solve(2.0, NitmConfig(c0=1e-4)).fpp0
         assert small == pytest.approx(solve(2.0).fpp0, rel=0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("c0", [1e-6, 1e-3, 2.0, 1e3])
+    @pytest.mark.parametrize("n", [0.3, 1.0, 1.7, 2.0, 2.5])
+    def test_c0_is_the_mapped_boundary(self, n, c0):
+        # The scaled wall curvature is a group element: the solve at c0 is
+        # the F''(0) = 1 solve to star_boundary(n, c0, eta*), bit for bit,
+        # and shooting from its answer at its physical boundary agrees.
+        result = solve(n, NitmConfig(c0=c0))
+        mapped = NitmConfig(eta_star_inf=star_boundary(n, c0, 10.0))
+        assert result.fpp0 == solve(n, mapped).fpp0
+        shoot = solve_shooting(n, ShootingConfig(result.eta_inf_physical), start=result.fpp0)
+        assert abs(shoot.fpp0 - result.fpp0) <= 1e-12 * shoot.fpp0
+
     def test_pin_near_the_wall_gains_no_slope(self):
-        # A wall flux c0^n just above the cutoff, 1e-10 at the default
-        # tolerance, is pinned so near the wall that a slope given back there
-        # would be spurious: the guard keeps this far-off answer (0.144 from
-        # c0 = 1) at a plain pin's value.
-        assert solve(2.0, NitmConfig(c0=1.2e-5)).fpp0 == 0.5433363747815545
+        # A star IVP from a wall flux c0^n just above the cutoff, 1e-10 at
+        # the default tolerance, is pinned so near the wall that a slope given
+        # back there would be spurious: the guard keeps this far-off answer
+        # (0.144 from c0 = 1) at a plain pin's value.  `solve` never starts
+        # there: c0 only maps its boundary.
+        star = star_from_curvature(2.0, 1.2e-5, 10.0)
+        assert 1.2e-5 * group_parameters(2.0, star.final.fp)[2] == 0.5433363747815545
 
     def test_monotone_decreasing_small_n(self):
         vals = [solve_nitm(n).fpp0 for n in (0.1, 0.2, 0.3, 0.4)]
