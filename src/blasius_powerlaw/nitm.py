@@ -5,8 +5,7 @@ variables from F''(0) = 1, to `star_boundary`.  The equation and the wall
 conditions are invariant under f(eta) = a F(b eta) whenever
 a^(n-2) b^(2n-1) = 1; the far-field condition a b F'_inf = 1 then fixes
 
-    a = F'_inf^((1-2n)/(n+1)),  b = F'_inf^((n-2)/(n+1)),
-    f''(0) = F'_inf^(-3/(n+1)),
+    a = F'_inf^((1-2n)/(n+1)),  b = F'_inf^((n-2)/(n+1)),  f''(0) = a b^2,
 
 which are finite for every n > 0.  At n = 1/2 the group is a pure stretch of
 eta, at n = 2 a pure scaling of f.
@@ -23,7 +22,6 @@ from .ode_core import (
     IntegratorConfig,
     SolutionProfile,
     flux_cutoff,
-    flux_from_curvature,
     flux_nonnegative_projector,
     flux_system,
     integrate,
@@ -88,12 +86,11 @@ def solve_star_ivp(n: float, config: NitmConfig, stops: Sequence[float] = ()) ->
 
 def group_parameters(n: float, fp_star_inf: float) -> tuple[float, float, float]:
     """Group element (a, b) of f = a F(b eta) that maps F'_inf to one, and
-    the wall curvature f''(0) = F'_inf^(-3/(n+1)) of the star solve started
-    from F''(0) = 1.
+    the wall curvature f''(0) = a b^2 of the star solve started from
+    F''(0) = 1, formed as `rescale_profile` forms its f'' factor.
 
-    Raises DivergenceError unless the column factors of `rescale_profile`
-    (a, a b, a^2 b, and each times b), f''(0) and its wall flux f''(0)^n
-    are finite.
+    Raises DivergenceError unless the four factors of `rescale_profile`,
+    a, a b, a^2 b and a b^2, are finite.
     """
     require_positive("far-field slope", fp_star_inf)
     try:
@@ -101,15 +98,10 @@ def group_parameters(n: float, fp_star_inf: float) -> tuple[float, float, float]
         b = fp_star_inf ** ((n - 2.0) / (n + 1.0))
     except OverflowError:
         raise DivergenceError(f"a or b overflows at F'_inf = {fp_star_inf}, n = {n}") from None
-    if not all(math.isfinite(x) and math.isfinite(x * b) for x in (a, a * b, a * a * b)):
+    ab = a * b
+    fpp0 = ab * b
+    if not all(map(math.isfinite, (a, ab, a * a * b, fpp0))):
         raise DivergenceError(f"a rescaling factor overflows at F'_inf = {fp_star_inf}, n = {n}")
-    try:
-        fpp0 = fp_star_inf ** (-3.0 / (n + 1.0))
-    except OverflowError:
-        fpp0 = math.inf
-    if not math.isfinite(fpp0):
-        raise DivergenceError(f"f''(0) overflows at F'_inf = {fp_star_inf}, n = {n}")
-    flux_from_curvature(fpp0, n)  # DivergenceError once the wall flux overflows
     return a, b, fpp0
 
 
@@ -131,12 +123,12 @@ def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfil
     The group scales every column by a constant: eta = eta*/b, f = a F,
     f' = a b F', f'' = a b^2 F'', and the flux w = (a b^2)^n W = a^2 b W,
     which needs a^(n-2) b^(2n-1) = 1 (true of `group_parameters`).  The
-    profile keeps `star`, so its f'' is a b^2 times the star's, one rounding
-    from F'' rather than a decode of the rounded, scaled flux (up to 9 ulp
-    from f''(0) at the wall, against 3).  The factors must be finite, as
-    `group_parameters` checks; a value they overflow (the star boundary over
-    a tiny b, say), or a b of zero, raises DivergenceError.  Only each
-    column's extreme is checked, which relies on the star profile's monotonicity.
+    profile keeps `star`, so its f'' is a b^2 times the star's, not a decode
+    of the scaled flux, and its wall f'' (F'' = 1) is `group_parameters`'
+    f''(0) bit for bit.  The factors must be finite, as `group_parameters`
+    checks; a value they overflow (the star boundary over a tiny b, say), or
+    a b of zero, raises DivergenceError.  Only each column's extreme is
+    checked, which relies on the star profile's monotonicity.
     """
     _physical_boundary(star, a, b)
     ab, aab = a * b, a * a * b

@@ -114,9 +114,14 @@ def flux_system(n: float) -> Rhs:
     return rhs
 
 
-class GridSolution(namedtuple("GridSolution", "nodes states")):
+class GridSolution(
+    namedtuple("GridSolution", "nodes states attempted refreshes", defaults=(None, None))
+):
     """Stored output of one integration: the `nodes` and the (f, f', w)
-    `states` there, as lists of Python floats.  `ts` and `ys` hold the same
+    `states` there, as lists of Python floats; from `integrate_system` (else
+    None), the steps it `attempted`, of which attempted - (len(nodes) - 1)
+    were rejected, and its `refreshes`, projections that changed the state:
+    rhs ran 1 + 6 attempted + refreshes times.  `ts` and `ys` hold the same
     values as NumPy arrays (the `arrays` extra), built on first read and kept
     in the instance `__dict__` (no `__slots__` here); the CLI reads neither."""
 
@@ -210,7 +215,7 @@ def integrate_system(
     y0, y1, y2 = y
     a0, a1, a2 = k1
     h = H_INIT
-    nsteps = 0
+    nsteps = refreshes = 0
     targets = [t_end, *reversed(stops)]  # the next node to land on is targets[-1]
 
     # Stage k1..k7 is (a, b, c, d, e, f, g) per component.
@@ -287,6 +292,7 @@ def integrate_system(
                 if y_proj != y_new:
                     y = y_proj
                     k1 = rhs(t, y)
+                    refreshes += 1
             y0, y1, y2 = y
             a0, a1, a2 = k1
             nodes.append(t)
@@ -304,7 +310,7 @@ def integrate_system(
             if h < H_MIN:
                 raise StepUnderflowError(f"step underflow below H_MIN at t = {t}")
 
-    return GridSolution(nodes, states)
+    return GridSolution(nodes, states, nsteps, refreshes)
 
 
 class SolutionProfile(

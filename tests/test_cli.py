@@ -109,6 +109,33 @@ class TestSolve:
         assert "numerical failure" in err and "overflows" in err
         assert "Warning" not in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "n, eta, fpp0, eta_physical",
+        [
+            ("1", "1e-180", 1.0000000000000002e270, 1e-270),
+            ("1.5", "1e-160", 1.0000000000000249e192, 9.999999999999958e-193),
+        ],
+    )
+    def test_tiny_boundary_answers_where_every_column_is_finite(
+        self, capsys, n, eta, fpp0, eta_physical
+    ):
+        # At n = 1 and eta* = 1e-180, a = b = 1e90: the column factors a,
+        # a b, a^2 b and a b^2 (at most 1e270) and eta*/b = 1e-270 are finite,
+        # though a^2 b^2 = 1e360, which no column uses, is not.
+        argv = ["--n", n, "--eta-inf", eta]
+        code, out, err = _run(capsys, ["solve", *argv])
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert (doc["fpp0"], doc["eta_inf_physical"]) == (fpp0, eta_physical)
+        code, out, _ = _run(capsys, ["profile", *argv])
+        assert code == 0
+        rows = [[float(x) for x in row] for row in csv.reader(io.StringIO(out.split("\n", 1)[1]))]
+        assert all(map(math.isfinite, chain.from_iterable(rows)))
+        assert rows[0][3] == fpp0
+        code, out, _ = _run(capsys, ["verify", *argv])
+        assert code == 0 and json.loads(out)["discrepancy"] == 0.0
+
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "solve.json"
         code, _, err = _run(capsys, ["solve", "--n", "1.0", "--output", str(target)])
@@ -157,22 +184,22 @@ class TestTable:
     PAPER_GRID_HEX = [
         (0.1, "0x1.a7281f4c66d34p-1", "0x1.a7281f4c66d34p-1"),
         (0.2, "0x1.f61c30c3ee663p-2", "0x1.f61c30c3ee663p-2"),
-        (0.3, "0x1.90e96626cbebbp-2", "0x1.90e96626cbebbp-2"),
-        (0.4, "0x1.66ce1aa2fe5e0p-2", "0x1.66ce1aa2fe5e0p-2"),
-        (0.5, "0x1.53b53fb8ee562p-2", "0x1.53b53fb8ee562p-2"),
-        (0.6, "0x1.4bb86ffd6b257p-2", "0x1.4bb86ffd6b257p-2"),
+        (0.3, "0x1.90e96626cbeb9p-2", "0x1.90e96626cbeb9p-2"),
+        (0.4, "0x1.66ce1aa2fe5dfp-2", "0x1.66ce1aa2fe5dfp-2"),
+        (0.5, "0x1.53b53fb8ee563p-2", "0x1.53b53fb8ee563p-2"),
+        (0.6, "0x1.4bb86ffd6b258p-2", "0x1.4bb86ffd6b258p-2"),
         (0.7, "0x1.49c339358c31dp-2", "0x1.49c339358c31dp-2"),
-        (0.8, "0x1.4b4f0e3887badp-2", "0x1.4b4f0e3887badp-2"),
+        (0.8, "0x1.4b4f0e3887bacp-2", "0x1.4b4f0e3887bacp-2"),
         (0.9, "0x1.4efd96e8c98a2p-2", "0x1.4efd96e8c98a2p-2"),
-        (1.0, "0x1.5406d69dc3482p-2", "0x1.5406d69dc3482p-2"),
-        (1.1, "0x1.59f0e6decae2dp-2", "0x1.59f0e6decae2dp-2"),
+        (1.0, "0x1.5406d69dc3483p-2", "0x1.5406d69dc3483p-2"),
+        (1.1, "0x1.59f0e6decae2ep-2", "0x1.59f0e6decae2ep-2"),
         (1.2, "0x1.606cd0d0e24a2p-2", "0x1.606cd0d0e24a2p-2"),
         (1.3, "0x1.6745a0e2e9c86p-2", "0x1.6745a0e2e9c86p-2"),
-        (1.4, "0x1.6e56ee6e93312p-2", "0x1.6e56ee6e93312p-2"),
+        (1.4, "0x1.6e56ee6e93311p-2", "0x1.6e56ee6e93311p-2"),
         (1.5, "0x1.7587312e651c8p-2", "0x1.7587312e651c8p-2"),
-        (1.6, "0x1.7cc43b739aa29p-2", "0x1.7cc43b739aa29p-2"),
+        (1.6, "0x1.7cc43b739aa28p-2", "0x1.7cc43b739aa28p-2"),
         (1.7, "0x1.8400f72c2efdcp-2", "0x1.8400f72c2efdcp-2"),
-        (1.8, "0x1.8b33e7a7f96e7p-2", "0x1.8b33e7a7f96e7p-2"),
+        (1.8, "0x1.8b33e7a7f96e6p-2", "0x1.8b33e7a7f96e6p-2"),
         (1.9, "0x1.925626fe88046p-2", "0x1.925626fe88046p-2"),
         (2.0, "0x1.9962b34340e1ap-2", "0x1.9962b34340e1ap-2"),
     ]
@@ -379,6 +406,14 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["discrepancy"] <= 1e-12
 
+    def test_answer_at_the_largest_float_is_a_numerical_failure(self, capsys):
+        # solve answers 1.7976931348622121e+308 here, a physical boundary of
+        # 5.6e-309; shooting from that answer overflows its first step.
+        argv = ["verify", "--n", "0.1", "--eta-inf", "9.40309797775304e-114"]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "numerical failure" in err and "Traceback" not in err
+
     def test_tiny_boundary_reaches_both_routes(self, capsys):
         # Both routes solve at physical boundary ~1e-150, where fpp0 ~ 1e150;
         # the discrepancy is relative, so their 1.2e-14 agreement passes.
@@ -455,18 +490,21 @@ class TestSensitivity:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "argv, error",
+        "eta, code, cell, error",
         [
-            # a b^2 rounds to a finite float at this F'_inf, but
-            # F'_inf^(-3/(n+1)) passes the largest one.
-            (["--n", "0.1", "--eta-inf", "9.40309797775304e-114"], "f''(0) overflows"),
+            # The answer a b^2 is finite at this boundary, just below the
+            # largest float, where F'_inf^(-3/(n+1)) would overflow ...
+            ("9.40309797775304e-114", 0, "1.7976931348622121e+308", ""),
+            # ... and a b^2 itself overflows 139 ulp of eta* lower.
+            ("9.40309797775284e-114", 1, "", "a rescaling factor overflows"),
         ],
+        ids=["largest-answer", "overflow"],
     )
-    def test_overflowing_answer_is_a_boundary_error(self, capsys, argv, error):
-        code, out, _ = _run(capsys, ["sensitivity", *argv])
-        assert code == 1
-        (row,) = out.strip().split("\n")[1:]
-        assert row.split(",")[1] == "" and error in row
+    def test_overflowing_answer_is_a_boundary_error(self, capsys, eta, code, cell, error):
+        exit_code, out, _ = _run(capsys, ["sensitivity", "--n", "0.1", "--eta-inf", eta])
+        assert exit_code == code
+        (row,) = list(csv.reader(io.StringIO(out)))[1:]
+        assert row[:2] == [eta, cell] and row[2].startswith(error)
 
     def test_unmapped_boundary_fails_on_its_own(self, capsys):
         # At n = 1 the star boundary is c0^(1/3) eta* = 1e-100 eta*: 1e-250
@@ -829,6 +867,7 @@ _EXAMPLES = [
     ["table", "--n-from", "0.1", "--n-to", "2", "--n-step", "1e-300"],
     ["solve", "--n", "1e-20"],
     ["solve", "--n", "5", "--eta-inf", "1e-210"],
+    ["solve", "--n", "1", "--eta-inf", "1e-180"],
     ["sensitivity", "--n", "1", "--eta-inf", "1e-250,10"],
     ["solve", "--n", "2", "--eta-inf", "1e-250"],
     ["profile", "--n", "2", "--eta-inf", "1e-250"],

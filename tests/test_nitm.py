@@ -139,10 +139,13 @@ class TestLambdaAlgebra:
             group_parameters(2.0, 1e-250)
 
     def test_wall_curvature_overflow_is_divergence(self):
-        # a b^2 rounds to a finite float here, but F'_inf^(-3/(n+1))
-        # passes the largest one.
-        with pytest.raises(DivergenceError, match=r"f''\(0\) overflows"):
-            group_parameters(0.1, 9.403097977753022e-114)
+        # f''(0) is a b^2, the factor of the physical f'' column: finite here,
+        # where F'_inf^(-3/(n+1)) would pass the largest float, and refused
+        # only where a b^2 itself overflows, 127 ulp of F'_inf lower.
+        assert group_parameters(0.1, 9.403097977753022e-114)[2] == 1.7976931348622211e308
+        assert group_parameters(0.1, 9.40309797775284e-114)[2] == 1.7976931348623157e308
+        with pytest.raises(DivergenceError, match="rescaling factor overflows"):
+            group_parameters(0.1, 9.403097977752839e-114)
 
     @given(n=exponents, fp=slopes)
     def test_lambda_inverts_far_field(self, n, fp):
@@ -167,9 +170,11 @@ class TestLambdaAlgebra:
     @example(n=0.5, fp=1.736189353689428)
     @example(n=2.0, fp=2.5013095978186546)
     def test_wall_curvature_factor(self, n, fp):
+        # f''(0) is the f'' factor of `rescale_profile`, so the two agree bit
+        # for bit; the single power F'_inf^(-3/(n+1)) is a rounding away.
         a, b, fpp0 = group_parameters(n, fp)
-        assert fpp0 == fp ** (-3.0 / (n + 1.0))
-        assert a * b * b == pytest.approx(fpp0, rel=32 * ULP, abs=0.0)
+        assert fpp0 == a * b * b
+        assert fp ** (-3.0 / (n + 1.0)) == pytest.approx(fpp0, rel=32 * ULP, abs=0.0)
 
     def test_star_curvature_scales_the_wall_curvature(self):
         # The star IVP from F''(0) = c0 to eta* is the group image of the one
@@ -182,7 +187,7 @@ class TestLambdaAlgebra:
 
     def test_overflowing_wall_flux_is_divergence(self):
         # f''(0) = 1e200 is finite at n = 2, but its wall flux 1e400 is not.
-        # From F''(0) = 1 that flux is the factor a^2 b, which is refused first.
+        # From F''(0) = 1 that flux is the factor a^2 b, which the factor check refuses.
         with pytest.raises(DivergenceError, match="rescaling factor overflows"):
             group_parameters(2.0, 1e-200)
 
@@ -265,6 +270,9 @@ class TestRescale:
         assert np.array_equal(phys.grid.ys, star.grid.ys)
         assert np.array(phys.curvatures()).tobytes() == np.array(star.curvatures()).tobytes()
         assert phys.n == star.n == 1.0
+        # Only an integration counts its work; the rescaled grid did none.
+        assert (phys.grid.attempted, phys.grid.refreshes) == (None, None)
+        assert star.grid.attempted >= len(star.grid.nodes) - 1
 
     def test_origin_row(self):
         star = solve_star_ivp(1.0, NitmConfig())
@@ -382,7 +390,7 @@ class TestProfileView:
 PHYSICAL_PINS = {
     0.3: (
         "65fe64f5af77bf115ecadc6d28398c1cf6abffa96b1937048437cd782b551ad6",
-        "0x1.90e96626cbebbp-2",
+        "0x1.90e96626cbeb9p-2",
         [
             ("0x1.82737e37f563dp-1", "-0x0.0p+0", "0x1.90e96626cbeb9p-2"),
             ("0x1.82737e3720988p-1", "-0x1.6e71334e4428bp-23", "0x1.90e96623ec108p-2"),
@@ -394,7 +402,7 @@ PHYSICAL_PINS = {
     ),
     1.0: (
         "66b5c605379e7e8591599527921b8fd220d4ce97d0c86d513338c5f4859114ec",
-        "0x1.5406d69dc3482p-2",
+        "0x1.5406d69dc3483p-2",
         [
             ("0x1.5406d69dc3483p-2", "-0x0.0p+0", "0x1.5406d69dc3483p-2"),
             ("0x1.5406d69d4994fp-2", "-0x1.edcbb317e00c9p-25", "0x1.5406d69d4994fp-2"),
@@ -449,14 +457,26 @@ class TestPhysicalProfile:
     @pytest.mark.parametrize("n", [k / 100 for k in range(10, 251)])
     def test_flux_encodes_the_curvature(self, n):
         # w = a^2 b W holds because a^(n-2) b^(2n-1) = 1, so the scaled flux
-        # column still encodes the scaled curvature.  The wall row is the
-        # group image of F''(0) = 1, so it meets fpp0 within a few ulp; a
-        # decode of the scaled flux was up to 9 ulp off (n = 0.12).
+        # column still encodes the scaled curvature.
         result = solve(n)
         fpp = result.profile.curvatures()
         encoded = np.array([flux_from_curvature(float(x), n) for x in fpp])
         assert np.allclose(result.profile.grid.ys[:, 2], encoded, rtol=1e-14, atol=0.0)
-        assert fpp[0] == pytest.approx(result.fpp0, rel=4 * ULP, abs=0.0)
+
+    def test_wall_row_is_fpp0_bit_for_bit(self):
+        # The wall row is the group image a b^2 of F''(0) = 1, and fpp0 is the
+        # same product, so the `profile` CSV prints solve's fpp0 at eta = 0.
+        # Neither a separate power F'_inf^(-3/(n+1)) nor a decode of the
+        # scaled flux keeps these bits: they round 1-3 ulp away at 145 of
+        # these 241 exponents, and up to 9 ulp (n = 0.12).
+        mismatched = []
+        for percent in range(10, 251):
+            n = percent / 100
+            result = solve(n)
+            wall = result.profile.curvatures()[0]
+            if not result.fpp0 == wall == group_parameters(n, result.fp_star_inf)[2]:
+                mismatched.append(n)
+        assert mismatched == []
 
 
 class TestSolveNitm:

@@ -527,6 +527,25 @@ class TestIntegrator:
         assert calls == []
 
 
+def _instrumented_star_run(n, stops=()):
+    """The star IVP to 10 at the default tolerance, with the abscissa of
+    every RHS call and, per projection, whether it changed the state."""
+    rhs, project = flux_system(n), flux_nonnegative_projector(n, CUTOFF)
+    abscissas, changed = [], []
+
+    def counted_rhs(t, y):
+        abscissas.append(t)
+        return rhs(t, y)
+
+    def counted_project(y):
+        out = project(y)
+        changed.append(out != y)
+        return out
+
+    grid = integrate_system(counted_rhs, 0.0, (0.0, 0.0, 1.0), 10.0, CFG, counted_project, stops)
+    return grid, abscissas, changed
+
+
 class TestKernel:
     """Pins the stepper's output bit for bit, so that a change meant to keep
     the numbers shows any drift."""
@@ -536,9 +555,9 @@ class TestKernel:
         "n, fpp0_hex, nodes",
         [
             (0.1, "0x1.a7281f4c66d34p-1", 204),
-            (0.3, "0x1.90e96626cbebbp-2", 225),
-            (0.5, "0x1.53b53fb8ee562p-2", 255),
-            (1.0, "0x1.5406d69dc3482p-2", 310),
+            (0.3, "0x1.90e96626cbeb9p-2", 225),
+            (0.5, "0x1.53b53fb8ee563p-2", 255),
+            (1.0, "0x1.5406d69dc3483p-2", 310),
             (1.7, "0x1.8400f72c2efdcp-2", 241),
             (2.0, "0x1.9962b34340e1ap-2", 228),
         ],
@@ -559,21 +578,7 @@ class TestKernel:
         ids=["0.3-1597-0", "1.0-2108-1", "1.7-1718-1", "1.0-stops-2114-1"],
     )
     def test_rhs_call_contract(self, n, stops, calls, projections):
-        rhs, project = flux_system(n), flux_nonnegative_projector(n, CUTOFF)
-        abscissas, changed = [], []
-
-        def counted_rhs(t, y):
-            abscissas.append(t)
-            return rhs(t, y)
-
-        def counted_project(y):
-            out = project(y)
-            changed.append(out != y)
-            return out
-
-        grid = integrate_system(
-            counted_rhs, 0.0, (0.0, 0.0, 1.0), 10.0, CFG, counted_project, stops
-        )
+        grid, abscissas, changed = _instrumented_star_run(n, stops)
         # An attempted step ends with two stages at t + h, and a projection
         # that changes the state re-evaluates at that same t: count each run
         # of equal abscissas once.
@@ -586,6 +591,20 @@ class TestKernel:
         assert sum(changed) == projections
         assert len(abscissas) == 1 + 6 * attempted + projections
         assert attempted >= len(grid.ts) - 1
+
+    # The grid's own counts against the same instrumented run: RHS calls,
+    # state-changing projections, and rejected steps (the Tsitouras pair
+    # rejects 2 of 311 attempted steps at n = 1.0 and 13 of 253 at 1.7).
+    @pytest.mark.parametrize(
+        "n, calls, refreshes, rejected", [(0.3, 1345, 0, 0), (1.0, 1868, 1, 2), (1.7, 1520, 1, 13)]
+    )
+    def test_grid_counts_its_own_work(self, n, calls, refreshes, rejected):
+        grid, abscissas, changed = _instrumented_star_run(n)
+        assert len(abscissas) == calls == 1 + 6 * grid.attempted + grid.refreshes
+        assert grid.refreshes == sum(changed) == refreshes
+        # The projector sees every accepted state once.
+        assert len(changed) == len(grid.nodes) - 1
+        assert grid.attempted - (len(grid.nodes) - 1) == rejected
 
     # SHA-256 of the bytes of ts, ys and the field at each stored node
     # (`_node_derivatives`) of the projected star IVP.
@@ -652,6 +671,7 @@ class TestKernel:
             sha.update(array.tobytes())
         assert sha.hexdigest() == digest
         assert counts == {"calls": calls, "projections": projections}
+        assert calls == 1 + 6 * grid.attempted + grid.refreshes and grid.refreshes == projections
 
     # SHA-256 over the star grids of `solve` at n = 0.10, 0.15, ..., 2.50:
     # per exponent the nodes, the states and fpp0, as little-endian doubles
@@ -664,7 +684,7 @@ class TestKernel:
             grid = result.star_profile.grid
             values = [*grid.nodes, *itertools.chain.from_iterable(grid.states), result.fpp0]
             sha.update(struct.pack(f"<{len(values)}d", *values))
-        digest = "c6ec9cec93f4a37e4fb23f841c9ce25969ad4616bde9ff28510b12b9242cb272"
+        digest = "9dfff55eefbf8181b3b68d959b06c651aeaa8a89b7f1e4928270caac051d2ffc"
         assert sha.hexdigest() == digest
 
 
@@ -678,7 +698,7 @@ class TestKernel:
             config = NitmConfig(eta_star_inf=eta)
             values = [solve(percent / 100, config).fpp0 for percent in range(10, 251)]
             sha.update(struct.pack(f"<{len(values)}d", *values))
-        digest = "636ef57549dc9ff1a39d9d3cb401c6f3326718f6a4325a0b31b6de8cf0598f9c"
+        digest = "013b68c007e1d114aa1d3f9ac05d59d0853049a6dbaf2f4ed4a0b04d0c13bd8b"
         assert sha.hexdigest() == digest
 
 

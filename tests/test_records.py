@@ -13,8 +13,11 @@ from blasius_powerlaw.ode_core import GridSolution, IntegratorConfig, IvpState, 
 from blasius_powerlaw.report import SweepRow
 from blasius_powerlaw.shooting import ShootingConfig, ShootingResult
 
-GRID = GridSolution([0.0, 0.5], [(0.0, 0.0, 1.0), (0.125, 0.5, 0.75)])
-GRID_REPR = "GridSolution(nodes=[0.0, 0.5], states=[(0.0, 0.0, 1.0), (0.125, 0.5, 0.75)])"
+GRID = GridSolution([0.0, 0.5], [(0.0, 0.0, 1.0), (0.125, 0.5, 0.75)], 2, 0)
+GRID_REPR = (
+    "GridSolution(nodes=[0.0, 0.5], states=[(0.0, 0.0, 1.0), (0.125, 0.5, 0.75)], "
+    "attempted=2, refreshes=0)"
+)
 PROFILE = SolutionProfile(GRID, 1.5)
 PROFILE_REPR = f"SolutionProfile(grid={GRID_REPR}, n=1.5, star=None, fpp_scale=None)"
 DEFAULT_INTEGRATOR_REPR = "IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, h_max=inf)"
@@ -42,7 +45,13 @@ RECORDS = [
         {"eta_inf": 10.0, "integrator": IntegratorConfig()},
         f"ShootingConfig(eta_inf=7.5, integrator={DEFAULT_INTEGRATOR_REPR})",
     ),
-    (GRID, "ode_core", ("nodes", "states"), {}, GRID_REPR),
+    (
+        GRID,
+        "ode_core",
+        ("nodes", "states", "attempted", "refreshes"),
+        {"attempted": None, "refreshes": None},
+        GRID_REPR,
+    ),
     (
         IvpState(0.5, 0.125, 0.5, 0.75),
         "ode_core",
