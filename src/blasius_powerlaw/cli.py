@@ -198,14 +198,22 @@ def _key_cell(x: float) -> str:
     return text if float(text) == x else repr(x)
 
 
+def _fpp0_cell(x: float | None) -> str:
+    """Six decimals for 1e-4 <= |x| < 1e6, else six in exponent form, so
+    that an answer far from the default boundary's stays short."""
+    if x is None:
+        return ""
+    return f"{x:.6f}" if 1e-4 <= abs(x) < 1e6 else f"{x:.6e}"
+
+
 def _render_table(rows: list[report.SweepRow]) -> str:
     """Six-decimal CSV rendering of a sweep, for eyeballing (JSON keeps full precision)."""
     header = "n,fpp0_nitm,fpp0_shooting,discrepancy,method,eta_star_inf,eta_inf_physical,error"
     cells = [
         [
             _key_cell(r.n),
-            "" if r.fpp0_nitm is None else f"{r.fpp0_nitm:.6f}",
-            "" if r.fpp0_shooting is None else f"{r.fpp0_shooting:.6f}",
+            _fpp0_cell(r.fpp0_nitm),
+            _fpp0_cell(r.fpp0_shooting),
             "" if r.discrepancy is None else f"{r.discrepancy:.2e}",
             r.method_tag or "",
             "" if r.eta_star_inf is None else _key_cell(r.eta_star_inf),
@@ -240,11 +248,14 @@ def _cmd_verify(args) -> tuple[str, int]:
     # first trial is the one-IVP answer: accepted when that satisfies the
     # physical BVP to shooting's own tolerance (discrepancy 0.0).
     eta_match = result.eta_inf_physical
-    shoot = solve_shooting(
-        args.n,
-        ShootingConfig(eta_inf=eta_match, integrator=config.integrator),
-        start=result.fpp0,
-    )
+    try:
+        shoot = solve_shooting(
+            args.n,
+            ShootingConfig(eta_inf=eta_match, integrator=config.integrator),
+            start=result.fpp0,
+        )
+    except OdeError as exc:  # named as `table --method both` names it
+        raise type(exc)(f"shooting: {exc}") from None
     discrepancy = report.relative_discrepancy(result.fpp0, shoot.fpp0)
     doc = {
         "n": args.n,

@@ -100,16 +100,17 @@ def flux_system(n: float) -> Rhs:
     same overflow error, but with 1/n computed once instead of per call.
     """
     require_positive("power-law exponent", n)
-    inv_n, inv_np1 = 1.0 / n, 1.0 / (n + 1.0)
+    # -(f fpp) / (n + 1) as f fpp (-1 / (n + 1)): negation is exact.
+    inv_n, neg_inv_np1 = 1.0 / n, -(1.0 / (n + 1.0))
     copysign = math.copysign
 
     def rhs(eta: float, y: State) -> State:
-        w = y[2]
+        f, fp, w = y
         try:
             fpp = w ** inv_n if w > 0.0 else copysign(abs(w) ** inv_n, w)
         except OverflowError:
             raise _curvature_overflow(w, n) from None
-        return (y[1], fpp, -y[0] * fpp * inv_np1)
+        return (fp, fpp, f * fpp * neg_inv_np1)
 
     return rhs
 
@@ -178,9 +179,11 @@ def integrate_system(
     step (the last two at t + h) and once more after each projection that
     changes the state.  A step that would pass the next of `stops` (strictly
     increasing, inside (t0, t_end)) or t_end is clipped so that a node lands
-    exactly on it.  `project`, when given, maps each accepted state back onto
-    an invariant manifold (used to pin the viscous flux at zero once the
-    layer extinguishes, which happens at finite eta for n > 1).
+    exactly on it.  `project`, when given, is the flux pin of
+    `flux_nonnegative_projector` at `flux_cutoff(config)`: it maps an
+    accepted state whose flux is below that cutoff back onto w = 0 (the
+    layer extinguishes at finite eta for n > 1), and it is called on those
+    states only, since it returns any other state unchanged.
     """
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise DomainError(f"integration bounds must be finite, got [{t0}, {t_end}]")
@@ -208,21 +211,24 @@ def integrate_system(
     E1, E2, E3, E4, E5, E6, E7 = TSIT5_E
 
     rtol, atol, h_max = config.rel_tol, config.abs_tol, config.h_max
-    isfinite = math.isfinite
+    # No projector never pins: no finite flux is below -inf.
+    cutoff = flux_cutoff(config) if project is not None else -math.inf
+    isfinite, sqrt, max_steps = math.isfinite, math.sqrt, MAX_STEPS
     t = t0
-    k1 = rhs(t, y)
     nodes, states = [t], [y]
+    nodes_append, states_append = nodes.append, states.append
     y0, y1, y2 = y
-    a0, a1, a2 = k1
+    a0, a1, a2 = rhs(t, y)
     h = H_INIT
     nsteps = refreshes = 0
-    targets = [t_end, *reversed(stops)]  # the next node to land on is targets[-1]
+    targets = [t_end, *reversed(stops)]
+    target = targets.pop()  # the next node to land on
 
-    # Stage k1..k7 is (a, b, c, d, e, f, g) per component.
+    # Stage k1..k7 is (a, b, c, d, e, f, g) per component; g is the next
+    # step's a (first-same-as-last).
     while t < t_end:
-        if nsteps >= MAX_STEPS:
+        if nsteps >= max_steps:
             raise StepBudgetError(f"step budget {MAX_STEPS} exhausted at t = {t}")
-        target = targets[-1]
         rest = target - t
         if h > h_max:
             h = h_max
@@ -260,14 +266,18 @@ def integrate_system(
         z1 = y1 + h * (A71 * a1 + A72 * b1 + A73 * c1 + A74 * d1 + A75 * e1 + A76 * f1)
         z2 = y2 + h * (A71 * a2 + A72 * b2 + A73 * c2 + A74 * d2 + A75 * e2 + A76 * f2)
         y_new = (z0, z1, z2)
-        k7 = rhs(t_new, y_new)  # first-same-as-last: k1 of the next step
-        g0, g1, g2 = k7
+        g0, g1, g2 = rhs(t_new, y_new)
         nsteps += 1
 
         if isfinite(z0) and isfinite(z1) and isfinite(z2):
-            # Each error weight is max(|y|, |z|), written out with max's tie rule.
-            s0, s1, s2 = abs(y0), abs(y1), abs(y2)
-            u0, u1, u2 = abs(z0), abs(z1), abs(z2)
+            # Each error weight is max(|y|, |z|), written out with max's tie
+            # rule; a -0.0 from the conditional abs adds to atol as +0.0 does.
+            s0 = -y0 if y0 < 0.0 else y0
+            s1 = -y1 if y1 < 0.0 else y1
+            s2 = -y2 if y2 < 0.0 else y2
+            u0 = -z0 if z0 < 0.0 else z0
+            u1 = -z1 if z1 < 0.0 else z1
+            u2 = -z2 if z2 < 0.0 else z2
             q0 = h * (E1 * a0 + E2 * b0 + E3 * c0 + E4 * d0 + E5 * e0 + E6 * f0 + E7 * g0) / (
                 atol + rtol * (u0 if u0 > s0 else s0)
             )
@@ -278,25 +288,26 @@ def integrate_system(
                 atol + rtol * (u2 if u2 > s2 else s2)
             )
             # Not sum(): from Python 3.12 it compensates, which rounds differently.
-            err = math.sqrt((q0 * q0 + q1 * q1 + q2 * q2) / 3)
+            err = sqrt((q0 * q0 + q1 * q1 + q2 * q2) / 3)
         else:
             err = math.inf
 
         if err <= 1.0:
             t = t_new
-            if t == target:
-                targets.pop()
-            y, k1 = y_new, k7
-            if project is not None:
-                y_proj = tuple(project(y_new))
-                if y_proj != y_new:
+            if t == target and targets:
+                target = targets.pop()
+            y = y_new
+            y0, y1, y2 = z0, z1, z2
+            a0, a1, a2 = g0, g1, g2
+            if z2 < cutoff:
+                y_proj = tuple(project(y))
+                if y_proj != y:
                     y = y_proj
-                    k1 = rhs(t, y)
+                    y0, y1, y2 = y
+                    a0, a1, a2 = rhs(t, y)
                     refreshes += 1
-            y0, y1, y2 = y
-            a0, a1, a2 = k1
-            nodes.append(t)
-            states.append(y)
+            nodes_append(t)
+            states_append(y)
             # err <= 1 makes the factor at least 0.9: only the 5x cap applies.
             factor = 5.0 if err == 0.0 else 0.9 * err ** -0.2
             h = h * (factor if factor < 5.0 else 5.0)

@@ -359,6 +359,29 @@ class TestRenderTable:
         text = cli._render_table([SweepRow(n=0.5, error="boom")])
         assert "boom" in text
 
+    @pytest.mark.parametrize(
+        "x, cell",
+        [(1e-4, "0.000100"), (9.99e-5, "9.990000e-05"), (999999.0, "999999.000000"), (1e6, "1.000000e+06")],
+    )
+    def test_fpp0_cells_switch_to_exponent_form_outside_the_fixed_range(self, x, cell):
+        _, row = csv.reader(io.StringIO(cli._render_table([SweepRow(n=1.0, fpp0_nitm=x)])))
+        assert row[1] == cell
+
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [
+            # a = b = 1e90: both routes answer 1e270.
+            (["--n", "1", "--eta-inf", "1e-180"], ["1.000000e+270", "1.000000e+270"]),
+            # The one-IVP answer is the largest float; shooting fails from it.
+            (["--n", "0.1", "--eta-inf", "9.40309797775304e-114"], ["1.797693e+308", ""]),
+        ],
+        ids=["1e270", "largest-float"],
+    )
+    def test_far_answers_print_in_exponent_form(self, capsys, argv, cells):
+        _, out, _ = _run(capsys, ["table", *argv, "--method", "both"])
+        _, row = csv.reader(io.StringIO(out))
+        assert row[1:3] == cells
+
 
 class TestVerify:
     def test_agreement_at_matched_boundary(self, capsys):
@@ -408,11 +431,13 @@ class TestVerify:
 
     def test_answer_at_the_largest_float_is_a_numerical_failure(self, capsys):
         # solve answers 1.7976931348622121e+308 here, a physical boundary of
-        # 5.6e-309; shooting from that answer overflows its first step.
+        # 5.6e-309; shooting from that answer overflows its first step, and
+        # the failure names that route, as a `table --method both` row does.
         argv = ["verify", "--n", "0.1", "--eta-inf", "9.40309797775304e-114"]
         code, out, err = _run(capsys, argv)
         assert code == 1 and out == ""
-        assert "numerical failure" in err and "Traceback" not in err
+        assert err.startswith("numerical failure: shooting: state became non-finite")
+        assert "Traceback" not in err
 
     def test_tiny_boundary_reaches_both_routes(self, capsys):
         # Both routes solve at physical boundary ~1e-150, where fpp0 ~ 1e150;

@@ -527,11 +527,12 @@ class TestIntegrator:
         assert calls == []
 
 
-def _instrumented_star_run(n, stops=()):
-    """The star IVP to 10 at the default tolerance, with the abscissa of
-    every RHS call and, per projection, whether it changed the state."""
-    rhs, project = flux_system(n), flux_nonnegative_projector(n, CUTOFF)
-    abscissas, changed = [], []
+def _instrumented_star_run(n, stops=(), config=CFG):
+    """The star IVP to 10 (at the default tolerance unless `config` is given),
+    with the abscissa of every RHS call, per projector call whether it changed
+    the state, and the flux each projector call received."""
+    rhs, project = flux_system(n), flux_nonnegative_projector(n, ode_core.flux_cutoff(config))
+    abscissas, changed, fluxes = [], [], []
 
     def counted_rhs(t, y):
         abscissas.append(t)
@@ -540,10 +541,13 @@ def _instrumented_star_run(n, stops=()):
     def counted_project(y):
         out = project(y)
         changed.append(out != y)
+        fluxes.append(y[2])
         return out
 
-    grid = integrate_system(counted_rhs, 0.0, (0.0, 0.0, 1.0), 10.0, CFG, counted_project, stops)
-    return grid, abscissas, changed
+    grid = integrate_system(
+        counted_rhs, 0.0, (0.0, 0.0, 1.0), 10.0, config, counted_project, stops
+    )
+    return grid, abscissas, changed, fluxes
 
 
 class TestKernel:
@@ -578,7 +582,7 @@ class TestKernel:
         ids=["0.3-1597-0", "1.0-2108-1", "1.7-1718-1", "1.0-stops-2114-1"],
     )
     def test_rhs_call_contract(self, n, stops, calls, projections):
-        grid, abscissas, changed = _instrumented_star_run(n, stops)
+        grid, abscissas, changed, _ = _instrumented_star_run(n, stops)
         # An attempted step ends with two stages at t + h, and a projection
         # that changes the state re-evaluates at that same t: count each run
         # of equal abscissas once.
@@ -599,12 +603,39 @@ class TestKernel:
         "n, calls, refreshes, rejected", [(0.3, 1345, 0, 0), (1.0, 1868, 1, 2), (1.7, 1520, 1, 13)]
     )
     def test_grid_counts_its_own_work(self, n, calls, refreshes, rejected):
-        grid, abscissas, changed = _instrumented_star_run(n)
+        grid, abscissas, changed, fluxes = _instrumented_star_run(n)
         assert len(abscissas) == calls == 1 + 6 * grid.attempted + grid.refreshes
         assert grid.refreshes == sum(changed) == refreshes
-        # The projector sees every accepted state once.
-        assert len(changed) == len(grid.nodes) - 1
+        # The projector sees only accepted states below the cutoff, each once:
+        # one call per stored state after the wall with w < CUTOFF.
+        assert all(w < CUTOFF for w in fluxes)
+        assert len(changed) == sum(1 for _, _, w in grid.states[1:] if w < CUTOFF)
         assert grid.attempted - (len(grid.nodes) - 1) == rejected
+
+    # The stepper calls the projector only on accepted states whose flux is
+    # below the cutoff of the run's own config: never at n = 0.3, where the
+    # flux stays above it; at n = 1.0 and 1.7 on the first pinned state and
+    # the w = 0 states after it; and at tol 1e-6 below that config's cutoff
+    # 1e-4, which the default cutoff 1e-10 would not reach.
+    @pytest.mark.parametrize(
+        "n, tol, calls, rhs_calls, largest",
+        [
+            (0.3, 1e-12, 0, 1345, None),
+            (1.0, 1e-12, 4, 1868, 3.2770133973320537e-11),
+            (1.7, 1e-12, 9, 1520, 5.323051465227493e-11),
+            (1.7, 1e-6, 6, 242, 2.787740654834931e-05),
+        ],
+        ids=["0.3", "1.0", "1.7", "1.7-loose"],
+    )
+    def test_projector_sees_only_pinned_range_fluxes(self, n, tol, calls, rhs_calls, largest):
+        config = IntegratorConfig(rel_tol=tol, abs_tol=tol)
+        cutoff = ode_core.flux_cutoff(config)
+        _, abscissas, changed, fluxes = _instrumented_star_run(n, config=config)
+        assert len(fluxes) == calls and len(abscissas) == rhs_calls
+        assert max(fluxes, default=None) == largest
+        assert all(w < cutoff for w in fluxes)
+        # After the first pin the flux stays 0, so only that call changes y.
+        assert changed[:1] == [True] * min(calls, 1) and not any(changed[1:])
 
     # SHA-256 of the bytes of ts, ys and the field at each stored node
     # (`_node_derivatives`) of the projected star IVP.
