@@ -21,7 +21,6 @@ from .ode_core import (
     GridSolution,
     IntegratorConfig,
     SolutionProfile,
-    flux_cutoff,
     flux_nonnegative_projector,
     flux_system,
     integrate,
@@ -79,7 +78,7 @@ def star_boundary(n: float, c0: float, eta: float) -> float:
 
 def solve_star_ivp(n: float, config: NitmConfig, stops: Sequence[float] = ()) -> SolutionProfile:
     """Integrate F(0) = F'(0) = 0, F''(0) = 1 to `star_boundary`, with a node at each stop mapped alike."""
-    rhs, project = flux_system(n), flux_nonnegative_projector(n, flux_cutoff(config.integrator))
+    rhs, project = flux_system(n), flux_nonnegative_projector(n)
     eta_end, *nodes = (star_boundary(n, config.c0, eta) for eta in (config.eta_star_inf, *stops))
     return integrate(rhs, n, 1.0, eta_end, config.integrator, project, nodes)
 

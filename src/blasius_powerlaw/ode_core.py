@@ -180,10 +180,9 @@ def integrate_system(
     changes the state.  A step that would pass the next of `stops` (strictly
     increasing, inside (t0, t_end)) or t_end is clipped so that a node lands
     exactly on it.  `project`, when given, is the flux pin of
-    `flux_nonnegative_projector` at `flux_cutoff(config)`: it maps an
-    accepted state whose flux is below that cutoff back onto w = 0 (the
-    layer extinguishes at finite eta for n > 1), and it is called on those
-    states only, since it returns any other state unchanged.
+    `flux_nonnegative_projector`, and the stepper alone decides when it runs:
+    on each accepted state whose flux is below `flux_cutoff(config)`, which
+    the pin maps onto w = 0 (the layer extinguishes at finite eta for n > 1).
     """
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise DomainError(f"integration bounds must be finite, got [{t0}, {t_end}]")
@@ -348,8 +347,8 @@ class SolutionProfile(
 
 
 def flux_cutoff(config: IntegratorConfig) -> float:
-    """Extinction cutoff of `flux_nonnegative_projector` for an integration
-    at `config`: 100 abs_tol, so 1e-10 at the default tolerance.
+    """Flux below which `integrate_system` at `config` pins an accepted
+    state with its projector: 100 abs_tol, so 1e-10 at the default tolerance.
 
     For n > 1 the flux reaches zero at finite eta and the equation becomes
     arbitrarily stiff as w -> 0+.  Below abs_tol the error control no longer
@@ -361,10 +360,11 @@ def flux_cutoff(config: IntegratorConfig) -> float:
     return 100.0 * config.abs_tol
 
 
-def flux_nonnegative_projector(n: float, cutoff: float) -> Callable[[State], State]:
-    """Pin the flux component of a (f, f', w) state at exponent n to zero
-    once it falls below `cutoff`, and add to f' the slope that the rest of
-    the decay would give.
+def flux_nonnegative_projector(n: float) -> Callable[[State], State]:
+    """Pin the flux component of a (f, f', w) state at exponent n to zero,
+    and add to f' the slope that the rest of the decay would give.  It pins
+    whatever state it is handed: `integrate_system` hands it only accepted
+    states whose flux is below `flux_cutoff`.
 
     The boundary-layer solutions of interest start from w(0) > 0 and w decays
     monotonically; the exact solution never goes negative, and for n > 1 it
@@ -382,14 +382,12 @@ def flux_nonnegative_projector(n: float, cutoff: float) -> Callable[[State], Sta
     inv_n, np1 = 1.0 / n, n + 1.0
 
     def project(y: State) -> State:
-        if y[2] < cutoff:
-            f, fp, w = y
-            if f > 0.0 and fp > 0.0:
-                gain = np1 * w / f
-                if abs(gain) * fp <= f * abs(w) ** inv_n:
-                    return (f, fp + gain, 0.0)
-            return (f, fp, 0.0)
-        return y
+        f, fp, w = y
+        if f > 0.0 and fp > 0.0:
+            gain = np1 * w / f
+            if abs(gain) * fp <= f * abs(w) ** inv_n:
+                return (f, fp + gain, 0.0)
+        return (f, fp, 0.0)
 
     return project
 

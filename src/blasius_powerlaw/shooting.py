@@ -22,7 +22,6 @@ from .ode_core import (
     OdeError,
     SolutionProfile,
     curvature_from_flux,
-    flux_cutoff,
     flux_nonnegative_projector,
     flux_system,
     integrate,
@@ -67,7 +66,7 @@ def shoot_residual(
 ) -> tuple[float, SolutionProfile]:
     """Residual f'(eta_inf) - 1 of the trial wall curvature `guess`, and its profile."""
     require_positive("trial curvature", guess)
-    project = flux_nonnegative_projector(n, flux_cutoff(config.integrator))
+    project = flux_nonnegative_projector(n)
     profile = integrate(flux_system(n), n, guess, config.eta_inf, config.integrator, project)
     return profile.final.fp - 1.0, profile
 

@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from blasius_powerlaw.nitm import solve
+from blasius_powerlaw.report import boundary_sensitivity
 from blasius_powerlaw.shooting import solve_shooting
 
 scipy_integrate = pytest.importorskip("scipy.integrate")
@@ -49,6 +50,23 @@ def test_one_ivp_answer_matches_the_reference():
         errors[n] = abs(solve(n).fpp0 - reference) / reference
     assert max(e for n, e in errors.items() if n < 1.0) <= 5e-12, errors
     assert max(e for n, e in errors.items() if n >= 1.0) <= 7e-13, errors
+
+
+def test_sensitivity_boundaries_match_the_reference():
+    # The boundaries of `sensitivity` read off one star IVP with a node at
+    # each.  Worst measured below n = 1 is 2.4e-12 (n = 0.1, eta* = 40).  At
+    # n >= 1 every entry is <= 3.5e-13 but one, 2.6e-12 at n = 1.0 and
+    # eta* = 8: the pin fires at star eta = 7.95 and gives back the slope of
+    # the whole tail beyond it, while the reference run to 8 stops short of
+    # that tail.
+    etas = [6.0, 8.0, 10.0, 15.0, 20.0, 40.0]
+    errors = {}
+    for n in (0.1, 0.3, 0.5, 0.7, 1.0, 1.2, 1.7, 2.0, 2.5):
+        for eta, fpp0, error in boundary_sensitivity(n, etas):
+            assert error is None, (n, eta, error)
+            reference = _reference_slope(n, 1.0, eta) ** (-3.0 / (n + 1.0))
+            errors[n, eta] = abs(fpp0 - reference) / reference
+    assert max(errors.values()) <= 5e-12, errors
 
 
 def test_shooting_at_large_exponent_matches_the_reference():

@@ -885,6 +885,8 @@ def _argv(draw):
 
 
 #: Inputs that once broke the exit-code contract, run before the drawn ones.
+#: The last two ask for the boundary 1e300 at n = 0.01: `sensitivity`, whose
+#: trial stage overflows there, refuses it (exit 1), and `solve` answers it.
 _EXAMPLES = [
     ["table", "--method", "shooting", "--n", "300"],
     ["verify", "--n", "3000"],
@@ -900,6 +902,8 @@ _EXAMPLES = [
     ["solve", "--n", "1", "--eta-inf", "1.7e308"],
     ["solve", "--n", "3000", "--c0", "0.25"],
     ["solve", "--n", "3000", "--c0", "10"],
+    ["sensitivity", "--n", "0.01", "--eta-inf", "10,1e300"],
+    ["solve", "--n", "0.01", "--eta-inf", "1e300"],
 ]
 
 

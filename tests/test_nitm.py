@@ -61,7 +61,7 @@ def star_from_curvature(n, fpp0, eta):
     """The star IVP from F''(0) = fpp0 to eta at the default tolerance,
     which `solve` never runs for fpp0 != 1: c0 only maps its boundary."""
     config = IntegratorConfig()
-    project = ode_core.flux_nonnegative_projector(n, ode_core.flux_cutoff(config))
+    project = ode_core.flux_nonnegative_projector(n)
     return ode_core.integrate(ode_core.flux_system(n), n, fpp0, eta, config, project)
 
 

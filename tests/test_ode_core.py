@@ -26,7 +26,7 @@ from blasius_powerlaw.ode_core import (
 
 
 CFG = IntegratorConfig()
-#: The projector's cutoff at the default tolerance, as the solvers set it.
+#: The flux below which the stepper pins a state, at the default tolerance.
 CUTOFF = ode_core.flux_cutoff(CFG)
 
 ONES = [1.0, 1.0, 1.0]
@@ -235,22 +235,18 @@ class TestRhsDirect:
 
 
 class TestFluxProjector:
-    """The pin at the cutoff, and the slope (n + 1) w / f it gives back."""
+    """The flux pin, and the slope (n + 1) w / f it gives back."""
 
     def test_default_cutoff(self):
         # 100 abs_tol is 1e-10 exactly at the default abs_tol = 1e-12.
         assert CUTOFF == 1e-10
-
-    def test_live_flux_is_left_alone(self):
-        y = (2.0, 0.9, 2.0 * CUTOFF)
-        assert flux_nonnegative_projector(1.5, CUTOFF)(y) is y
 
     @pytest.mark.parametrize("w", [5e-11, -5e-11])
     def test_pin_gives_back_the_slope_it_cuts(self, w):
         # f'' d eta = -(n + 1) dw / f along a trajectory; an overshoot to
         # w < 0 takes the slope back.
         pinned = (2.0, 0.9 + 2.5 * w / 2.0, 0.0)
-        assert flux_nonnegative_projector(1.5, CUTOFF)((2.0, 0.9, w)) == pinned
+        assert flux_nonnegative_projector(1.5)((2.0, 0.9, w)) == pinned
 
     @pytest.mark.parametrize(
         "y",
@@ -260,12 +256,12 @@ class TestFluxProjector:
     def test_no_gain_off_the_decay_tail(self, y):
         # The gain may not exceed what the current f'' adds over f/f', and
         # needs f > 0 and f' > 0; elsewhere the pin only zeroes w.
-        assert flux_nonnegative_projector(1.5, CUTOFF)(y) == (y[0], y[1], 0.0)
+        assert flux_nonnegative_projector(1.5)(y) == (y[0], y[1], 0.0)
 
     def test_pinned_state_is_unchanged(self):
         # Once w is 0 the gain is 0: the integrator sees no projection.
         y = (2.0, 0.9, 0.0)
-        assert flux_nonnegative_projector(1.5, CUTOFF)(y) == y
+        assert flux_nonnegative_projector(1.5)(y) == y
 
 
 class TestTableau:
@@ -433,6 +429,13 @@ class TestIntegrator:
             integrate_system(lambda t, y: calls.append(t) or y, 1e20, ONES, 2e20, CFG)
         assert calls == [1e20]
 
+    def test_stiff_rejections_below_h_min_are_refused(self):
+        # y' = -1e15 y: every trial from H_INIT down to H_MIN has a finite
+        # error above 1, so the rejections shrink h past H_MIN, which is
+        # stiffness, not divergence.
+        with pytest.raises(StepUnderflowError, match="below H_MIN"):
+            integrate_system(lambda t, y: (-1e15 * y[0], 0.0, 0.0), 0.0, (1.0, 0.0, 0.0), 1.0, CFG)
+
     def test_nonfinite_initial_state(self):
         with pytest.raises(DomainError, match="non-finite initial state"):
             integrate_system(lambda t, y: y, 0.0, [1.0, 1.0, math.nan], 1.0, CFG)
@@ -472,7 +475,7 @@ class TestIntegrator:
 
     @pytest.mark.parametrize("n", [0.1, 0.7, 1.0, 1.5, 2.0])
     def test_positivity_and_monotone_slope(self, n):
-        prof = integrate(flux_system(n), n, 1.0, 10.0, CFG, flux_nonnegative_projector(n, CUTOFF))
+        prof = integrate(flux_system(n), n, 1.0, 10.0, CFG, flux_nonnegative_projector(n))
         w = prof.grid.ys[:, 2]
         fp = prof.grid.ys[:, 1]
         # For n > 1 the flux extinguishes at finite eta; beyond that point it
@@ -531,7 +534,7 @@ def _instrumented_star_run(n, stops=(), config=CFG):
     """The star IVP to 10 (at the default tolerance unless `config` is given),
     with the abscissa of every RHS call, per projector call whether it changed
     the state, and the flux each projector call received."""
-    rhs, project = flux_system(n), flux_nonnegative_projector(n, ode_core.flux_cutoff(config))
+    rhs, project = flux_system(n), flux_nonnegative_projector(n)
     abscissas, changed, fluxes = [], [], []
 
     def counted_rhs(t, y):
@@ -651,9 +654,7 @@ class TestKernel:
     )
     def test_whole_grid_is_bit_identical(self, n, stops, digest):
         rhs = flux_system(n)
-        grid = integrate_system(
-            rhs, 0.0, (0.0, 0.0, 1.0), 10.0, CFG, flux_nonnegative_projector(n, CUTOFF), stops
-        )
+        grid = integrate_system(rhs, 0.0, (0.0, 0.0, 1.0), 10.0, CFG, flux_nonnegative_projector(n), stops)
         sha = hashlib.sha256()
         for array in (grid.ts, grid.ys, _node_derivatives(rhs, grid)):
             sha.update(array.tobytes())
@@ -684,7 +685,7 @@ class TestKernel:
         self, n, fpp0, eta_end, stops, tol, digest, calls, projections
     ):
         config = IntegratorConfig(rel_tol=tol, abs_tol=tol)
-        rhs, project = flux_system(n), flux_nonnegative_projector(n, ode_core.flux_cutoff(config))
+        rhs, project = flux_system(n), flux_nonnegative_projector(n)
         counts = {"calls": 0, "projections": 0}
 
         def counted_rhs(t, y):
