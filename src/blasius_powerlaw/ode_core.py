@@ -38,17 +38,13 @@ class DivergenceError(OdeError):
     """The state became non-finite during integration."""
 
 
-def _curvature_overflow(w: float, n: float) -> DivergenceError:
-    return DivergenceError(f"curvature |w|^(1/n) overflows at w = {w}, n = {n}")
-
-
 def curvature_from_flux(w: float, n: float) -> float:
     """Recover f'' = sign(w) |w|^(1/n) from the viscous flux w; a positive w,
     as on a trajectory until the projector pins it, skips abs and copysign."""
     try:
         return w ** (1.0 / n) if w > 0.0 else math.copysign(abs(w) ** (1.0 / n), w)
     except OverflowError:
-        raise _curvature_overflow(w, n) from None
+        raise DivergenceError(f"curvature |w|^(1/n) overflows at w = {w}, n = {n}") from None
 
 
 def flux_from_curvature(fpp: float, n: float) -> float:
@@ -93,13 +89,20 @@ State = tuple[float, ...]
 Rhs = Callable[[float, State], Sequence[float]]
 
 
-def flux_system(n: float) -> Rhs:
-    """Vector field over y = (f, f', w) for the generic integrator.
+#: Smallest exponent `flux_system` accepts: decoding f'' = w^(1/n) multiplies
+#: w's rounding by 1/n, so an answer's rounding floor is 2.2e-16/n (2.2e-11 here).
+N_MIN = 1e-5
 
-    It decodes f'' as `curvature_from_flux` does, bit for bit and with the
-    same overflow error, but with 1/n computed once instead of per call.
+
+def flux_system(n: float) -> Rhs:
+    """Vector field over y = (f, f', w) for the generic integrator, at n >= N_MIN.
+
+    It decodes f'' as `curvature_from_flux` does, bit for bit with 1/n computed
+    once, but an overflow gives f'' = +-inf, a trial that the stepper rejects.
     """
     require_positive("power-law exponent", n)
+    if n < N_MIN:
+        raise DomainError(f"power-law exponent must be >= N_MIN = {N_MIN}, got {n}")
     # -(f fpp) / (n + 1) as f fpp (-1 / (n + 1)): negation is exact.
     inv_n, neg_inv_np1 = 1.0 / n, -(1.0 / (n + 1.0))
     copysign = math.copysign
@@ -109,7 +112,7 @@ def flux_system(n: float) -> Rhs:
         try:
             fpp = w ** inv_n if w > 0.0 else copysign(abs(w) ** inv_n, w)
         except OverflowError:
-            raise _curvature_overflow(w, n) from None
+            fpp = copysign(math.inf, w)
         return (fp, fpp, f * fpp * neg_inv_np1)
 
     return rhs

@@ -61,6 +61,16 @@ class TestSolve:
         assert code == 1
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("n", ["1e-20", "1e-15", "1e-12"])
+    def test_exponent_below_the_floor_is_refused(self, capsys, n):
+        # Below N_MIN the decode's rounding, 2.2e-16/n, spoils the answer
+        # (1.2% low at n = 1e-12, 99.9% at 1e-15): refused at once, by name.
+        t0 = time.perf_counter()
+        code, out, err = _run(capsys, ["solve", "--n", n])
+        assert time.perf_counter() - t0 < 0.1
+        assert code == 1 and out == ""
+        assert f"power-law exponent must be >= N_MIN = 1e-05, got {n}" in err
+
     def test_reports_physical_boundary(self, capsys):
         # A small c0 maps the star boundary 10 to c0^(1/3) 10 = 1 and so to
         # a physical one near 0.99: the answer is that of the problem
@@ -248,15 +258,18 @@ class TestTable:
             [sys.executable, "-I", "-c", script, src, *argv, "--method", "nitm"],
             capture_output=True, text=True, timeout=60,
         )
-        assert proc.returncode == 1  # n = 1e-300 overflows the curvature decode
+        assert proc.returncode == 1  # every n here is below ode_core.N_MIN
         header, *rows = csv.reader(io.StringIO(proc.stdout))
         assert [float(row[0]) for row in rows] == [float(f"{k}e-300") for k in range(1, 11)]
 
     def test_tiny_exponent_row_is_not_rounded_away(self, capsys):
+        # n = 1e-13 is below the floor, so its row is an error, under its own key.
         argv = ["table", "--n-from", "1e-13", "--n-to", "1e-13", "--n-step", "1"]
         code, out, _ = _run(capsys, [*argv, "--format", "json"])
-        assert code == 0
-        assert [row["n"] for row in json.loads(out)["rows"]] == [1e-13]
+        assert code == 1
+        (row,) = json.loads(out)["rows"]
+        assert row["n"] == 1e-13
+        assert "must be >= N_MIN = 1e-05, got 1e-13" in row["error"]
 
     def test_long_range_rows_are_the_decimal_grid(self):
         # Each row is its decimal exponent, with the steps' rounding dropped
@@ -471,6 +484,19 @@ class TestSensitivity:
         assert code == 1  # F* overflows before 1.7e308
         header, *rows = csv.reader(io.StringIO(out))
         assert [row[0] for row in rows] == ["10.0000001", "10", "1.7e+308"]
+
+    def test_overflowing_trial_does_not_fail_the_boundary(self, capsys):
+        # On the way to 1e300 past a node at 10, a trial stage overflows the
+        # curvature decode; the stepper rejects it, and the row answers
+        # within 1e-13 of solve's (the node at 10 changes the steps).
+        code, out, _ = _run(capsys, ["sensitivity", "--n", "0.01", "--eta-inf", "10,1e300"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [row[0] for row in rows] == ["10", "1e+300"]
+        assert rows[1][2] == ""
+        code, solve_out, _ = _run(capsys, ["solve", "--n", "0.01", "--eta-inf", "1e300"])
+        assert code == 0
+        assert float(rows[1][1]) == pytest.approx(json.loads(solve_out)["fpp0"], rel=1e-13, abs=0)
 
     def test_far_boundaries_are_cheap(self, capsys):
         # Each decade of boundary costs a few dozen steps once the layer has
@@ -742,8 +768,8 @@ class TestProfile:
         assert "usage error: unknown column" in err
 
     def test_unknown_column_is_refused_before_the_solve(self, capsys, monkeypatch):
-        # The solve at n = 1e-300 overflows (exit 1), but the bad flag is the
-        # error to report, and at any n it costs no solve to find.
+        # The solve refuses n = 1e-300, below ode_core.N_MIN (exit 1), but the
+        # bad flag is the error to report, and at any n it costs no solve to find.
         code, out, err = _run(capsys, ["profile", "--n", "1e-300", "--columns", "foo"])
         assert code == 2 and out == ""
         assert err.startswith("usage error: unknown column 'foo'; choose from ('eta', ")
@@ -885,8 +911,10 @@ def _argv(draw):
 
 
 #: Inputs that once broke the exit-code contract, run before the drawn ones.
-#: The last two ask for the boundary 1e300 at n = 0.01: `sensitivity`, whose
-#: trial stage overflows there, refuses it (exit 1), and `solve` answers it.
+#: The 1e300 pair asks for the boundary 1e300 at n = 0.01, which `solve` and
+#: `sensitivity` both answer (a trial stage of the latter overflows, and the
+#: stepper rejects it).  The last is a row refused below `ode_core.N_MIN`
+#: beside an answered one (exit 1).
 _EXAMPLES = [
     ["table", "--method", "shooting", "--n", "300"],
     ["verify", "--n", "3000"],
@@ -904,6 +932,7 @@ _EXAMPLES = [
     ["solve", "--n", "3000", "--c0", "10"],
     ["sensitivity", "--n", "0.01", "--eta-inf", "10,1e300"],
     ["solve", "--n", "0.01", "--eta-inf", "1e300"],
+    ["table", "--n", "1e-13", "--n", "1"],
 ]
 
 
