@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from .ode_core import IntegratorConfig, OdeError
+from .ode_core import N_MIN, IntegratorConfig, OdeError
 from .nitm import NitmConfig, solve as nitm_solve
 from .shooting import ShootingConfig, solve_shooting
 from . import report
@@ -43,21 +43,35 @@ def _emit(text: str, output: str | None) -> None:
         raise UsageError(f"cannot write --output: {exc}") from exc
 
 
-def _positive(text: str) -> float:
-    """argparse type: a finite number > 0."""
+def _positive(text: str, inf: bool = False) -> float:
+    """argparse type: a finite number > 0, or inf too where `inf`."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    if not (value > 0.0 and (inf or math.isfinite(value))):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0{', or inf' if inf else ''}, got {text}")
     return value
+
+
+def _boundary(text: str) -> float:
+    """argparse type: a truncated boundary, finite and > 0, or inf for the untruncated answer."""
+    return _positive(text, inf=True)
+
+
+def _json_number(x):
+    """`x`, or None where it is an infinite boundary: RFC 8259 JSON has no Infinity."""
+    return None if x == math.inf else x
+
+
+#: Help of every --n: the solve refuses exponents below the floor (exit 1).
+_N_HELP = f"power-law exponent, at least ode_core.N_MIN = {N_MIN:g}"
 
 
 def _add_common(p: argparse.ArgumentParser, eta_inf: bool = True) -> None:
     defaults = NitmConfig()
     if eta_inf:
-        p.add_argument("--eta-inf", type=_positive, default=defaults.eta_star_inf, help="truncated boundary")
+        p.add_argument("--eta-inf", type=_boundary, default=defaults.eta_star_inf, help="truncated boundary, or inf")
     p.add_argument("--c0", type=_positive, default=defaults.c0, help="scaled wall curvature; moves the star boundary")
     p.add_argument("--rtol", type=_positive, default=defaults.integrator.rel_tol)
     p.add_argument("--atol", type=_positive, default=defaults.integrator.abs_tol)
@@ -99,12 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one exponent by the non-iterative method")
     p.set_defaults(handler=_cmd_solve)
-    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--n", type=_positive, required=True, help=_N_HELP)
     _add_common(p)
 
     p = sub.add_parser("table", help="sweep a range of exponents")
     p.set_defaults(handler=_cmd_table)
-    p.add_argument("--n", type=_positive, action="append", default=None, help="explicit exponent (repeatable)")
+    p.add_argument("--n", type=_positive, action="append", default=None, help=f"{_N_HELP} (repeatable)")
     p.add_argument("--n-from", type=_positive, default=None)
     p.add_argument("--n-to", type=_positive, default=None)
     p.add_argument("--n-step", type=_positive, default=None)
@@ -114,24 +128,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="compare the two methods at one exponent")
     p.set_defaults(handler=_cmd_verify)
-    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--n", type=_positive, required=True, help=_N_HELP)
     p.add_argument("--tol", type=_positive, default=1e-6, help="allowed |nitm - shooting| / |shooting|")
     _add_common(p)
 
     p = sub.add_parser("sensitivity", help="wall curvature vs truncated boundary")
     p.set_defaults(handler=_cmd_sensitivity)
-    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--n", type=_positive, required=True, help=_N_HELP)
     p.add_argument(
         "--eta-inf",
         dest="eta_inf_list",
         default="6,8,10,15,20",
-        help="comma-separated truncated boundaries",
+        help="comma-separated truncated boundaries, each finite or inf",
     )
     _add_common(p, eta_inf=False)
 
     p = sub.add_parser("profile", help="export solution profile CSV")
     p.set_defaults(handler=_cmd_profile)
-    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--n", type=_positive, required=True, help=_N_HELP)
     p.add_argument("--columns", default=",".join(report.PROFILE_COLUMNS))
     _add_common(p)
 
@@ -177,7 +191,7 @@ def _cmd_solve(args) -> tuple[str, int]:
         "lambda": result.lam,
         "fpp0": result.fpp0,
         "fp_star_inf": result.fp_star_inf,
-        "eta_star_inf": args.eta_inf,
+        "eta_star_inf": _json_number(args.eta_inf),
         "eta_inf_physical": result.eta_inf_physical,
         "method_tag": result.method_tag,
     }
@@ -231,8 +245,8 @@ def _cmd_table(args) -> tuple[str, int]:
     rows = report.sweep_table(_grid(args), args.method, _nitm_config(args))
     if args.format == "json":
         doc = {
-            "config": {"method": args.method, "eta_inf": args.eta_inf, "c0": args.c0},
-            "rows": [{k: v for k, v in r._asdict().items() if v is not None} for r in rows],
+            "config": {"method": args.method, "eta_inf": _json_number(args.eta_inf), "c0": args.c0},
+            "rows": [{k: _json_number(v) for k, v in r._asdict().items() if v is not None} for r in rows],
         }
         text = json.dumps(doc, indent=2) + "\n"
     else:
@@ -272,7 +286,7 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 def _cmd_sensitivity(args) -> tuple[str, int]:
     try:
-        etas = [_positive(x) for x in args.eta_inf_list.split(",") if x]
+        etas = [_boundary(x) for x in args.eta_inf_list.split(",") if x]
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"bad --eta-inf list: {exc}") from exc
     if not etas:

@@ -16,6 +16,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .ode_core import (
+    ETA_FAR,
     DivergenceError,
     DomainError,
     GridSolution,
@@ -24,6 +25,7 @@ from .ode_core import (
     flux_nonnegative_projector,
     flux_system,
     integrate,
+    require_boundary,
     require_positive,
 )
 
@@ -40,11 +42,16 @@ EXCLUDED_EXPONENTS = tuple(_EXCLUDED_WEIGHTS)
 class NitmConfig(
     namedtuple("NitmConfig", "eta_star_inf c0 integrator", defaults=(10.0, 1.0, IntegratorConfig()))
 ):
+    """The star boundary `eta_star_inf`, or inf for the untruncated answer
+    (one star IVP to `ETA_FAR`, whatever `c0`); the finite scaled wall
+    curvature `c0`, which moves a finite boundary (`star_boundary`); and the
+    integrator."""
+
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
     def __init__(self, *args, **kwargs) -> None:
-        require_positive("eta_star_inf", self.eta_star_inf)
+        require_boundary("eta_star_inf", self.eta_star_inf)
         require_positive("c0", self.c0)
 
 
@@ -66,7 +73,11 @@ class NitmResult(
 
 
 def star_boundary(n: float, c0: float, eta: float) -> float:
-    """c0^((2-n)/3) eta, whose F''(0) = 1 star solve is the group image of F''(0) = c0's to eta."""
+    """c0^((2-n)/3) eta, whose F''(0) = 1 star solve is the group image of
+    F''(0) = c0's to eta.  An infinite eta maps to ETA_FAR at every c0: the
+    untruncated answer does not depend on c0, and c0^k ETA_FAR need not be far."""
+    if eta == math.inf:
+        return ETA_FAR
     try:
         mapped = c0 ** ((2.0 - n) / 3.0) * eta
     except OverflowError:

@@ -61,6 +61,17 @@ def require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and > 0, got {value}")
 
 
+#: Where a boundary of inf, the untruncated answer, is integrated to: the wall
+#: IVP has converged there for n = N_MIN to 1e5, and 1e100 gives the same bits.
+ETA_FAR = 1e30
+
+
+def require_boundary(name: str, value: float) -> None:
+    """Raise DomainError unless `value` is > 0, finite or inf (ETA_FAR)."""
+    if not value > 0.0:  # NaN fails too
+        raise DomainError(f"{name} must be finite and > 0, or inf, got {value}")
+
+
 class IvpState(namedtuple("IvpState", "eta f fp w")):
     """One grid point of the first-order system (eta, f, f', w)."""
 

@@ -8,7 +8,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .ode_core import DomainError, OdeError, SolutionProfile, require_positive
+from .ode_core import DomainError, OdeError, SolutionProfile, require_boundary, require_positive
 from . import nitm
 from .nitm import NitmConfig, NitmResult, solve as nitm_solve
 from .shooting import ShootingConfig, solve_shooting
@@ -89,34 +89,38 @@ def boundary_sensitivity(
     """Wall curvature as a function of the truncated boundary, in input order.
 
     One star integration runs to the largest mapped boundary and lands a
-    node on each other one, where F'(eta*) gives that boundary's f''(0).  A
+    node on each other one, where F'(eta*) gives that boundary's f''(0).
+    Boundaries that map alike (inf and ETA_FAR, say) share one answer.  A
     boundary fails on its own: one that does not map is left out, and if the
     pass fails, its error is recorded on the largest and the rest retried.
     """
-    found = {}
+    found, inputs = {}, {}  # inputs: star boundary -> the boundaries mapped to it
     for eta in eta_inf_values:
-        require_positive("every truncated boundary", eta)
+        require_boundary("every truncated boundary", eta)
         try:
-            nitm.star_boundary(n, config.c0, eta)
+            inputs.setdefault(nitm.star_boundary(n, config.c0, eta), []).append(eta)
         except OdeError as exc:
             found[eta] = (None, str(exc))
-    pending = sorted(set(eta_inf_values) - found.keys())
+    pending = sorted(inputs)
     while pending:
         *stops, last = pending
         try:
-            star = nitm.solve_star_ivp(n, config._replace(eta_star_inf=last), stops)
+            # Each star boundary is asked for by one of its inputs, mapped again.
+            config_last = config._replace(eta_star_inf=inputs[last][0])
+            star = nitm.solve_star_ivp(n, config_last, [inputs[s][0] for s in stops])
         except OdeError as exc:
-            found[last] = (None, str(exc))
+            found.update(dict.fromkeys(inputs[last], (None, str(exc))))
             pending = stops
             continue
         nodes, states = star.grid.nodes, star.grid.states
-        for eta in pending:
-            fp = states[bisect_left(nodes, nitm.star_boundary(n, config.c0, eta))][1]
+        for mapped in pending:
+            fp = states[bisect_left(nodes, mapped)][1]
             try:
                 # Refuses what this boundary's solve would.
-                found[eta] = (nitm.group_parameters(n, fp)[2], None)
+                record = (nitm.group_parameters(n, fp)[2], None)
             except OdeError as exc:
-                found[eta] = (None, str(exc))
+                record = (None, str(exc))
+            found.update(dict.fromkeys(inputs[mapped], record))
         break
     return [(eta, *found[eta]) for eta in eta_inf_values]
 

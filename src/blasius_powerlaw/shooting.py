@@ -18,6 +18,7 @@ import sys
 from collections import namedtuple
 
 from .ode_core import (
+    ETA_FAR,
     IntegratorConfig,
     OdeError,
     SolutionProfile,
@@ -25,6 +26,7 @@ from .ode_core import (
     flux_nonnegative_projector,
     flux_system,
     integrate,
+    require_boundary,
     require_positive,
 )
 
@@ -51,11 +53,14 @@ _LOG_MAX = math.log(sys.float_info.max)
 class ShootingConfig(
     namedtuple("ShootingConfig", "eta_inf integrator", defaults=(10.0, IntegratorConfig()))
 ):
+    """The boundary `eta_inf` where f' = 1 is imposed, or inf for the
+    untruncated problem (imposed at `ETA_FAR`), and the integrator."""
+
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
     def __init__(self, *args, **kwargs) -> None:
-        require_positive("eta_inf", self.eta_inf)
+        require_boundary("eta_inf", self.eta_inf)
 
 
 ShootingResult = namedtuple("ShootingResult", "fpp0 residual iterations profile start_residual")
@@ -64,10 +69,12 @@ ShootingResult = namedtuple("ShootingResult", "fpp0 residual iterations profile 
 def shoot_residual(
     n: float, guess: float, config: ShootingConfig = ShootingConfig()
 ) -> tuple[float, SolutionProfile]:
-    """Residual f'(eta_inf) - 1 of the trial wall curvature `guess`, and its profile."""
+    """Residual f'(eta_inf) - 1 of the trial wall curvature `guess`, and its
+    profile; an infinite eta_inf is integrated to ETA_FAR."""
     require_positive("trial curvature", guess)
     project = flux_nonnegative_projector(n)
-    profile = integrate(flux_system(n), n, guess, config.eta_inf, config.integrator, project)
+    eta_end = ETA_FAR if config.eta_inf == math.inf else config.eta_inf
+    profile = integrate(flux_system(n), n, guess, eta_end, config.integrator, project)
     return profile.final.fp - 1.0, profile
 
 

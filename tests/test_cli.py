@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from blasius_powerlaw import cli, report
+from blasius_powerlaw import cli, ode_core, report
 from blasius_powerlaw.cli import run
 from blasius_powerlaw.nitm import NitmConfig, profile_ode_residuals, solve, solve_excluded, star_boundary
 from blasius_powerlaw.report import SweepRow, sweep_table
@@ -477,7 +477,84 @@ def test_verify_and_table_both_agree(capsys, n):
     assert verify["eta_inf_matched"] == row["eta_inf_physical"]
 
 
+def _strict_json(text):
+    """json.loads, refusing the Infinity and NaN tokens that RFC 8259 has not."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestUntruncated:
+    """`--eta-inf inf` runs the one star IVP to ode_core.ETA_FAR."""
+
+    def test_solve_echoes_an_infinite_boundary_as_null(self, capsys):
+        code, out, _ = _run(capsys, ["solve", "--n", "1", "--eta-inf", "inf"])
+        assert code == 0
+        doc = _strict_json(out)
+        assert doc["eta_star_inf"] is None
+        assert doc["fpp0"] == pytest.approx(0.33205733621519630, rel=0, abs=1e-12)
+        # The physical boundary is the far node, finite.
+        assert doc["eta_inf_physical"] == pytest.approx(1e30 / doc["fp_star_inf"] ** -0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("method", report.SWEEP_METHODS)
+    def test_table_json_is_strict_and_csv_prints_inf(self, capsys, method):
+        argv = ["table", "--n", "0.5", "--n", "316", "--method", method, "--eta-inf", "inf"]
+        code, out, _ = _run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        doc = _strict_json(out)
+        assert doc["config"]["eta_inf"] is None
+        for row in doc["rows"]:
+            # A boundary key is null where it echoes inf, a number where computed.
+            assert ("eta_star_inf" in row) == (method != "shooting")
+            assert row.get("eta_star_inf") is None
+            assert (row["eta_inf_physical"] is None) == (method == "shooting")
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        for row in list(csv.DictReader(io.StringIO(out))):
+            assert row["eta_star_inf"] == ("" if method == "shooting" else "inf")
+            assert (row["eta_inf_physical"] == "inf") == (method == "shooting")
+
+    @pytest.mark.parametrize("n", ["0.1", "1", "2.5", "316"])
+    def test_verify_accepts_the_untruncated_answer(self, capsys, n):
+        # Shooting at the far physical boundary accepts the one-IVP start:
+        # 0 iterations, so the two answers are the same float.
+        code, out, _ = _run(capsys, ["verify", "--n", n, "--eta-inf", "inf"])
+        assert code == 0
+        doc = _strict_json(out)
+        assert abs(doc["residual_at_nitm"]) <= ROOT_TOL
+        assert doc["discrepancy"] <= 1e-12 and doc["fpp0_shooting"] == doc["fpp0_nitm"]
+
+    def test_profile_ends_at_the_far_node(self, capsys):
+        code, out, _ = _run(capsys, ["profile", "--n", "0.3", "--eta-inf", "inf", "--columns", "eta,fp,eta_star"])
+        assert code == 0
+        last = [float(x) for x in out.strip().split("\n")[-1].split(",")]
+        assert last[2] == 1e30 and math.isfinite(last[0]) and last[1] == pytest.approx(1.0, abs=1e-15)
+
+
 class TestSensitivity:
+    @pytest.mark.parametrize(
+        "c0, etas, value",
+        [
+            # Both map to the star boundary 9.966554934126096 (exit 1 before).
+            ("0.99", "10.000000000000131,10.000000000000133", "0.332057336215094"),
+            # inf maps to ETA_FAR = 1e30, whatever c0 ...
+            ("1", "1e30,inf", "0.332057336215094"),
+            # ... and 1e31 to 7.9e30, past it.
+            ("0.5", "1e31,inf", None),
+        ],
+        ids=["equal", "far", "past-far"],
+    )
+    def test_boundaries_that_map_alike_answer(self, capsys, c0, etas, value):
+        code, out, _ = _run(capsys, ["sensitivity", "--n", "1", "--c0", c0, "--eta-inf", etas])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [float(row[0]) for row in rows] == [float(eta) for eta in etas.split(",")]
+        for row in rows:
+            assert row[2] == "" and float(row[1]) == pytest.approx(0.33205733621519630, rel=0, abs=1e-12)
+            assert value is None or row[1] == value
+
     def test_boundary_cells_keep_their_own_value(self, capsys):
         argv = ["sensitivity", "--n", "1", "--eta-inf", "10.0000001,10,1.7e308"]
         code, out, _ = _run(capsys, argv)
@@ -798,6 +875,8 @@ class TestParser:
             ["solve", "--n", "nan"],
             ["solve", "--n", "1.0", "--rtol", "0"],
             ["solve", "--n", "1.0", "--eta-inf", "-10"],
+            ["solve", "--n", "1.0", "--eta-inf", "nan"],
+            ["sensitivity", "--n", "1.0", "--eta-inf", "6,nan"],
             ["table", "--n", "1.0", "--n", "-0.5"],
             ["sensitivity", "--n", "1.0", "--eta-inf", "6,0,10"],
             ["sensitivity", "--n", "1.0", "--eta-inf", "6,-8"],
@@ -817,6 +896,13 @@ class TestParser:
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
         assert "must be finite and > 0" in err
+
+    @pytest.mark.parametrize("sub", ["solve", "table", "verify", "sensitivity", "profile"])
+    def test_help_names_the_exponent_floor(self, capsys, sub):
+        # Below ode_core.N_MIN the solve refuses the exponent (exit 1).
+        code, out, _ = _run(capsys, [sub, "--help"])
+        assert code == 0
+        assert f"--n N power-law exponent, at least ode_core.N_MIN = {ode_core.N_MIN:g}" in " ".join(out.split())
 
     def test_missing_subcommand(self, capsys):
         assert _run(capsys, [])[0] == 2
@@ -849,7 +935,7 @@ _VALID = {
     "--n-from": _number(0.1, 2.5),
     "--n-to": _number(0.1, 2.5),
     "--n-step": _number(0.5, 2.0),
-    "--eta-inf": _log_number(0.01, 1.7e308),
+    "--eta-inf": st.one_of(_log_number(0.01, 1.7e308), st.just("inf")),
     "--c0": _number(0.1, 10.0),
     "--rtol": _log_number(1e-12, 1e-6),
     "--atol": _log_number(1e-12, 1e-6),
@@ -858,7 +944,7 @@ _VALID = {
     "--format": st.sampled_from(["csv", "json"]),
     "--columns": st.sampled_from(["eta,fpp", "eta,f,fp,fpp,eta_star"]),
 }
-_SENSITIVITY_ETAS = st.lists(_log_number(0.01, 1.7e308), min_size=1, max_size=3).map(",".join)
+_SENSITIVITY_ETAS = st.lists(_VALID["--eta-inf"], min_size=1, max_size=3).map(",".join)
 _OUT_OF_RANGE = st.sampled_from(["0", "-1", "-0.0", "nan", "inf", "-inf", "1e400"])
 _NON_NUMERIC = st.sampled_from(["abc", "", "1.0.0", "0x1p", "vorticity"])
 # Kinds of value of each flag in a malformed draw.
@@ -913,8 +999,9 @@ def _argv(draw):
 #: Inputs that once broke the exit-code contract, run before the drawn ones.
 #: The 1e300 pair asks for the boundary 1e300 at n = 0.01, which `solve` and
 #: `sensitivity` both answer (a trial stage of the latter overflows, and the
-#: stepper rejects it).  The last is a row refused below `ode_core.N_MIN`
-#: beside an answered one (exit 1).
+#: stepper rejects it).  Then a row refused below `ode_core.N_MIN` beside an
+#: answered one (exit 1), and two untruncated answers: boundaries that map
+#: past and to `ode_core.ETA_FAR`, and shooting to it from G_START.
 _EXAMPLES = [
     ["table", "--method", "shooting", "--n", "300"],
     ["verify", "--n", "3000"],
@@ -933,6 +1020,8 @@ _EXAMPLES = [
     ["sensitivity", "--n", "0.01", "--eta-inf", "10,1e300"],
     ["solve", "--n", "0.01", "--eta-inf", "1e300"],
     ["table", "--n", "1e-13", "--n", "1"],
+    ["sensitivity", "--n", "1", "--eta-inf", "1e31,inf"],
+    ["table", "--method", "shooting", "--n", "3000", "--eta-inf", "inf"],
 ]
 
 

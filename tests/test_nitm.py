@@ -661,9 +661,85 @@ class TestNitmConfig:
         with pytest.raises(DomainError):
             NitmConfig(c0=-1.0)
 
-    @pytest.mark.parametrize("field", ["eta_star_inf", "c0"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (math.nan, "c0"),
+            (math.inf, "c0"),
+            (-math.inf, "c0"),
+            (math.nan, "eta_star_inf"),
+            (-math.inf, "eta_star_inf"),
+        ],
+    )
     def test_nonfinite_rejected(self, field, value):
         # `nan <= 0` is false, so a sign check alone would let NaN through.
+        # The boundary accepts +inf only (the untruncated answer).
         with pytest.raises(DomainError):
             NitmConfig(**{field: value})
+
+    def test_infinite_boundary_is_the_untruncated_answer(self):
+        assert NitmConfig(eta_star_inf=math.inf).eta_star_inf == math.inf
+        assert NitmConfig()._replace(eta_star_inf=math.inf) == NitmConfig(math.inf)
+
+
+# fpp0 at eta* = inf from the Crocco form, u = f' as the variable (Callegari &
+# Nachman 1980): another ODE than the one integrated here, with no truncated
+# boundary.  A SciPy DOP853 solve of that form agrees within 3.7e-13.
+CROCCO_FPP0 = {
+    0.1: 0.8047542175941194,
+    0.3: 0.3879761612074973,
+    0.5: 0.3312251666535238,
+    0.7: 0.3220109208643769,
+    0.9: 0.3271392378855809,
+    1.05: 0.3348597004037093,
+    1.2: 0.3441650989048203,
+    1.7: 0.3789099331585029,
+    2.0: 0.3997905740545419,
+    2.5: 0.4326067635720049,
+}
+
+UNTRUNCATED = NitmConfig(eta_star_inf=math.inf)
+
+
+class TestUntruncated:
+    """eta* = inf is the one star IVP run to ode_core.ETA_FAR."""
+
+    def test_star_boundary_is_far_at_every_c0(self):
+        # c0^((2-n)/3) ETA_FAR would be 1e-70 at c0 = 1e-300, n = 1.
+        for n in (0.1, 1.0, 2.0, 316.0):
+            for c0 in (1e-300, 1e-3, 1.0, 10.0, 1e300):
+                assert star_boundary(n, c0, math.inf) == ode_core.ETA_FAR
+        assert solve_star_ivp(1.0, UNTRUNCATED).final.eta == ode_core.ETA_FAR
+
+    def test_blasius_limit(self):
+        # Boyd's value; 1.0e-13 measured.
+        assert solve(1.0, UNTRUNCATED).fpp0 == pytest.approx(0.33205733621519630, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", sorted(CROCCO_FPP0))
+    def test_matches_the_crocco_values(self, n):
+        # Worst measured 2.0e-12 (n = 0.1).
+        assert solve(n, UNTRUNCATED).fpp0 == pytest.approx(CROCCO_FPP0[n], rel=0, abs=1e-11)
+
+    def test_bit_identical_to_eta_star_10_where_the_pin_fires(self):
+        # For n >= 1 the projector pins the flux to zero before eta* = 10, so
+        # the rest of the run moves nothing.
+        for k in range(100, 251):
+            n = k / 100
+            assert solve(n, UNTRUNCATED).fpp0 == solve(n).fpp0, n
+
+    @pytest.mark.parametrize("n", [316.0, 1000.0, 1e4])
+    def test_large_exponents_match_a_far_finite_boundary(self, n):
+        # eta* = 10 is off by 2.0e-3 at n = 316; eta* = 1e3 and inf agree (0.0 measured).
+        far = solve(n, UNTRUNCATED).fpp0
+        assert far == pytest.approx(solve(n, NitmConfig(eta_star_inf=1e3)).fpp0, rel=0, abs=1e-14)
+        assert abs(far - solve(n).fpp0) > 1e-4
+
+    @pytest.mark.parametrize("n", [0.1, 1.0, 2.5])
+    def test_answer_does_not_depend_on_c0(self, n):
+        answers = {solve(n, UNTRUNCATED._replace(c0=c0)).fpp0 for c0 in (1e-3, 1.0, 10.0)}
+        assert len(answers) == 1
+
+    def test_physical_boundary_is_the_far_node(self):
+        result = solve(0.1, UNTRUNCATED)
+        assert result.eta_inf_physical == ode_core.ETA_FAR / result.b == result.profile.grid.nodes[-1]
+        assert math.isfinite(result.eta_inf_physical)

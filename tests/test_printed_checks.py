@@ -44,7 +44,9 @@ def test_profile_satisfies_the_momentum_integral(capsys, n, eta_star, bound):
     # w = |f''|^(n-1) f''.  The integral is the corrected trapezoid over the
     # printed rows, h/2 (g0 + g1) + h^2/12 (g0' - g1'), with g = f'^2 and
     # g' = 2 f' f''.  Worst measured is 8.0e-9 at eta* = 10 and 1.43e-8 at
-    # eta* = 40, both at n = 0.1; each bound is twice that.
+    # eta* = 40, both at n = 0.1; each bound is twice that.  The boundary
+    # stays finite: at eta* = inf, f(eta_inf) and the integral are both
+    # about 1e30, and their difference cancels to nothing.
     argv = ["profile", "--n", repr(n), "--eta-inf", eta_star, "--columns", "eta,f,fp,fpp"]
     _, *rows = csv.reader(io.StringIO(_stdout(capsys, argv)))
     rows = [tuple(map(float, row)) for row in rows]
@@ -56,3 +58,34 @@ def test_profile_satisfies_the_momentum_integral(capsys, n, eta_star, bound):
     lhs = rows[0][3] ** n - math.copysign(abs(fpp_end) ** n, fpp_end)
     rhs = (f_end - integral) / (n + 1.0)
     assert abs(lhs - rhs) <= bound * abs(lhs)
+
+
+@pytest.mark.parametrize("n", EXPONENTS)
+def test_profile_is_the_group_image_of_its_star_columns(capsys, n):
+    # f = a F(b eta): eta = eta*/b, f = a F, f' = a b F', f'' = a b^2 F'',
+    # with a = 1/lambda and b = F'_inf^((n-2)/(n+1)) from solve's JSON.
+    # Worst measured is 2.7e-16 relative (eta exact); bound 4 ulp.
+    doc = json.loads(_stdout(capsys, ["solve", "--n", repr(n)]))
+    a, b = 1.0 / doc["lambda"], doc["fp_star_inf"] ** ((n - 2.0) / (n + 1.0))
+    _, *rows = csv.reader(io.StringIO(_stdout(capsys, ["profile", "--n", repr(n)])))
+    rows = [tuple(map(float, row)) for row in rows]
+    for eta, f, fp, fpp, eta_star, f_star, fp_star, fpp_star in rows:
+        assert eta == eta_star / b
+        for value, image in ((f, a * f_star), (fp, a * b * fp_star), (fpp, a * b * b * fpp_star)):
+            assert abs(value - image) <= 4 * math.ulp(image), (eta, value, image)
+    # The far field holds on the last row, and the wall row prints fpp0.
+    assert abs(rows[-1][2] - 1.0) <= math.ulp(1.0)
+    assert rows[0][3] == doc["fpp0"]
+
+
+def test_table_both_cells_follow_from_solve_and_each_other(capsys):
+    # Each row's one-IVP answer is solve's, and its discrepancy is
+    # |nitm - shooting| / |shooting| of the two printed answers, exactly.
+    argv = ["table", "--n-from", "0.1", "--n-to", "2.5", "--n-step", "0.1", "--method", "both", "--format", "json"]
+    rows = json.loads(_stdout(capsys, argv))["rows"]
+    assert [row["n"] for row in rows] == EXPONENTS
+    for row in rows:
+        solved = json.loads(_stdout(capsys, ["solve", "--n", repr(row["n"])]))
+        nitm, shooting = row["fpp0_nitm"], row["fpp0_shooting"]
+        assert nitm == solved["fpp0"]
+        assert row["discrepancy"] == abs(nitm - shooting) / abs(shooting)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from blasius_powerlaw import ode_core, report
+from blasius_powerlaw import nitm, ode_core, report
 from blasius_powerlaw.ode_core import DomainError, IntegratorConfig, IvpState
 from blasius_powerlaw.nitm import NitmConfig, solve as nitm_solve
 from blasius_powerlaw.report import (
@@ -144,11 +144,37 @@ class TestBoundarySensitivity:
         assert value is None and "overflows" in error
         assert value_far == pytest.approx(nitm_solve(1.0).fpp0, rel=1e-11) and error_far is None
 
+    @pytest.mark.parametrize(
+        "c0, etas",
+        [
+            # Two inputs that map to one star boundary, 9.966554934126096.
+            (0.99, [10.000000000000131, 10.000000000000133]),
+            # inf maps to ETA_FAR itself ...
+            (1.0, [1e30, math.inf]),
+            # ... which is short of the mapped 1e31, 7.9e30.
+            (0.5, [1e31, math.inf]),
+        ],
+        ids=["equal", "far", "past-far"],
+    )
+    def test_boundaries_pass_in_star_order_and_share_a_star_boundary(self, c0, etas):
+        config = NitmConfig(c0=c0)
+        mapped = [nitm.star_boundary(1.0, c0, eta) for eta in etas]
+        assert mapped[0] >= mapped[1]  # in input order, they would not increase
+        records = boundary_sensitivity(1.0, etas, config)
+        assert [eta for eta, _, _ in records] == etas
+        for (eta, value, error), star in zip(records, mapped):
+            alone = nitm_solve(1.0, config._replace(eta_star_inf=eta)).fpp0
+            assert error is None
+            # The smallest star boundary is the same run as its solve.
+            assert value == (alone if star == min(mapped) else pytest.approx(alone, rel=1e-13))
+
     def test_bad_boundary_rejected(self):
         with pytest.raises(DomainError):
             boundary_sensitivity(1.0, [10.0, -1.0])
         with pytest.raises(DomainError):
             boundary_sensitivity(1.0, [math.nan])
+        with pytest.raises(DomainError):
+            boundary_sensitivity(1.0, [10.0, -math.inf])
 
 
 class TestExportProfile:
@@ -244,7 +270,7 @@ class TestRecords:
         [
             (IntegratorConfig(), {"h_max": 0.0}),
             (NitmConfig(), {"c0": -1.0}),
-            (ShootingConfig(), {"eta_inf": math.inf}),
+            (ShootingConfig(), {"eta_inf": -math.inf}),
         ],
         ids=["IntegratorConfig", "NitmConfig", "ShootingConfig"],
     )

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from blasius_powerlaw import ode_core, shooting
@@ -322,7 +324,22 @@ class TestShootingConfig:
             ShootingConfig(eta_inf=0.0)
 
     @pytest.mark.parametrize("field", ["eta_inf"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
     def test_nonfinite_rejected(self, field, value):
+        # +inf is the untruncated problem; NaN and -inf are refused.
         with pytest.raises(DomainError):
             ShootingConfig(**{field: value})
+
+
+class TestUntruncated:
+    def test_infinite_boundary_is_integrated_to_the_far_boundary(self):
+        residual, profile = shoot_residual(1.0, 0.332057336215094, ShootingConfig(eta_inf=math.inf))
+        assert profile.final.eta == ode_core.ETA_FAR
+        assert abs(residual) <= ROOT_TOL
+
+    @pytest.mark.parametrize("n", [0.1, 0.5, 1.0, 2.0, 2.5, 10.0, 316.0, 1000.0, 3000.0])
+    def test_answers_from_g_start_in_two_iterations(self, n):
+        # The group slope is read at the far node, where f'' has decayed.
+        result = solve_shooting(n, ShootingConfig(eta_inf=math.inf))
+        assert result.iterations <= 2 and abs(result.residual) <= ROOT_TOL
+        assert result.fpp0 == pytest.approx(solve_nitm(n, NitmConfig(math.inf)).fpp0, rel=1e-12, abs=0)
