@@ -24,6 +24,7 @@ from .ode_core import (
 from .nitm import (
     NitmConfig,
     NitmResult,
+    answer,
     group_parameters,
     profile_ode_residuals,
     rescale_profile,

@@ -87,11 +87,12 @@ def star_boundary(n: float, c0: float, eta: float) -> float:
     return mapped
 
 
-def solve_star_ivp(n: float, config: NitmConfig, stops: Sequence[float] = ()) -> SolutionProfile:
-    """Integrate F(0) = F'(0) = 0, F''(0) = 1 to `star_boundary`, with a node at each stop mapped alike."""
+def solve_star_ivp(n: float, integrator: IntegratorConfig, eta_end: float, stops: Sequence[float] = ()) -> SolutionProfile:
+    """Integrate F(0) = F'(0) = 0, F''(0) = 1 to the star boundary `eta_end`,
+    with a node at each of `stops`: star-frame values, as `star_boundary`
+    maps them, so that each boundary is mapped once, by the caller."""
     rhs, project = flux_system(n), flux_nonnegative_projector(n)
-    eta_end, *nodes = (star_boundary(n, config.c0, eta) for eta in (config.eta_star_inf, *stops))
-    return integrate(rhs, n, 1.0, eta_end, config.integrator, project, nodes)
+    return integrate(rhs, n, 1.0, eta_end, integrator, project, stops)
 
 
 def group_parameters(n: float, fp_star_inf: float) -> tuple[float, float, float]:
@@ -115,18 +116,6 @@ def group_parameters(n: float, fp_star_inf: float) -> tuple[float, float, float]
     return a, b, fpp0
 
 
-def _physical_boundary(star: SolutionProfile, a: float, b: float) -> float:
-    """eta*/b, or DivergenceError where `rescale_profile(star, a, b)` would
-    overflow.  F and F' rise from 0 and w falls from the wall, so each column
-    is largest in size at an end of the star grid: four values stand for all."""
-    if b != 0.0:
-        eta, f, fp, _ = star.final
-        values = (eta / b, a * f, a * b * fp, a * a * b * star.grid.states[0][2])
-        if all(map(math.isfinite, values)):
-            return values[0]
-    raise DivergenceError(f"physical profile overflows at a = {a}, b = {b}")
-
-
 def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfile:
     """Map a star-frame profile to physical variables by f(eta) = a F(b eta).
 
@@ -135,36 +124,45 @@ def rescale_profile(star: SolutionProfile, a: float, b: float) -> SolutionProfil
     which needs a^(n-2) b^(2n-1) = 1 (true of `group_parameters`).  The
     profile keeps `star`, so its f'' is a b^2 times the star's, not a decode
     of the scaled flux, and its wall f'' (F'' = 1) is `group_parameters`'
-    f''(0) bit for bit.  The factors must be finite, as `group_parameters`
-    checks; a value they overflow (the star boundary over a tiny b, say), or
-    a b of zero, raises DivergenceError.  Only each column's extreme is
-    checked, which relies on the star profile's monotonicity.
+    f''(0) bit for bit.  It takes any star and (a, b): a b of zero, or a value
+    that overflows (the star boundary over a tiny b, say), raises
+    DivergenceError.  F and F' rise from 0 and W falls from the wall, so only
+    the first and last rows are checked; every run `answer` answers passes.
     """
-    _physical_boundary(star, a, b)
-    ab, aab = a * b, a * a * b
-    nodes = [t / b for t in star.grid.nodes]
-    states = [(a * f, ab * fp, aab * w) for f, fp, w in star.grid.states]
-    return SolutionProfile(GridSolution(nodes, states), star.n, star, ab * b)
+    if b != 0.0:
+        ab, aab = a * b, a * a * b
+        nodes = [t / b for t in star.grid.nodes]
+        states = [(a * f, ab * fp, aab * w) for f, fp, w in star.grid.states]
+        if all(map(math.isfinite, (nodes[-1], *states[0], *states[-1]))):
+            return SolutionProfile(GridSolution(nodes, states), star.n, star, ab * b)
+    raise DivergenceError(f"physical profile overflows at a = {a}, b = {b}")
+
+
+def answer(n: float, star: SolutionProfile) -> NitmResult:
+    """The answer at exponent n of a star run from F''(0) = 1 to any
+    boundary eta*: the group element (a, b) that maps its F'(eta*) to one,
+    f''(0), and eta*/b, where the answer imposes f' = 1.
+
+    Refuses, with DivergenceError, what would overflow the physical profile,
+    so a boundary answers exactly where `profile` can be read.  Once
+    `group_parameters`' factors are finite, the wall row (W = 1) and
+    a b F'(eta*) = 1 are finite too: eta*/b and a F(eta*) are checked.  b is
+    zero only above F'(eta*) = 1e162, far beyond any star's far-field slope.
+    """
+    eta_star, f_star, fp_star_inf, _ = star.final
+    a, b, fpp0 = group_parameters(n, fp_star_inf)
+    eta_inf_physical = eta_star / b
+    if not (math.isfinite(eta_inf_physical) and math.isfinite(a * f_star)):
+        raise DivergenceError(f"physical profile overflows at a = {a}, b = {b}")
+    delta = None if n == 0.5 else (n - 2.0) / (2.0 * n - 1.0)
+    return NitmResult(n, delta, 1.0 / a, fpp0, fp_star_inf, star, "direct", a, b, eta_inf_physical)
 
 
 def solve(n: float, config: NitmConfig = NitmConfig()) -> NitmResult:
-    """One-IVP solve: star integration and group recovery.  `profile` is
-    rescaled on read; what would overflow it is refused here."""
-    star = solve_star_ivp(n, config)
-    fp_star_inf = star.final.fp
-    a, b, fpp0 = group_parameters(n, fp_star_inf)
-    return NitmResult(
-        n=n,
-        delta=None if n == 0.5 else (n - 2.0) / (2.0 * n - 1.0),
-        lam=1.0 / a,
-        fpp0=fpp0,
-        fp_star_inf=fp_star_inf,
-        star_profile=star,
-        method_tag="direct",
-        a=a,
-        b=b,
-        eta_inf_physical=_physical_boundary(star, a, b),
-    )
+    """One-IVP solve: the star run to `config`'s boundary, mapped by
+    `star_boundary`, and its `answer`.  `profile` is rescaled on read."""
+    eta_end = star_boundary(n, config.c0, config.eta_star_inf)
+    return answer(n, solve_star_ivp(n, config.integrator, eta_end))
 
 
 solve_nitm = solve

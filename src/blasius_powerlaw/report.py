@@ -8,7 +8,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .ode_core import DomainError, OdeError, SolutionProfile, require_boundary, require_positive
+from .ode_core import DomainError, GridSolution, OdeError, SolutionProfile, require_boundary, require_positive
 from . import nitm
 from .nitm import NitmConfig, NitmResult, solve as nitm_solve
 from .shooting import ShootingConfig, solve_shooting
@@ -88,8 +88,10 @@ def boundary_sensitivity(
 ) -> list[tuple[float, float | None, str | None]]:
     """Wall curvature as a function of the truncated boundary, in input order.
 
-    One star integration runs to the largest mapped boundary and lands a
-    node on each other one, where F'(eta*) gives that boundary's f''(0).
+    Each boundary is mapped once by `star_boundary`.  One star integration
+    runs to the largest star boundary and lands a node on each other one;
+    the star grid cut there is that boundary's run, and its `nitm.answer`,
+    the one `solve` returns through, gives its f''(0) or its refusal.
     Boundaries that map alike (inf and ETA_FAR, say) share one answer.  A
     boundary fails on its own: one that does not map is left out, and if the
     pass fails, its error is recorded on the largest and the rest retried.
@@ -105,19 +107,17 @@ def boundary_sensitivity(
     while pending:
         *stops, last = pending
         try:
-            # Each star boundary is asked for by one of its inputs, mapped again.
-            config_last = config._replace(eta_star_inf=inputs[last][0])
-            star = nitm.solve_star_ivp(n, config_last, [inputs[s][0] for s in stops])
+            star = nitm.solve_star_ivp(n, config.integrator, last, stops)
         except OdeError as exc:
             found.update(dict.fromkeys(inputs[last], (None, str(exc))))
             pending = stops
             continue
         nodes, states = star.grid.nodes, star.grid.states
         for mapped in pending:
-            fp = states[bisect_left(nodes, mapped)][1]
+            end = bisect_left(nodes, mapped) + 1
+            cut = SolutionProfile(GridSolution(nodes[:end], states[:end]), n)
             try:
-                # Refuses what this boundary's solve would.
-                record = (nitm.group_parameters(n, fp)[2], None)
+                record = (nitm.answer(n, cut).fpp0, None)
             except OdeError as exc:
                 record = (None, str(exc))
             found.update(dict.fromkeys(inputs[mapped], record))

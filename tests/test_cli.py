@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 from array import array
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -644,9 +644,16 @@ class TestSensitivity:
         assert rows[1][:2] == ["1e-250", ""] and "out of range at c0 = 1e-300, n = 1.0" in rows[1][2]
         assert rows[2] == ["10", repr(solve(1.0, NitmConfig(c0=1e-300)).fpp0), ""]
 
-    @pytest.mark.parametrize("c0", ["1", "1e50", "1e100", "1e200", "1e-6", "1e-3"])
-    @pytest.mark.parametrize("eta", ["1e-250", "1e-200", "10"])
-    @pytest.mark.parametrize("n", ["0.3", "1", "2"])
+    @pytest.mark.parametrize(
+        "n, eta, c0",
+        [
+            *product(["0.3", "1", "2"], ["1e-250", "1e-200", "10"], ["1", "1e50", "1e100", "1e200", "1e-6", "1e-3"]),
+            # f''(0) and the group factors are finite, but eta*/b overflows.
+            ("0.1", "1.6e308", "1"),
+            ("0.1", "1.65e308", "1"),
+            ("0.2", "1.2e308", "1"),
+        ],
+    )
     def test_refuses_what_solve_refuses(self, capsys, n, eta, c0):
         # One boundary: sensitivity prints solve's fpp0 or fails where it fails.
         common = ["--n", n, "--eta-inf", eta, "--c0", c0]

@@ -194,19 +194,19 @@ class TestLambdaAlgebra:
 
 class TestStarIvp:
     def test_initial_conditions(self):
-        prof = solve_star_ivp(1.3, NitmConfig())
+        prof = solve_star_ivp(1.3, IntegratorConfig(), 10.0)
         assert prof.grid.ts[0] == 0.0
         assert tuple(prof.grid.ys[0]) == (0.0, 0.0, 1.0)
 
     def test_blasius_far_field(self):
-        prof = solve_star_ivp(1.0, NitmConfig())
+        prof = solve_star_ivp(1.0, IntegratorConfig(), 10.0)
         assert prof.final.fp == pytest.approx(2.08541, abs=1e-5)
         assert prof.final.w < 1e-3
 
     def test_custom_c0_initial_flux(self):
         # c0 moves the boundary, not the wall flux: every star IVP starts
-        # from F''(0) = 1.
-        prof = solve_star_ivp(1.0, NitmConfig(c0=3.0))
+        # from F''(0) = 1, and solve runs it to the mapped boundary.
+        prof = solve(1.0, NitmConfig(c0=3.0)).star_profile
         assert prof.grid.ys[0, 2] == 1.0
         assert prof.final.eta == star_boundary(1.0, 3.0, 10.0) == 3.0 ** (1.0 / 3.0) * 10.0
 
@@ -264,7 +264,7 @@ class TestStarIvp:
 
 class TestRescale:
     def test_identity_group_element(self):
-        star = solve_star_ivp(1.0, NitmConfig())
+        star = solve_star_ivp(1.0, IntegratorConfig(), 10.0)
         phys = rescale_profile(star, 1.0, 1.0)
         assert np.array_equal(phys.grid.ts, star.grid.ts)
         assert np.array_equal(phys.grid.ys, star.grid.ys)
@@ -275,7 +275,7 @@ class TestRescale:
         assert star.grid.attempted >= len(star.grid.nodes) - 1
 
     def test_origin_row(self):
-        star = solve_star_ivp(1.0, NitmConfig())
+        star = solve_star_ivp(1.0, IntegratorConfig(), 10.0)
         phys = rescale_profile(star, 0.5, 0.5)
         assert phys.grid.ts[0] == 0.0
         assert phys.grid.ys[0, 0] == 0.0 and phys.grid.ys[0, 1] == 0.0
@@ -296,7 +296,7 @@ class TestRescale:
     def test_zero_b_is_divergence(self):
         # eta = eta*/b has no value; the columns are Python floats, so the
         # division would raise ZeroDivisionError if it were attempted.
-        star = solve_star_ivp(1.0, NitmConfig())
+        star = solve_star_ivp(1.0, IntegratorConfig(), 10.0)
         with pytest.raises(DivergenceError, match="physical profile overflows"):
             rescale_profile(star, 1.0, 0.0)
 
@@ -311,7 +311,7 @@ def eager_rescaling_refuses(n, config):
     """Whether `solve` refused (n, config) when it rescaled the whole star
     grid on every call: `group_parameters`, then a finite check of every
     rescaled value.  A failing star solve raises, as it did then."""
-    star = solve_star_ivp(n, config)
+    star = solve_star_ivp(n, config.integrator, star_boundary(n, config.c0, config.eta_star_inf))
     try:
         a, b, _ = group_parameters(n, star.final.fp)
     except DivergenceError:
@@ -709,7 +709,7 @@ class TestUntruncated:
         for n in (0.1, 1.0, 2.0, 316.0):
             for c0 in (1e-300, 1e-3, 1.0, 10.0, 1e300):
                 assert star_boundary(n, c0, math.inf) == ode_core.ETA_FAR
-        assert solve_star_ivp(1.0, UNTRUNCATED).final.eta == ode_core.ETA_FAR
+        assert solve(1.0, UNTRUNCATED).star_profile.final.eta == ode_core.ETA_FAR
 
     def test_blasius_limit(self):
         # Boyd's value; 1.0e-13 measured.

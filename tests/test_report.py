@@ -144,6 +144,13 @@ class TestBoundarySensitivity:
         assert value is None and "overflows" in error
         assert value_far == pytest.approx(nitm_solve(1.0).fpp0, rel=1e-11) and error_far is None
 
+    def test_unrepresentable_boundary_is_refused_as_solve_refuses(self):
+        # At n = 0.1 the group factors of eta* = 1.6e308 are finite, but
+        # eta*/b = 1.8e308 is not: solve refuses it, and so does its record.
+        (_, value, error), (_, value_far, error_far) = boundary_sensitivity(0.1, [10.0, 1.6e308])
+        assert value == nitm_solve(0.1).fpp0 and error is None
+        assert value_far is None and "physical profile overflows" in error_far
+
     @pytest.mark.parametrize(
         "c0, etas",
         [
